@@ -12,7 +12,6 @@ tables.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -281,6 +280,9 @@ def search_bent(
     if jobs <= 1 or total <= jobs:
         tables = tuple(_SearchKernel(spec, d).run(()))
         return SearchResult(d, total, tables)
+
+    # Imported here so that only a parallel search loads the process pool.
+    from concurrent.futures import ProcessPoolExecutor
 
     depth = 0
     while d**depth < jobs and depth < spec.order:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import random
 import sys
 from typing import Optional, Sequence
 
@@ -17,7 +16,7 @@ from . import __version__
 from .bent import dual_bent, is_bent_spectral, mm_construct, search_bent
 from .characters import character_row
 from .classical import ExponentFunction, comparison_check, is_classical_bent
-from .errors import HarmonicError
+from .errors import HarmonicError, MalformedInput
 from .field import FieldElement, make_context
 from .fourier import convolve, ft, inverse_ft
 from .serialize import (
@@ -221,7 +220,10 @@ def _cmd_vectorial_check(args) -> int:
 def _parse_coeffs(text: Optional[str]) -> Optional[list[int]]:
     if text is None:
         return None
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+    try:
+        return [int(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError:
+        raise MalformedInput("--modulus must list integers", witness=text) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="aligned text instead of JSON")
     common.add_argument("--out", help="write output to a file instead of stdout")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for any randomized sampling (fixed default, never time-based)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("field-info", parents=[common], help="construct and describe a field")
@@ -300,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(getattr(args, "seed", 0))
     try:
         return args.handler(args)
     except HarmonicError as exc:

@@ -32,6 +32,10 @@ class DegreeMismatch(HarmonicError):
     code = "degree-mismatch"
 
 
+class InvalidDegree(HarmonicError):
+    code = "invalid-degree"
+
+
 class DivisionByZero(HarmonicError):
     code = "division-by-zero"
 

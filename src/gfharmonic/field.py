@@ -15,14 +15,18 @@ is immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import itertools
+from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
+    InvalidDegree,
     InvalidDivisor,
     NonPrime,
     ReducibleModulus,
+    SpecMismatch,
 )
 
 
@@ -133,7 +137,7 @@ class FieldElement:
 
     def _check_field(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement) or self.ctx != other.ctx:
-            raise ValueError("operands belong to different fields")
+            raise SpecMismatch("operands belong to different fields", witness=other)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check_field(other)
@@ -225,7 +229,7 @@ class FieldContext:
         if not isinstance(p, int) or not _is_prime(p):
             raise NonPrime(f"p = {p} is not prime", witness=p)
         if not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
+            raise InvalidDegree(f"n must be a positive integer, got {n}", witness=n)
         self.p = p
         self.n = n
         self.width = 2 * n
@@ -250,7 +254,9 @@ class FieldContext:
 
         q = self.q
         self._pw = tuple(p**i for i in range(self.width))
-        self._coeffs = [_digits(code, p, self.width) for code in range(q)]
+        # product() varies its last entry fastest; reversed, each tuple lists
+        # the base-p digits of its index, lowest first.
+        self._coeffs = [c[::-1] for c in itertools.product(range(p), repeat=self.width)]
 
         g_code = self._find_primitive()
         self._build_log_tables(g_code)
@@ -290,13 +296,31 @@ class FieldContext:
         raise ReducibleModulus("no primitive element found; modulus is not irreducible")
 
     def _build_log_tables(self, g_code: int) -> None:
-        q, p = self.q, self.p
+        # Multiplication by g is GF(p)-linear, so g * sum(c_i x^i) is the sum
+        # over positions i of the precomputed vectors c_i * x^i * g.  Each
+        # vector is packed into one int with `bits` bits per coefficient;
+        # a sum of `width` digits below p never carries into the next field,
+        # so a power costs `width` lookups, one sum and one unpacking.
+        q, p, w = self.q, self.p, self.width
+        bits = (w * (p - 1)).bit_length()
+        mask = (1 << bits) - 1
+        shifts = range(0, bits * w, bits)
+        times_g = []
+        xg = list(self._coeffs[g_code])
+        for _ in range(w):
+            times_g.append(
+                [sum((c * a % p) << sh for a, sh in zip(xg, shifts)) for c in range(p)]
+            )
+            xg = _poly_rem([0] + xg, self.modulus, p)
+        places = tuple(zip(shifts, self._pw))
+        coeffs = self._coeffs
         exp = [1] * (q - 1)
-        g = self._coeffs[g_code]
-        cur = [1] + [0] * (self.width - 1)
+        cur = coeffs[1]
         for i in range(1, q - 1):
-            cur = _poly_mul_mod(cur, g, self.modulus, p)
-            exp[i] = self._encode(cur)
+            packed = sum(map(getitem, times_g, cur))
+            code = sum((packed >> sh & mask) % p * pw for sh, pw in places)
+            exp[i] = code
+            cur = coeffs[code]
         log = [-1] * q
         for i, code in enumerate(exp):
             log[code] = i

@@ -26,11 +26,13 @@ class GroupSpec:
     def __init__(self, ctx: FieldContext, factors: Sequence[tuple[int, int]]):
         factors = tuple((int(d), int(m)) for d, m in factors)
         if not factors:
-            raise ValueError("at least one factor is required")
+            raise InadmissibleFactor("at least one factor is required", witness=[])
         s = ctx.circle_order
         for d, m in factors:
             if m < 1:
-                raise ValueError(f"factor multiplicity must be >= 1, got {m}")
+                raise InadmissibleFactor(
+                    f"factor multiplicity must be >= 1, got {m}", witness=m
+                )
             if d < 1 or s % d:
                 raise InadmissibleFactor(
                     f"cyclic order {d} does not divide the circle order {s}", witness=d

@@ -31,6 +31,12 @@ def _expect_mapping(obj: Any, what: str) -> dict:
     return obj
 
 
+def _expect_int(obj: Any, what: str) -> int:
+    if not isinstance(obj, int):
+        raise MalformedInput(f"{what} must be an integer", witness=obj)
+    return obj
+
+
 def _expect_int_list(obj: Any, what: str) -> list[int]:
     if not isinstance(obj, list) or not all(isinstance(v, int) for v in obj):
         raise MalformedInput(f"{what} must be an array of integers")
@@ -51,7 +57,9 @@ def context_from_obj(obj: Any) -> FieldContext:
     modulus = obj.get("modulus")
     if modulus is not None:
         modulus = _expect_int_list(modulus, "context.modulus")
-    return make_context(int(obj["p"]), int(obj["n"]), modulus)
+    return make_context(
+        _expect_int(obj["p"], "context.p"), _expect_int(obj["n"], "context.n"), modulus
+    )
 
 
 # -- group ---------------------------------------------------------------------
@@ -71,7 +79,9 @@ def group_from_obj(ctx: FieldContext, obj: Any) -> GroupSpec:
         f = _expect_mapping(f, "group factor")
         if "d" not in f or "m" not in f:
             raise MalformedInput("each group factor requires 'd' and 'm'")
-        pairs.append((int(f["d"]), int(f["m"])))
+        d = _expect_int(f["d"], "group factor d")
+        m = _expect_int(f["m"], "group factor m")
+        pairs.append((d, m))
     return make_group(ctx, pairs)
 
 
@@ -139,7 +149,8 @@ def exponent_function_from_obj(obj: Any) -> ExponentFunction:
     if "m" not in obj:
         raise MalformedInput("exponent function requires 'm'")
     exponents = _expect_int_list(obj.get("exponents"), "exponents")
-    return ExponentFunction(spec, int(obj["m"]), tuple(exponents))
+    m = _expect_int(obj["m"], "exponent function m")
+    return ExponentFunction(spec, m, tuple(exponents))
 
 
 # -- vector functions ----------------------------------------------------------------
@@ -159,7 +170,7 @@ def vector_function_from_obj(obj: Any) -> VectorFunction:
     spec = group_from_file_obj(obj)
     if "l" not in obj:
         raise MalformedInput("vector function requires 'l'")
-    dim = int(obj["l"])
+    dim = _expect_int(obj["l"], "vector function l")
     values = obj.get("values")
     if not isinstance(values, list):
         raise MalformedInput("vector function requires a 'values' array")

@@ -20,6 +20,29 @@ def poly_mul(a, b, p):
     return out
 
 
+def poly_rem(a, modulus, p):
+    """Remainder of a modulo a monic modulus over GF(p), padded to its degree."""
+    a = list(a)
+    deg = len(modulus) - 1
+    for i in range(len(a) - 1, deg - 1, -1):
+        c = a[i]
+        for j in range(deg + 1):
+            a[i - deg + j] = (a[i - deg + j] - c * modulus[j]) % p
+    return a[:deg] + [0] * (deg - len(a))
+
+
+def schoolbook_powers(ctx):
+    """Coefficient vectors of g^0 .. g^(q-2), each the previous one times g
+    reduced modulo the modulus."""
+    g = list(ctx.g.coeffs)
+    cur = [1] + [0] * (ctx.width - 1)
+    out = []
+    for _ in range(ctx.q - 1):
+        out.append(tuple(cur))
+        cur = poly_rem(poly_mul(cur, g, ctx.p), ctx.modulus, ctx.p)
+    return out
+
+
 def poly_trim(a):
     a = list(a)
     while a and a[-1] == 0:

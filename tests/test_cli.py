@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gfharmonic
 from gfharmonic import ExponentFunction, ScalarFunction, VectorFunction, make_group
 from gfharmonic.cli import main
 from gfharmonic.serialize import (
@@ -229,3 +234,60 @@ class TestParsing:
         code, _, err = run(capsys, "char-table", "--group", path)
         assert code == 2
         assert json.loads(err)["code"] == "inadmissible-factor"
+
+
+class TestErrorContract:
+    """Bad parameters exit 2 with nothing on stdout and exactly one
+    structured record naming the offending value."""
+
+    def _record(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert set(record) == {"code", "message", "witness"}
+        return record
+
+    def test_zero_degree(self, capsys):
+        record = self._record(capsys, "field-info", "--p", "2", "--n", "0")
+        assert record["code"] == "invalid-degree"
+        assert record["witness"] == 0
+
+    def test_zero_multiplicity(self, capsys, tmp_path):
+        obj = {"context": {"p": 2, "n": 1}, "group": {"factors": [{"d": 3, "m": 0}]}}
+        path = write(tmp_path, "m0.json", obj)
+        record = self._record(capsys, "char-table", "--group", path)
+        assert record["code"] == "inadmissible-factor"
+        assert record["witness"] == 0
+
+    def test_non_integer_prime(self, capsys, bent_file, tmp_path):
+        with open(bent_file) as fh:
+            obj = json.load(fh)
+        obj["context"]["p"] = "x"
+        path = write(tmp_path, "px.json", obj)
+        record = self._record(capsys, "ft", "--in", path)
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == "x"
+
+    def test_non_integer_modulus(self, capsys):
+        record = self._record(capsys, "field-info", "--p", "2", "--n", "1", "--modulus", "1,x,1")
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == "1,x,1"
+
+
+class TestImports:
+    def test_serial_commands_do_not_load_the_process_pool(self):
+        code = (
+            "import json, sys\n"
+            "import gfharmonic, gfharmonic.cli\n"
+            "rc = gfharmonic.cli.main(['field-info', '--p', '2', '--n', '1'])\n"
+            "pool = ('concurrent.futures', 'multiprocessing')\n"
+            "print(json.dumps([rc, sorted(m for m in pool if m in sys.modules)]))\n"
+        )
+        src = str(Path(gfharmonic.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,17 @@ from gfharmonic import (
     InvalidDivisor,
     NonPrime,
     ReducibleModulus,
+    SpecMismatch,
     make_context,
 )
-from _oracles import irreducible_by_factor_enumeration, multiplicative_order, poly_mul, poly_trim
+from gfharmonic.cli import main
+from _oracles import (
+    irreducible_by_factor_enumeration,
+    multiplicative_order,
+    poly_mul,
+    poly_trim,
+    schoolbook_powers,
+)
 
 
 class TestConstruction:
@@ -98,7 +108,7 @@ class TestArithmetic:
             gf16.zero ** -2
 
     def test_mixed_field_operands_rejected(self, gf4, gf16):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecMismatch):
             gf4.one + gf16.one
 
 
@@ -191,6 +201,117 @@ class TestCircle:
     def test_non_divisor_rejected(self, gf16):
         with pytest.raises(InvalidDivisor):
             gf16.circle_subgroup_generator(3)
+
+
+class TestLogTables:
+    CONTEXTS = [
+        (3, 1, None),  # GF(9)
+        (2, 2, None),  # GF(16)
+        (5, 1, None),  # GF(25)
+        (7, 1, None),  # GF(49)
+        (3, 2, None),  # GF(81)
+        (2, 4, None),  # GF(256)
+        (2, 2, (1, 0, 0, 1, 1)),  # GF(16) modulo x^4 + x^3 + 1
+    ]
+
+    @pytest.mark.parametrize("p, n, modulus", CONTEXTS)
+    def test_exp_matches_schoolbook_powers(self, p, n, modulus):
+        ctx = make_context(p, n, modulus)
+        codes = [sum(c * p**i for i, c in enumerate(v)) for v in schoolbook_powers(ctx)]
+        assert list(ctx._exp) == codes
+        assert all(ctx._log[code] == k for k, code in enumerate(codes))
+
+    @pytest.mark.parametrize("p, n, modulus", CONTEXTS)
+    def test_coeffs_are_base_p_digits(self, p, n, modulus):
+        ctx = make_context(p, n, modulus)
+        w = ctx.width
+        assert ctx._coeffs == [tuple(c // p**i % p for i in range(w)) for c in range(ctx.q)]
+
+
+# `field-info` output of the reference construction, and the sha256 of
+# repr(ctx._exp).  Any change to the modulus search, the choice of g or the
+# power tables shows here.
+GOLDEN = [
+    (
+        2, 3, None,
+        '{"p":2,"n":3,"modulus":[1,1,0,0,0,0,1],"q":64,"sqrt_q":8,"circle_order":9,'
+        '"g":[0,1,0,0,0,0],"u":[0,1,1,0,0,0]}',
+        "400267a13c392c9e06ed9edc7316cc1e25fa8364ccdd176277eeeb3c4d96549e",
+    ),
+    (
+        2, 4, None,
+        '{"p":2,"n":4,"modulus":[1,1,0,1,1,0,0,0,1],"q":256,"sqrt_q":16,"circle_order":17,'
+        '"g":[1,1,0,0,0,0,0,0],"u":[1,0,1,0,1,1,0,0]}',
+        "8c045be595a35bd4ebf83cd6d941ba6bd22b1a88516f29d6400240e3f82d0c4b",
+    ),
+    (
+        2, 5, None,
+        '{"p":2,"n":5,"modulus":[1,0,0,1,0,0,0,0,0,0,1],"q":1024,"sqrt_q":32,'
+        '"circle_order":33,"g":[0,1,0,0,0,0,0,0,0,0],"u":[1,1,0,1,1,0,0,1,0,0]}',
+        "d2537752bb72ad24738287e6a27f168f28b734f83ce0b0bc611a6416f71d80e2",
+    ),
+    (
+        2, 6, None,
+        '{"p":2,"n":6,"modulus":[1,0,0,1,0,0,0,0,0,0,0,0,1],"q":4096,"sqrt_q":64,'
+        '"circle_order":65,"g":[1,1,0,0,0,0,0,0,0,0,0,0],"u":[0,0,0,1,1,1,1,0,0,0,1,1]}',
+        "119a15a04d71d142a8ea3b2b14e43d9fa7e33505fe75af1c2efbeef10ee1bc97",
+    ),
+    (
+        7, 1, None,
+        '{"p":7,"n":1,"modulus":[1,0,1],"q":49,"sqrt_q":7,"circle_order":8,'
+        '"g":[2,1],"u":[2,2]}',
+        "5189a3389017bda22065378340a8bc93d4ca44102d534cbb13afc5cb9237da6d",
+    ),
+    (
+        3, 2, None,
+        '{"p":3,"n":2,"modulus":[2,1,0,0,1],"q":81,"sqrt_q":9,"circle_order":10,'
+        '"g":[0,1,0,0],"u":[1,1,1,0]}',
+        "9106e3ec8ffe2c136350477fd83249351d486dca012f59c8bcd85255db717214",
+    ),
+    (
+        5, 2, None,
+        '{"p":5,"n":2,"modulus":[2,0,0,0,1],"q":625,"sqrt_q":25,"circle_order":26,'
+        '"g":[1,1,0,0],"u":[3,1,4,1]}',
+        "85ef34e5882caf1a7cba3ae7d05db811e0ef7c077374995b2a3580838f211302",
+    ),
+    (
+        3, 3, None,
+        '{"p":3,"n":3,"modulus":[2,1,0,0,0,0,1],"q":729,"sqrt_q":27,"circle_order":28,'
+        '"g":[0,1,0,0,0,0],"u":[1,2,1,2,0,2]}',
+        "ac08fc1dcc3704fbdfa954f1e777ce60b41885e8dbdd4cf9506059d8d3a3daf6",
+    ),
+    (
+        2, 2, (1, 0, 0, 1, 1),
+        '{"p":2,"n":2,"modulus":[1,0,0,1,1],"q":16,"sqrt_q":4,"circle_order":5,'
+        '"g":[0,1,0,0],"u":[0,0,0,1]}',
+        "0650ff8191e2b08f30c1d460383946f9bd2b0ac48e78286421e766c42d88148d",
+    ),
+    (
+        3, 1, (2, 1, 1),
+        '{"p":3,"n":1,"modulus":[2,1,1],"q":9,"sqrt_q":3,"circle_order":4,'
+        '"g":[0,1],"u":[1,2]}',
+        "d96b09559b4728e47a4468106593a2fb3062cb6f3b1c92be71ce380cfe29da52",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "p, n, modulus, info, exp_sha256",
+    GOLDEN,
+    ids=[f"GF({p}^{2 * n})" + (f"-mod{''.join(map(str, m))}" if m else "") for p, n, m, _, _ in GOLDEN],
+)
+def test_golden_construction(capsys, p, n, modulus, info, exp_sha256):
+    argv = ["field-info", "--p", str(p), "--n", str(n)]
+    if modulus is not None:
+        argv += ["--modulus", ",".join(map(str, modulus))]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == info + "\n"
+    ctx = make_context(p, n, modulus)
+    want = json.loads(info)
+    assert list(ctx.modulus) == want["modulus"]
+    assert list(ctx.g.coeffs) == want["g"]
+    assert list(ctx.u.coeffs) == want["u"]
+    assert hashlib.sha256(repr(ctx._exp).encode()).hexdigest() == exp_sha256
 
 
 @settings(max_examples=60, deadline=None)

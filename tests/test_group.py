@@ -26,7 +26,7 @@ class TestMakeGroup:
             make_group(gf16, [(3, 1)])
 
     def test_empty_factors_rejected(self, gf4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InadmissibleFactor):
             make_group(gf4, [])
 
     def test_order_coprime_to_p(self, z3, z5, z4, z2z4, z5sq):
