@@ -12,10 +12,11 @@ tables.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .characters import ScalarFunction, character_value
+from .characters import ScalarFunction
 from .errors import (
     BudgetExceeded,
     NotBent,
@@ -23,7 +24,7 @@ from .errors import (
     NotQuadraticResidue,
 )
 from .field import FieldElement
-from .fourier import ft
+from .fourier import _correlate, ft
 from .group import GroupElement, GroupSpec, make_group
 
 
@@ -59,24 +60,14 @@ def is_bent_spectral(f: ScalarFunction) -> BentReport:
 
 def derivative(f: ScalarFunction, alpha: Sequence[int]) -> ScalarFunction:
     """Directional derivative: x -> f(alpha + x) * conj(f(x))."""
-    spec = f.spec
-    values = tuple(
-        f.at(spec.add(alpha, x)) * f.at(x).conjugate() for x in spec.elements()
-    )
-    return ScalarFunction(spec, values)
+    row = f.spec.translate_row(alpha)
+    values = tuple(f.values[y] * v.conjugate() for y, v in zip(row, f.values))
+    return ScalarFunction(f.spec, values)
 
 
 def autocorrelation(f: ScalarFunction) -> ScalarFunction:
     """alpha -> sum_x f(alpha + x) * conj(f(x))."""
-    spec = f.spec
-    ctx = spec.ctx
-    out = []
-    for alpha in spec.elements():
-        acc = ctx.zero
-        for x in spec.elements():
-            acc = acc + f.at(spec.add(alpha, x)) * f.at(x).conjugate()
-        out.append(acc)
-    return ScalarFunction(spec, tuple(out))
+    return _correlate(f.spec, [(f.values, tuple(v.conjugate() for v in f.values))])
 
 
 def is_bent_autocorr(f: ScalarFunction) -> BentReport:
@@ -88,8 +79,13 @@ def is_bent_autocorr(f: ScalarFunction) -> BentReport:
     independent computational routes.
     """
     _require_circle_valued(f)
-    spec = f.spec
-    ac = autocorrelation(f)
+    return _derivative_report(autocorrelation(f))
+
+
+def _derivative_report(ac: ScalarFunction) -> BentReport:
+    """The derivative verdict from an autocorrelation table, with ft(ac) as
+    the norm table."""
+    spec = ac.spec
     zero = spec.ctx.zero
     # index 0 is the identity element in canonical order; its direction is exempt
     failing = tuple(
@@ -165,9 +161,9 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
     _require_circle_valued(g)
     spec = g.spec
     spec2 = make_group(spec.ctx, spec.factors + spec.factors)
-    elems = list(spec.elements())
+    circle = spec.ctx.circle()
     values = tuple(
-        character_value(spec, x, y) * g.at(y) for x in elems for y in elems
+        circle[k] * v for x in spec.elements() for k, v in zip(spec.exponent_row(x), g.values)
     )
     return ScalarFunction(spec2, values)
 
@@ -202,11 +198,7 @@ class _SearchKernel:
         self.p = ctx.p
         self.n_points = spec.order
         self.width = ctx.width
-        elems = list(spec.elements())
-        index = {x: i for i, x in enumerate(elems)}
-        self.add_rows = [
-            [index[spec.add(a, x)] for x in elems] for a in elems
-        ]
+        self.add_rows = [spec.translate_row(a) for a in spec.elements()]
         powers = [(ud**j).coeffs for j in range(d)]
         self.coord_cols = [[powers[j][t] for j in range(d)] for t in range(self.width)]
 
@@ -224,14 +216,13 @@ class _SearchKernel:
             return False
         return True
 
-    def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def run(self, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Yield the bent tables that start with prefix, in enumeration order."""
         free = self.n_points - len(prefix)
-        found = []
         for suffix in itertools.product(range(self.d), repeat=free):
             e = prefix + suffix
             if self.is_bent(e):
-                found.append(e)
-        return found
+                yield e
 
 
 _WORKER_KERNEL: Optional[_SearchKernel] = None
@@ -246,15 +237,12 @@ def _init_search_worker(p, n, modulus, factors, d):
 
 
 def _run_search_block(prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return _WORKER_KERNEL.run(prefix)
+    return list(_WORKER_KERNEL.run(prefix))
 
 
 def iter_bent_tables(spec: GroupSpec, d: int) -> Iterator[tuple[int, ...]]:
     """Lazily yield the bent exponent tables in enumeration order."""
-    kernel = _SearchKernel(spec, d)
-    for e in itertools.product(range(d), repeat=spec.order):
-        if kernel.is_bent(e):
-            yield e
+    yield from _SearchKernel(spec, d).run(())
 
 
 def search_bent(
@@ -268,7 +256,8 @@ def search_bent(
     Candidates are exponent tables in mixed-radix order (first point most
     significant).  With jobs > 1 the space is split by leading digits
     across worker processes and the blocks are merged back in order, so the
-    result does not depend on the worker count.
+    result does not depend on the worker count.  At most os.cpu_count()
+    workers are started, whatever jobs asks for.
     """
     ctx = spec.ctx
     ctx.circle_subgroup_generator(d)  # validates d | s
@@ -277,6 +266,7 @@ def search_bent(
         raise BudgetExceeded(
             f"{total} candidates exceed the budget of {max_candidates}", witness=total
         )
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total <= jobs:
         tables = tuple(_SearchKernel(spec, d).run(()))
         return SearchResult(d, total, tables)

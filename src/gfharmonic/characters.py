@@ -3,9 +3,9 @@
 The character attached to a group element alpha sends x to the product over
 factors of u_d^(alpha_i . x_i), where u_d is the order-d circle generator.
 Because every value is a power of the circle generator u, a character value
-is fully described by an exponent modulo s = p^n + 1; the fast path works
-on those exponents, and a reference path that exponentiates in the field
-directly is kept for cross-checking.
+is fully described by an exponent modulo s = p^n + 1.  Whole rows of
+exponents come from GroupSpec.exponent_row; a reference path that
+exponentiates in the field per factor is kept for cross-checking.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from typing import Sequence
 from .errors import SpecMismatch, TooLarge
 from .field import FieldElement
 from .group import GroupElement, GroupSpec
-
-# Cache full exponent matrices only for groups this small (entries = order^2).
-_MATRIX_CACHE_MAX_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -89,25 +86,6 @@ def char_exponent(spec: GroupSpec, alpha: Sequence[int], x: Sequence[int]) -> in
     return sum(st * a * b for st, a, b in zip(spec.coord_steps, alpha, x)) % s
 
 
-def exponent_matrix(spec: GroupSpec) -> tuple[tuple[int, ...], ...] | None:
-    """Full |G| x |G| matrix of character exponents, cached on the spec.
-
-    Returns None for groups too large to cache; callers then compute
-    exponents pointwise.
-    """
-    if spec.order > _MATRIX_CACHE_MAX_ORDER:
-        return None
-    if spec._char_exp_matrix is None:
-        elems = list(spec.elements())
-        s = spec.ctx.circle_order
-        steps = spec.coord_steps
-        spec._char_exp_matrix = tuple(
-            tuple(sum(st * a * b for st, a, b in zip(steps, alpha, x)) % s for x in elems)
-            for alpha in elems
-        )
-    return spec._char_exp_matrix
-
-
 def character_value(spec: GroupSpec, alpha: Sequence[int], x: Sequence[int]) -> FieldElement:
     """chi_alpha(x), computed by circle-exponent arithmetic."""
     ctx = spec.ctx
@@ -125,7 +103,8 @@ def character_value_naive(spec: GroupSpec, alpha: Sequence[int], x: Sequence[int
 
 def character_row(spec: GroupSpec, alpha: Sequence[int]) -> ScalarFunction:
     """The character chi_alpha as a table over G."""
-    values = tuple(character_value(spec, alpha, x) for x in spec.elements())
+    ctx = spec.ctx
+    values = tuple(FieldElement(ctx, ctx._circle_pow[k]) for k in spec.exponent_row(alpha))
     return ScalarFunction(spec, values)
 
 
@@ -164,6 +143,6 @@ def evaluation_map_is_bijective(spec: GroupSpec, max_order: int = 1024) -> bool:
             f"group order {spec.order} exceeds enumeration bound {max_order}",
             witness=spec.order,
         )
-    elems = list(spec.elements())
-    rows = {tuple(char_exponent(spec, alpha, x) for alpha in elems) for x in elems}
+    # chi_alpha(x) = chi_x(alpha), so the row of x is its evaluation map.
+    rows = {tuple(spec.exponent_row(x)) for x in spec.elements()}
     return len(rows) == spec.order

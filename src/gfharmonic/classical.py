@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bent import is_bent_spectral
-from .characters import ScalarFunction, char_exponent, exponent_matrix
+from .characters import ScalarFunction
 from .errors import InvalidOrder, SpecMismatch
 from .group import GroupSpec
 
@@ -60,16 +60,10 @@ def classical_ft(ef: ExponentFunction) -> list[complex]:
     zs = _roots_of_unity(s)
     zm = _roots_of_unity(ef.m)
     values = [zm[e] for e in ef.exponents]
-    mat = exponent_matrix(spec)
-    elems = list(spec.elements()) if mat is None else None
     out = []
-    for a_idx in range(spec.order):
+    for alpha in spec.elements():
         acc = 0j
-        for x_idx, v in enumerate(values):
-            if mat is not None:
-                k = mat[a_idx][x_idx]
-            else:
-                k = char_exponent(spec, elems[a_idx], elems[x_idx])
+        for v, k in zip(values, spec.exponent_row(alpha)):
             acc += v * zs[k]
         out.append(acc)
     return out

@@ -226,8 +226,32 @@ def _parse_coeffs(text: Optional[str]) -> Optional[list[int]]:
         raise MalformedInput("--modulus must list integers", witness=text) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as malformed-input records instead of exiting."""
+
+    def error(self, message: str):
+        # Messages that reach here end with the missing flags, the unknown
+        # arguments or the bad choice; bad numbers are caught by _number.
+        raise MalformedInput(message, witness=message.rpartition(": ")[2])
+
+
+def _number(kind, what: str):
+    """An argparse type that reports a bad token as malformed input."""
+
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise MalformedInput(f"expected {what}, got {text!r}", witness=text) from None
+
+    return parse
+
+
+_int, _float = _number(int, "an integer"), _number(float, "a number")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gfharmonic",
         description="Finite-field character sums, Fourier transforms, and bent functions.",
     )
@@ -242,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("field-info", parents=[common], help="construct and describe a field")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--p", type=_int, required=True)
+    sp.add_argument("--n", type=_int, required=True)
     sp.add_argument("--modulus", help="comma-separated coefficients, low degree first")
     sp.set_defaults(handler=_cmd_field_info)
 
@@ -269,19 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", parents=[common], help="exhaustive bent search")
     sp.add_argument("--group", required=True)
-    sp.add_argument("--d", type=int, required=True, help="order of the value subgroup")
-    sp.add_argument("--max-candidates", type=int, default=1_000_000)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--d", type=_int, required=True, help="order of the value subgroup")
+    sp.add_argument("--max-candidates", type=_int, default=1_000_000)
+    sp.add_argument("--jobs", type=_int, default=1)
     sp.set_defaults(handler=_cmd_search)
 
     sp = sub.add_parser(
         "compare", parents=[common], help="classical-vs-field bentness comparison"
     )
     sp.add_argument("--group", help="group JSON file (for --exhaustive)")
-    sp.add_argument("--m", type=int, help="root-of-unity order")
+    sp.add_argument("--m", type=_int, help="root-of-unity order")
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--in", dest="infile", help="exponent function JSON file")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_float, default=None)
     sp.set_defaults(handler=_cmd_compare)
 
     sp = sub.add_parser(
@@ -295,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except HarmonicError as exc:
         witness = exc.witness

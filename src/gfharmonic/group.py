@@ -20,6 +20,15 @@ from .field import FieldContext
 GroupElement = tuple[int, ...]
 
 
+def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:
+    """Entry i is sum_j parts[j][x_j], where x is the i-th element in
+    canonical mixed-radix order; parts[j] is indexed by the j-th coordinate."""
+    out = [0]
+    for part in parts:
+        out = [a + b for a in out for b in part]
+    return out
+
+
 class GroupSpec:
     """A validated product of cyclic factors bound to a field context."""
 
@@ -58,7 +67,6 @@ class GroupSpec:
         # Exponent step of the circle generator per coordinate: a coordinate
         # with modulus d contributes multiples of s/d to character exponents.
         self.coord_steps = tuple(s // d for d in self.dims)
-        self._char_exp_matrix: tuple[tuple[int, ...], ...] | None = None
 
     def validate_element(self, x: Sequence[int]) -> GroupElement:
         if len(x) != len(self.dims):
@@ -93,6 +101,23 @@ class GroupSpec:
             c, index = divmod(index, s)
             out.append(c % d)
         return tuple(out)
+
+    def exponent_row(self, alpha: Sequence[int]) -> list[int]:
+        """Exponents k with chi_alpha(x) = u^k, for every x in canonical order."""
+        alpha = self.validate_element(alpha)
+        s = self.ctx.circle_order
+        parts = [
+            [st * a * x for x in range(d)]
+            for st, a, d in zip(self.coord_steps, alpha, self.dims)
+        ]
+        return [k % s for k in _outer_sum(parts)]
+
+    def translate_row(self, a: Sequence[int]) -> list[int]:
+        """Index of a + x, for every x in canonical order."""
+        a = self.validate_element(a)
+        return _outer_sum(
+            [[(c + x) % d * st for x in range(d)] for c, d, st in zip(a, self.dims, self._strides)]
+        )
 
     def factor_dot(self, alpha: Sequence[int], x: Sequence[int]) -> list[int]:
         """Per-factor dot products: for factor i, sum(alpha_j * x_j) mod d_i

@@ -31,16 +31,28 @@ def _expect_mapping(obj: Any, what: str) -> dict:
     return obj
 
 
+def _is_int(obj: Any) -> bool:
+    # JSON true and false decode to bools, which Python counts as ints.
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _expect_int(obj: Any, what: str) -> int:
-    if not isinstance(obj, int):
+    if not _is_int(obj):
         raise MalformedInput(f"{what} must be an integer", witness=obj)
     return obj
 
 
 def _expect_int_list(obj: Any, what: str) -> list[int]:
-    if not isinstance(obj, list) or not all(isinstance(v, int) for v in obj):
-        raise MalformedInput(f"{what} must be an array of integers")
+    if not isinstance(obj, list) or not all(_is_int(v) for v in obj):
+        raise MalformedInput(f"{what} must be an array of integers", witness=obj)
     return obj
+
+
+def _expect_coeffs(obj: Any, p: int, what: str) -> list[int]:
+    coeffs = _expect_int_list(obj, what)
+    if not all(0 <= c < p for c in coeffs):
+        raise MalformedInput(f"{what} coefficients must lie in [0, {p})", witness=obj)
+    return coeffs
 
 
 # -- context ------------------------------------------------------------------
@@ -57,9 +69,12 @@ def context_from_obj(obj: Any) -> FieldContext:
     modulus = obj.get("modulus")
     if modulus is not None:
         modulus = _expect_int_list(modulus, "context.modulus")
-    return make_context(
+    ctx = make_context(
         _expect_int(obj["p"], "context.p"), _expect_int(obj["n"], "context.n"), modulus
     )
+    if modulus is not None:
+        _expect_coeffs(modulus, ctx.p, "context.modulus")
+    return ctx
 
 
 # -- group ---------------------------------------------------------------------
@@ -103,7 +118,7 @@ def element_to_obj(v: FieldElement) -> list[int]:
 
 
 def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
-    return ctx.element(_expect_int_list(obj, "field element"))
+    return ctx.element(_expect_coeffs(obj, ctx.p, "field element"))
 
 
 def group_element_to_obj(x: Sequence[int]) -> list[int]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bent import BentReport
-from .characters import ScalarFunction, character_value
+from .bent import BentReport, _derivative_report
+from .characters import ScalarFunction
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -24,6 +24,7 @@ from .errors import (
     SpecMismatch,
 )
 from .field import FieldElement
+from .fourier import _correlate, ft, inverse_ft
 from .group import GroupElement, GroupSpec
 
 FieldVector = tuple[FieldElement, ...]
@@ -106,37 +107,19 @@ def coordinate_function(f: VectorFunction, e: int) -> ScalarFunction:
     return ScalarFunction(f.spec, tuple(vec[e] for vec in f.values))
 
 
+def _coordinatewise(transform, f: VectorFunction) -> VectorFunction:
+    coords = [transform(coordinate_function(f, i)).values for i in range(f.dim)]
+    return VectorFunction(f.spec, f.dim, tuple(zip(*coords)))
+
+
 def md_ft(f: VectorFunction) -> VectorFunction:
-    """alpha -> sum_x chi_alpha(x) f(x), computed directly on vectors."""
-    spec = f.spec
-    ctx = spec.ctx
-    out = []
-    for alpha in spec.elements():
-        acc = [ctx.zero] * f.dim
-        for x in spec.elements():
-            chi = character_value(spec, alpha, x)
-            vec = f.at(x)
-            for i in range(f.dim):
-                acc[i] = acc[i] + chi * vec[i]
-        out.append(tuple(acc))
-    return VectorFunction(spec, f.dim, tuple(out))
+    """alpha -> sum_x chi_alpha(x) f(x): the coordinate transforms, stacked."""
+    return _coordinatewise(ft, f)
 
 
 def md_inverse_ft(F: VectorFunction) -> VectorFunction:
-    """x -> (|G| mod p)^-1 sum_alpha conj(chi_alpha(x)) F(alpha)."""
-    spec = F.spec
-    ctx = spec.ctx
-    scale = ctx.from_int(spec.inv_order_mod_p)
-    out = []
-    for x in spec.elements():
-        acc = [ctx.zero] * F.dim
-        for alpha in spec.elements():
-            chi = character_value(spec, alpha, x).conjugate()
-            vec = F.at(alpha)
-            for i in range(F.dim):
-                acc[i] = acc[i] + chi * vec[i]
-        out.append(tuple(scale * v for v in acc))
-    return VectorFunction(spec, F.dim, tuple(out))
+    """x -> (|G| mod p)^-1 sum_alpha conj(chi_alpha(x)) F(alpha), coordinatewise."""
+    return _coordinatewise(inverse_ft, F)
 
 
 def vector_convolve(f: VectorFunction, g: VectorFunction) -> ScalarFunction:
@@ -145,24 +128,18 @@ def vector_convolve(f: VectorFunction, g: VectorFunction) -> ScalarFunction:
         raise SpecMismatch("functions live on different groups")
     if f.dim != g.dim:
         raise DimensionMismatch(f"dimensions {f.dim} and {g.dim} differ")
-    spec = f.spec
-    ctx = spec.ctx
-    out = []
-    for alpha in spec.elements():
-        acc = ctx.zero
-        for x in spec.elements():
-            acc = acc + hermitian_dot(g.at(spec.add(alpha, x)), f.at(x))
-        out.append(acc)
-    return ScalarFunction(spec, tuple(out))
+    pairs = [
+        (tuple(vec[i] for vec in g.values), tuple(vec[i].conjugate() for vec in f.values))
+        for i in range(f.dim)
+    ]
+    return _correlate(f.spec, pairs)
 
 
 def md_derivative(f: VectorFunction, alpha: Sequence[int]) -> ScalarFunction:
     """x -> <f(alpha + x), f(x)>, the orthogonality defect along alpha."""
-    spec = f.spec
-    values = tuple(
-        hermitian_dot(f.at(spec.add(alpha, x)), f.at(x)) for x in spec.elements()
-    )
-    return ScalarFunction(spec, values)
+    row = f.spec.translate_row(alpha)
+    values = tuple(hermitian_dot(f.values[y], vec) for y, vec in zip(row, f.values))
+    return ScalarFunction(f.spec, values)
 
 
 def _require_hypersphere(f: VectorFunction) -> None:
@@ -187,19 +164,5 @@ def is_md_bent_derivative(f: VectorFunction) -> BentReport:
     """Bentness by the derivative criterion: sum_x <f(alpha+x), f(x)> = 0
     for every nonzero alpha.  Norm table reported via ft of the
     autocorrelation, independent of the spectral route."""
-    from .fourier import ft
-
     _require_hypersphere(f)
-    spec = f.spec
-    ctx = spec.ctx
-    ac = []
-    for alpha in spec.elements():
-        acc = ctx.zero
-        for x in spec.elements():
-            acc = acc + hermitian_dot(f.at(spec.add(alpha, x)), f.at(x))
-        ac.append(acc)
-    failing = tuple(
-        spec.element_at(i) for i, v in enumerate(ac) if i and v != ctx.zero
-    )
-    norms = ft(ScalarFunction(spec, tuple(ac))).values
-    return BentReport(not failing, norms, failing)
+    return _derivative_report(vector_convolve(f, f))

@@ -2,13 +2,16 @@
 
 Nothing here calls the library's fast paths: polynomial arithmetic is
 schoolbook, irreducibility is decided by enumerating factorizations,
-orders by repeated multiplication, and transforms by double sums over the
-per-factor exponentiation route.
+orders by repeated multiplication, transforms by double sums over the
+per-factor exponentiation route, and convolutions and autocorrelations by
+double sums of FieldElement products over G x G.
 """
 
+import cmath
 import itertools
+import math
 
-from gfharmonic import ScalarFunction, VectorFunction
+from gfharmonic import ScalarFunction, VectorFunction, hermitian_dot
 from gfharmonic.characters import character_value_naive
 
 
@@ -75,16 +78,147 @@ def multiplicative_order(x):
     return k
 
 
+def naive_ft_at(f, alpha):
+    """ft(f)(alpha) via the per-factor field-exponentiation character route."""
+    spec = f.spec
+    acc = spec.ctx.zero
+    for x in spec.elements():
+        acc = acc + f.at(x) * character_value_naive(spec, alpha, x)
+    return acc
+
+
 def naive_ft(f):
     """Transform via the per-factor field-exponentiation character route."""
-    spec = f.spec
-    out = []
+    return ScalarFunction(f.spec, tuple(naive_ft_at(f, a) for a in f.spec.elements()))
+
+
+def naive_inverse_ft_at(F, x):
+    """inverse_ft(F)(x) = (|G| mod p)^-1 sum_alpha F(alpha) conj(chi_alpha(x))."""
+    spec = F.spec
+    acc = spec.ctx.zero
     for alpha in spec.elements():
-        acc = spec.ctx.zero
-        for x in spec.elements():
-            acc = acc + f.at(x) * character_value_naive(spec, alpha, x)
+        acc = acc + F.at(alpha) * character_value_naive(spec, alpha, x).conjugate()
+    return acc * spec.ctx.from_int(spec.inv_order_mod_p)
+
+
+def naive_classical_ft_at(ef, alpha):
+    """classical_ft(ef)(alpha) as a product of per-factor complex roots of unity."""
+    spec = ef.spec
+    acc = 0j
+    for x, e in zip(spec.elements(), ef.exponents):
+        v = cmath.exp(2j * math.pi * e / ef.m)
+        for (d, _), dot in zip(spec.factors, spec.factor_dot(alpha, x)):
+            v *= cmath.exp(2j * math.pi * dot / d)
+        acc += v
+    return acc
+
+
+# The double sums below are the library's former implementations, kept as
+# differential oracles for the correlation kernel in gfharmonic.fourier.
+
+
+def naive_convolve(f, g):
+    """(f * g)(alpha) = sum_x f(x) g(-x + alpha)."""
+    spec = f.spec
+    ctx = spec.ctx
+    elems = list(spec.elements())
+    out = []
+    for alpha in elems:
+        acc = ctx.zero
+        for x in elems:
+            acc = acc + f.at(x) * g.at(spec.add(spec.neg(x), alpha))
         out.append(acc)
     return ScalarFunction(spec, tuple(out))
+
+
+def naive_derivative(f, alpha):
+    """x -> f(alpha + x) * conj(f(x))."""
+    spec = f.spec
+    values = tuple(
+        f.at(spec.add(alpha, x)) * f.at(x).conjugate() for x in spec.elements()
+    )
+    return ScalarFunction(spec, values)
+
+
+def naive_autocorrelation(f):
+    """alpha -> sum_x f(alpha + x) * conj(f(x))."""
+    spec = f.spec
+    ctx = spec.ctx
+    out = []
+    for alpha in spec.elements():
+        acc = ctx.zero
+        for x in spec.elements():
+            acc = acc + f.at(spec.add(alpha, x)) * f.at(x).conjugate()
+        out.append(acc)
+    return ScalarFunction(spec, tuple(out))
+
+
+def naive_md_ft(f):
+    """alpha -> sum_x chi_alpha(x) f(x), computed directly on vectors."""
+    spec = f.spec
+    ctx = spec.ctx
+    out = []
+    for alpha in spec.elements():
+        acc = [ctx.zero] * f.dim
+        for x in spec.elements():
+            chi = character_value_naive(spec, alpha, x)
+            vec = f.at(x)
+            for i in range(f.dim):
+                acc[i] = acc[i] + chi * vec[i]
+        out.append(tuple(acc))
+    return VectorFunction(spec, f.dim, tuple(out))
+
+
+def naive_md_inverse_ft(F):
+    """x -> (|G| mod p)^-1 sum_alpha conj(chi_alpha(x)) F(alpha)."""
+    spec = F.spec
+    ctx = spec.ctx
+    scale = ctx.from_int(spec.inv_order_mod_p)
+    out = []
+    for x in spec.elements():
+        acc = [ctx.zero] * F.dim
+        for alpha in spec.elements():
+            chi = character_value_naive(spec, alpha, x).conjugate()
+            vec = F.at(alpha)
+            for i in range(F.dim):
+                acc[i] = acc[i] + chi * vec[i]
+        out.append(tuple(scale * v for v in acc))
+    return VectorFunction(spec, F.dim, tuple(out))
+
+
+def naive_vector_convolve(f, g):
+    """(f * g)(alpha) = sum_x <g(alpha + x), f(x)>; scalar-valued."""
+    spec = f.spec
+    ctx = spec.ctx
+    out = []
+    for alpha in spec.elements():
+        acc = ctx.zero
+        for x in spec.elements():
+            acc = acc + hermitian_dot(g.at(spec.add(alpha, x)), f.at(x))
+        out.append(acc)
+    return ScalarFunction(spec, tuple(out))
+
+
+def naive_md_derivative(f, alpha):
+    """x -> <f(alpha + x), f(x)>."""
+    spec = f.spec
+    values = tuple(
+        hermitian_dot(f.at(spec.add(alpha, x)), f.at(x)) for x in spec.elements()
+    )
+    return ScalarFunction(spec, values)
+
+
+def naive_md_autocorrelation(f):
+    """The loop of the derivative criterion: alpha -> sum_x <f(alpha+x), f(x)>."""
+    spec = f.spec
+    ctx = spec.ctx
+    ac = []
+    for alpha in spec.elements():
+        acc = ctx.zero
+        for x in spec.elements():
+            acc = acc + hermitian_dot(f.at(spec.add(alpha, x)), f.at(x))
+        ac.append(acc)
+    return ac
 
 
 def random_function(spec, rng):

@@ -6,13 +6,16 @@ classical bridge, at the stated tolerance of 1e-6 scaled by |G|.
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gfharmonic
 from gfharmonic import (
     ExponentFunction,
     ScalarFunction,
@@ -239,6 +242,8 @@ def test_criterion_9_search_determinism(tmp_path):
     z3sq = make_group(gf4, [(3, 2)])
     group_path = tmp_path / "z3sq.json"
     group_path.write_text(dumps(group_file_to_obj(z3sq)) + "\n", encoding="utf-8")
+    src = str(Path(gfharmonic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
 
     def run(jobs):
         return subprocess.run(
@@ -256,6 +261,7 @@ def test_criterion_9_search_determinism(tmp_path):
             ],
             capture_output=True,
             check=True,
+            env=env,
         ).stdout
 
     t0 = time.perf_counter()

@@ -1,4 +1,6 @@
+import concurrent.futures
 import itertools
+import os
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from gfharmonic import (
     mm_construct,
     search_bent,
 )
+from gfharmonic import bent
 from gfharmonic.bent import _sqrt_mod_prime
 from _oracles import random_circle_function
 
@@ -241,3 +244,41 @@ class TestSearch:
         for e in sample:
             f = ScalarFunction.from_exponents(z3sq, 3, e)
             assert is_bent_spectral(f).is_bent
+
+
+class TestJobsBound:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replaces ProcessPoolExecutor with one that records max_workers and
+        runs every block in this process, so no worker process is started."""
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(bent, "_WORKER_KERNEL", None)
+        return sizes
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch, pool_sizes, z3sq):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        result = search_bent(z3sq, 3, jobs=100_000)
+        assert pool_sizes == [3]
+        assert result == search_bent(z3sq, 3)
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch, pool_sizes, z3):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        result = search_bent(z3, 3, jobs=100_000)
+        assert pool_sizes == []
+        assert result.count == 18

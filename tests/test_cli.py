@@ -274,6 +274,48 @@ class TestErrorContract:
         assert record["code"] == "malformed-input"
         assert record["witness"] == "1,x,1"
 
+    def test_non_integer_flag(self, capsys):
+        record = self._record(capsys, "field-info", "--p", "x", "--n", "1")
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == "x"
+
+    def test_missing_flag(self, capsys):
+        record = self._record(capsys, "field-info", "--p", "2")
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == "--n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["field-info", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_bool_degree(self, capsys, tmp_path):
+        obj = {"context": {"p": 2, "n": True}, "group": {"factors": [{"d": 3, "m": 1}]}}
+        path = write(tmp_path, "nbool.json", obj)
+        record = self._record(capsys, "char-table", "--group", path)
+        assert record["code"] == "malformed-input"
+        assert record["witness"] is True
+
+    @pytest.mark.parametrize("value", [[1, True], [3, 0], [0, -1]])
+    def test_non_canonical_coefficient(self, capsys, bent_file, tmp_path, value):
+        with open(bent_file) as fh:
+            obj = json.load(fh)
+        obj["values"][1] = value
+        path = write(tmp_path, "coeff.json", obj)
+        record = self._record(capsys, "ft", "--in", path)
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == value
+
+    def test_non_canonical_modulus_in_file(self, capsys, tmp_path):
+        context = {"p": 2, "n": 1, "modulus": [1, 1, 3]}
+        obj = {"context": context, "group": {"factors": [{"d": 3, "m": 1}]}}
+        path = write(tmp_path, "mod3.json", obj)
+        record = self._record(capsys, "char-table", "--group", path)
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == [1, 1, 3]
+
 
 class TestImports:
     def test_serial_commands_do_not_load_the_process_pool(self):

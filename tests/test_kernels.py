@@ -1,0 +1,268 @@
+"""The row builders and the exact sum kernels against their double-sum oracles.
+
+Every sum over G in gfharmonic.fourier (transforms, convolution, the scalar
+and vectorial autocorrelations) goes through one log-domain kernel, fed by
+GroupSpec.exponent_row or GroupSpec.translate_row.  These tests compare each
+with the former FieldElement double sums kept in tests/_oracles.py, over
+fields from GF(4) to GF(1024), two of them with a non-default modulus.
+"""
+
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gfharmonic.bent as bent_module
+from gfharmonic import (
+    ExponentFunction,
+    FieldElement,
+    ScalarFunction,
+    VectorFunction,
+    autocorrelation,
+    char_exponent,
+    classical_ft,
+    convolve,
+    derivative,
+    ft,
+    inverse_ft,
+    is_bent_autocorr,
+    is_md_bent_derivative,
+    make_context,
+    make_group,
+    md_derivative,
+    md_ft,
+    md_inverse_ft,
+    vector_convolve,
+)
+from _oracles import (
+    naive_autocorrelation,
+    naive_classical_ft_at,
+    naive_convolve,
+    naive_derivative,
+    naive_ft,
+    naive_ft_at,
+    naive_inverse_ft_at,
+    naive_md_autocorrelation,
+    naive_md_derivative,
+    naive_md_ft,
+    naive_md_inverse_ft,
+    naive_vector_convolve,
+)
+
+# (p, n, modulus or None for the default, factors)
+CASES = [
+    (2, 1, None, [(3, 1)]),
+    (2, 1, None, [(3, 2)]),
+    (3, 1, None, [(2, 1), (4, 1)]),
+    (3, 1, [2, 1, 1], [(4, 1)]),
+    (2, 2, None, [(5, 1)]),
+    (2, 2, [1, 0, 0, 1, 1], [(5, 1)]),
+    (5, 1, None, [(2, 1), (3, 1)]),
+    (7, 1, None, [(8, 1)]),
+    (3, 2, None, [(2, 1), (5, 1)]),
+    (2, 5, None, [(3, 1), (11, 1)]),
+]
+
+
+@functools.cache
+def _spec_of(i):
+    p, n, modulus, factors = CASES[i]
+    return make_group(make_context(p, n, modulus), factors)
+
+
+@functools.cache
+def _by_norm(ctx):
+    out = {}
+    for e in ctx.elements():
+        out.setdefault(e.norm(), []).append(e)
+    return out
+
+
+each_case = pytest.mark.parametrize("i", range(len(CASES)))
+examples = settings(max_examples=6, deadline=None)
+
+
+def _table(data, spec):
+    ctx = spec.ctx
+    codes = data.draw(
+        st.lists(st.integers(0, ctx.q - 1), min_size=spec.order, max_size=spec.order)
+    )
+    return ScalarFunction(spec, tuple(FieldElement(ctx, c) for c in codes))
+
+
+def _circle_table(data, spec):
+    s = spec.ctx.circle_order
+    exps = data.draw(st.lists(st.integers(0, s - 1), min_size=spec.order, max_size=spec.order))
+    return ScalarFunction.from_exponents(spec, s, exps)
+
+
+def _vector_table(data, spec, dim):
+    coords = [_table(data, spec).values for _ in range(dim)]
+    return VectorFunction(spec, dim, tuple(zip(*coords)))
+
+
+def _sphere_table(data, spec):
+    """A table G -> GF(q)^2 whose vectors have self-product one."""
+    ctx = spec.ctx
+    by_norm = _by_norm(ctx)
+    rows = []
+    for a in _table(data, spec).values:
+        choices = by_norm[ctx.one - a.norm()]
+        rows.append((a, choices[data.draw(st.integers(0, len(choices) - 1))]))
+    return VectorFunction(spec, 2, tuple(rows))
+
+
+class TestRowBuilders:
+    @each_case
+    def test_exponent_rows_are_character_exponents(self, i):
+        spec = _spec_of(i)
+        elems = list(spec.elements())
+        for alpha in elems:
+            assert spec.exponent_row(alpha) == [char_exponent(spec, alpha, x) for x in elems]
+
+    @each_case
+    def test_translate_rows_index_the_sums(self, i):
+        spec = _spec_of(i)
+        elems = list(spec.elements())
+        for a in elems:
+            assert spec.translate_row(a) == [spec.index_of(spec.add(a, x)) for x in elems]
+
+    def test_rows_reduce_their_argument(self, z2z4):
+        assert z2z4.exponent_row((3, -1)) == z2z4.exponent_row((1, 3))
+        assert z2z4.translate_row((3, -1)) == z2z4.translate_row((1, 3))
+
+
+class TestScalarKernels:
+    @each_case
+    @examples
+    @given(st.data())
+    def test_ft_and_inverse(self, i, data):
+        spec = _spec_of(i)
+        f = _table(data, spec)
+        assert ft(f) == naive_ft(f)
+        F = _table(data, spec)
+        assert inverse_ft(F).values == tuple(naive_inverse_ft_at(F, x) for x in spec.elements())
+
+    @each_case
+    @examples
+    @given(st.data())
+    def test_convolve(self, i, data):
+        spec = _spec_of(i)
+        f, g = _table(data, spec), _table(data, spec)
+        assert convolve(f, g) == naive_convolve(f, g)
+
+    @each_case
+    @examples
+    @given(st.data())
+    def test_autocorrelation_and_derivative(self, i, data):
+        spec = _spec_of(i)
+        for f in (_table(data, spec), _circle_table(data, spec)):
+            assert autocorrelation(f) == naive_autocorrelation(f)
+            alpha = spec.element_at(data.draw(st.integers(0, spec.order - 1)))
+            assert derivative(f, alpha) == naive_derivative(f, alpha)
+
+
+class TestVectorKernels:
+    @each_case
+    @examples
+    @given(st.integers(1, 3), st.data())
+    def test_md_transforms(self, i, dim, data):
+        spec = _spec_of(i)
+        f = _vector_table(data, spec, dim)
+        assert md_ft(f) == naive_md_ft(f)
+        assert md_inverse_ft(f) == naive_md_inverse_ft(f)
+
+    @each_case
+    @examples
+    @given(st.integers(1, 3), st.data())
+    def test_vector_convolve_and_derivative(self, i, dim, data):
+        spec = _spec_of(i)
+        f, g = _vector_table(data, spec, dim), _vector_table(data, spec, dim)
+        assert vector_convolve(f, g) == naive_vector_convolve(f, g)
+        alpha = spec.element_at(data.draw(st.integers(0, spec.order - 1)))
+        assert md_derivative(f, alpha) == naive_md_derivative(f, alpha)
+
+    @each_case
+    @examples
+    @given(st.data())
+    def test_md_derivative_criterion(self, i, data):
+        spec = _spec_of(i)
+        f = _sphere_table(data, spec)
+        ac = naive_md_autocorrelation(f)
+        report = is_md_bent_derivative(f)
+        zero = spec.ctx.zero
+        failing = tuple(spec.element_at(a) for a, v in enumerate(ac) if a and v != zero)
+        assert report.failing_points == failing
+        assert report.is_bent == (not failing)
+        assert report.spectrum_norms == naive_ft(ScalarFunction(spec, tuple(ac))).values
+
+
+class TestPastTheOldCacheCutoff:
+    """Z_17^2 over GF(256): at 289 elements, the largest group any test
+    transforms.  Sampled rows are compared with the per-factor character
+    route, since a full double sum would be slow."""
+
+    @pytest.fixture(scope="class")
+    def z17sq(self):
+        return make_group(make_context(2, 4), [(17, 2)])
+
+    def _rows(self, spec, rng):
+        picks = [rng.randrange(spec.order) for _ in range(4)]
+        return [0, 1, 17, spec.order - 1] + picks
+
+    def test_ft_and_inverse_rows(self, z17sq):
+        rng = random.Random(17)
+        ctx = z17sq.ctx
+        els = list(ctx.elements())
+        f = ScalarFunction(z17sq, tuple(rng.choice(els) for _ in range(z17sq.order)))
+        F, f_back = ft(f), inverse_ft(f)
+        for idx in self._rows(z17sq, rng):
+            point = z17sq.element_at(idx)
+            assert F.values[idx] == naive_ft_at(f, point)
+            assert f_back.values[idx] == naive_inverse_ft_at(f, point)
+
+    def test_classical_ft_rows(self, z17sq):
+        rng = random.Random(18)
+        ef = ExponentFunction(z17sq, 17, tuple(rng.randrange(17) for _ in range(z17sq.order)))
+        spectrum = classical_ft(ef)
+        tol = 1e-9 * z17sq.order
+        for idx in self._rows(z17sq, rng):
+            want = naive_classical_ft_at(ef, z17sq.element_at(idx))
+            assert abs(spectrum[idx] - want) <= tol
+
+
+class TestIndependentRoutes:
+    """The derivative route never transforms f: convolution and the
+    autocorrelations do not call ft at all, and the derivative criteria call
+    it once, on the autocorrelation, for the reported norm table."""
+
+    def test_correlations_never_transform(self, monkeypatch, z2z4):
+        def forbidden(*args):
+            raise AssertionError("the transform was called")
+
+        monkeypatch.setattr("gfharmonic.fourier._transform", forbidden)
+        rng = random.Random(3)
+        els = list(z2z4.ctx.elements())
+        f = ScalarFunction(z2z4, tuple(rng.choice(els) for _ in range(z2z4.order)))
+        vf = VectorFunction.from_scalar(f, 2)
+        assert convolve(f, f) == naive_convolve(f, f)
+        assert autocorrelation(f) == naive_autocorrelation(f)
+        assert vector_convolve(vf, vf) == naive_vector_convolve(vf, vf)
+
+    def test_derivative_criteria_transform_only_the_autocorrelation(self, monkeypatch, z5):
+        seen = []
+
+        def recording_ft(g):
+            seen.append(g)
+            return naive_ft(g)
+
+        monkeypatch.setattr(bent_module, "ft", recording_ft)
+        f = ScalarFunction.from_exponents(z5, 5, [0, 1, 4, 4, 1])
+        is_bent_autocorr(f)
+        assert seen == [naive_autocorrelation(f)]
+        seen.clear()
+        vf = VectorFunction.from_scalar(f, 2, 1)
+        is_md_bent_derivative(vf)
+        assert seen == [ScalarFunction(z5, tuple(naive_md_autocorrelation(vf)))]
