@@ -21,6 +21,7 @@ from .field import FieldElement, make_context
 from .fourier import convolve, ft, inverse_ft
 from .serialize import (
     SCHEMA_VERSION,
+    _expect_coeffs,
     context_to_obj,
     dumps,
     element_to_obj,
@@ -57,7 +58,10 @@ def _bent_report_obj(report) -> dict:
 
 
 def _cmd_field_info(args) -> int:
-    ctx = make_context(args.p, args.n, _parse_coeffs(args.modulus))
+    modulus = _parse_coeffs(args.modulus)
+    ctx = make_context(args.p, args.n, modulus)
+    if modulus is not None:
+        _expect_coeffs(modulus, ctx.p, "--modulus")
     if args.pretty:
         lines = [
             f"p = {ctx.p}, n = {ctx.n}, q = {ctx.q}",

@@ -8,7 +8,7 @@ circle of order p^n + 1.
 
 Elements are coefficient vectors over GF(p) in the power basis of a fixed
 monic irreducible modulus polynomial.  Fields here are deliberately
-desk-scale (q up to a few thousand), so construction builds full discrete
+desk-scale (q at most MAX_Q = 65536), so construction builds full discrete
 log / antilog tables once and every product afterwards is O(1).  A context
 is immutable after construction and safe to share across workers.
 """
@@ -27,7 +27,28 @@ from .errors import (
     NonPrime,
     ReducibleModulus,
     SpecMismatch,
+    TooLarge,
 )
+
+# Construction builds tables of q entries and may try up to q candidate
+# moduli, so q is bounded before any of that, or the primality test, runs.
+MAX_Q = 1 << 16
+
+
+def _check_size(p: int, n: int) -> None:
+    """Raise TooLarge unless q = p^(2n) <= MAX_Q.  The bit length of p
+    bounds q first, so a huge p or n is rejected without computing q."""
+    bits = p.bit_length() * 2 * n  # 2^(bits / 2) <= q < 2^bits for p >= 2
+    if bits <= 256:
+        q = p ** (2 * n)
+        if q <= MAX_Q:
+            return
+    else:
+        q = f">= 2^{bits // 2}"
+    raise TooLarge(
+        f"q = p^{2 * n} is {q}, above the bound MAX_Q = {MAX_Q}",
+        witness={"q": q, "max_q": MAX_Q},
+    )
 
 
 def _is_prime(m: int) -> bool:
@@ -226,10 +247,13 @@ class FieldContext:
     """
 
     def __init__(self, p: int, n: int, modulus: Optional[Sequence[int]] = None):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise NonPrime(f"p = {p} is not prime", witness=p)
         if not isinstance(n, int) or n < 1:
             raise InvalidDegree(f"n must be a positive integer, got {n}", witness=n)
+        _check_size(p, n)
+        if not _is_prime(p):
+            raise NonPrime(f"p = {p} is not prime", witness=p)
         self.p = p
         self.n = n
         self.width = 2 * n
@@ -398,6 +422,7 @@ def make_context(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> Fie
     When ``modulus`` is omitted the smallest monic irreducible of degree 2n
     is selected (ordered by the base-p value of its coefficient vector), and
     the primitive element g is the smallest element of full order under the
-    same ordering, so contexts are reproducible across runs.
+    same ordering, so contexts are reproducible across runs.  A field with
+    more than MAX_Q elements raises TooLarge before anything is built.
     """
     return FieldContext(p, n, modulus)

@@ -4,14 +4,16 @@ Nothing here calls the library's fast paths: polynomial arithmetic is
 schoolbook, irreducibility is decided by enumerating factorizations,
 orders by repeated multiplication, transforms by double sums over the
 per-factor exponentiation route, and convolutions and autocorrelations by
-double sums of FieldElement products over G x G.
+double sums of FieldElement products over G x G.  The one exception is
+naive_search, which tests every table with is_bent_spectral: the transform
+route, which shares no code with the search kernel's derivative counting.
 """
 
 import cmath
 import itertools
 import math
 
-from gfharmonic import ScalarFunction, VectorFunction, hermitian_dot
+from gfharmonic import ScalarFunction, VectorFunction, hermitian_dot, is_bent_spectral
 from gfharmonic.characters import character_value_naive
 
 
@@ -247,6 +249,17 @@ def random_vector_function(spec, dim, rng):
 
 def all_exponent_tables(spec, d):
     return itertools.product(range(d), repeat=spec.order)
+
+
+def naive_search(spec, d):
+    """The bent exponent tables G -> Z_d in mixed-radix order: every table of
+    the full space is decided by the spectral definition, with no orbit
+    reduction and none of the search kernel's derivative counting."""
+    return [
+        e
+        for e in all_exponent_tables(spec, d)
+        if is_bent_spectral(ScalarFunction.from_exponents(spec, d, e)).is_bent
+    ]
 
 
 def negated_argument(f):

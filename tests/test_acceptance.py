@@ -41,6 +41,7 @@ from gfharmonic import (
     parseval_check,
     plancherel_check,
 )
+from gfharmonic import bent
 from gfharmonic.serialize import dumps, group_file_to_obj
 from _oracles import random_circle_function, random_function
 
@@ -238,10 +239,13 @@ def test_criterion_8_vectorial(contexts):
 
 
 def test_criterion_9_search_determinism(tmp_path):
-    gf4 = make_context(2, 1)
-    z3sq = make_group(gf4, [(3, 2)])
-    group_path = tmp_path / "z3sq.json"
-    group_path.write_text(dumps(group_file_to_obj(z3sq)) + "\n", encoding="utf-8")
+    # Z_4^2 with d = 2 has 8192 normalized tables, so --jobs 4 starts a pool
+    # of min(4, cpu count, 2) workers.
+    gf9 = make_context(3, 1)
+    z4sq = make_group(gf9, [(4, 2)])
+    assert bent._SearchKernel(z4sq, 2).normalized // bent.BLOCK >= 2
+    group_path = tmp_path / "z4sq.json"
+    group_path.write_text(dumps(group_file_to_obj(z4sq)) + "\n", encoding="utf-8")
     src = str(Path(gfharmonic.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -255,7 +259,7 @@ def test_criterion_9_search_determinism(tmp_path):
                 "--group",
                 str(group_path),
                 "--d",
-                "3",
+                "2",
                 "--jobs",
                 str(jobs),
             ],

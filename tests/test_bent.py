@@ -23,16 +23,7 @@ from gfharmonic import (
 )
 from gfharmonic import bent
 from gfharmonic.bent import _sqrt_mod_prime
-from _oracles import random_circle_function
-
-
-def census(spec, d):
-    """Exponent tables passing the spectral definition; the reference census."""
-    out = []
-    for e in itertools.product(range(d), repeat=spec.order):
-        if is_bent_spectral(ScalarFunction.from_exponents(spec, d, e)).is_bent:
-            out.append(e)
-    return out
+from _oracles import naive_search, random_circle_function
 
 
 class TestSpectral:
@@ -118,7 +109,7 @@ class TestAutocorrVerdict:
 
 class TestBentInvariances:
     def test_census_count_is_eighteen(self, z3):
-        assert len(census(z3, 3)) == 18
+        assert len(naive_search(z3, 3)) == 18
 
     def test_census_matches_quadratic_exponent_tables(self, z3):
         # independent prediction: tables x -> a*x^2 + b*x + c with a != 0
@@ -128,17 +119,17 @@ class TestBentInvariances:
             for b in range(3)
             for c in range(3)
         }
-        assert set(census(z3, 3)) == quadratics
+        assert set(naive_search(z3, 3)) == quadratics
 
     def test_constant_multiple_stays_bent(self, gf4, z3):
         w = gf4.element([0, 1])
-        for e in census(z3, 3):
+        for e in naive_search(z3, 3):
             f = ScalarFunction.from_exponents(z3, 3, e)
             scaled = ScalarFunction(z3, tuple(w * v for v in f.values))
             assert is_bent_spectral(scaled).is_bent
 
     def test_translation_stays_bent(self, z3):
-        for e in census(z3, 3):
+        for e in naive_search(z3, 3):
             f = ScalarFunction.from_exponents(z3, 3, e)
             for c in z3.elements():
                 shifted = ScalarFunction(
@@ -157,7 +148,7 @@ class TestDual:
         assert is_bent_autocorr(dual).is_bent
 
     def test_duals_of_full_census_are_bent(self, z3):
-        for e in census(z3, 3):
+        for e in naive_search(z3, 3):
             dual = dual_bent(ScalarFunction.from_exponents(z3, 3, e))
             assert dual.circle_witness() is None
             assert is_bent_spectral(dual).is_bent
@@ -217,7 +208,7 @@ class TestSearch:
         result = search_bent(z3, 3)
         assert result.candidates == 27
         assert result.count == 18
-        assert list(result.tables) == census(z3, 3)
+        assert list(result.tables) == naive_search(z3, 3)
 
     def test_lazy_iterator_matches(self, z3):
         assert list(iter_bent_tables(z3, 3)) == list(search_bent(z3, 3).tables)
@@ -228,10 +219,25 @@ class TestSearch:
         assert result.candidates == 3
         assert result.count == 3
 
-    def test_worker_count_does_not_change_output(self, z3sq):
-        single = search_bent(z3sq, 3)
-        assert single.candidates == 3**9
-        multi = search_bent(z3sq, 3, jobs=3)
+    def test_worker_count_does_not_change_output(self, monkeypatch, gf9):
+        # Z_4^2 with d = 2 has 8192 normalized tables, enough for two workers.
+        z4sq = make_group(gf9, [(4, 2)])
+        assert bent._SearchKernel(z4sq, 2).normalized // bent.BLOCK >= 2
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        single = search_bent(z4sq, 2, max_candidates=2**16)
+        assert started == []
+        assert single.candidates == 2**16
+        assert single.count == 896
+        multi = search_bent(z4sq, 2, max_candidates=2**16, jobs=2)
+        assert started == [2]
         assert multi == single
 
     def test_budget_guard(self, z5sq):
@@ -272,13 +278,29 @@ class TestJobsBound:
         return sizes
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch, pool_sizes, z3sq):
+        monkeypatch.setattr(bent, "BLOCK", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         result = search_bent(z3sq, 3, jobs=100_000)
         assert pool_sizes == [3]
         assert result == search_bent(z3sq, 3)
 
     def test_unknown_cpu_count_runs_serially(self, monkeypatch, pool_sizes, z3):
+        monkeypatch.setattr(bent, "BLOCK", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         result = search_bent(z3, 3, jobs=100_000)
         assert pool_sizes == []
         assert result.count == 18
+
+    def test_one_worker_per_block(self, monkeypatch, pool_sizes, z3sq):
+        # Z_3^2 with d = 3 has 729 normalized tables: two blocks of 300.
+        monkeypatch.setattr(bent, "BLOCK", 300)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        result = search_bent(z3sq, 3, jobs=8)
+        assert pool_sizes == [2]
+        assert result == search_bent(z3sq, 3)
+
+    def test_small_parallel_search_starts_no_pool(self, monkeypatch, pool_sizes, z3sq):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        result = search_bent(z3sq, 3, jobs=2)
+        assert pool_sizes == []
+        assert result == search_bent(z3sq, 3)

@@ -308,6 +308,18 @@ class TestErrorContract:
         assert record["code"] == "malformed-input"
         assert record["witness"] == value
 
+    @pytest.mark.parametrize("modulus", ["1,1,3", "1,-1,1"])
+    def test_non_canonical_modulus_flag(self, capsys, modulus):
+        record = self._record(capsys, "field-info", "--p", "2", "--n", "1", "--modulus", modulus)
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == [int(c) for c in modulus.split(",")]
+
+    @pytest.mark.parametrize("p, n, q", [("2", "30", 2**60), ("1000000007", "1", 1000000007**2)])
+    def test_field_too_large(self, capsys, p, n, q):
+        record = self._record(capsys, "field-info", "--p", p, "--n", n)
+        assert record["code"] == "too-large"
+        assert record["witness"] == {"q": q, "max_q": 65536}
+
     def test_non_canonical_modulus_in_file(self, capsys, tmp_path):
         context = {"p": 2, "n": 1, "modulus": [1, 1, 3]}
         obj = {"context": context, "group": {"factors": [{"d": 3, "m": 1}]}}
@@ -318,11 +330,14 @@ class TestErrorContract:
 
 
 class TestImports:
-    def test_serial_commands_do_not_load_the_process_pool(self):
+    @staticmethod
+    def _pool_modules_loaded(argv):
+        """Run cli.main(argv) in a fresh interpreter; its exit code and the
+        process-pool modules it loaded."""
         code = (
             "import json, sys\n"
             "import gfharmonic, gfharmonic.cli\n"
-            "rc = gfharmonic.cli.main(['field-info', '--p', '2', '--n', '1'])\n"
+            f"rc = gfharmonic.cli.main({argv!r})\n"
             "pool = ('concurrent.futures', 'multiprocessing')\n"
             "print(json.dumps([rc, sorted(m for m in pool if m in sys.modules)]))\n"
         )
@@ -332,4 +347,13 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_serial_commands_do_not_load_the_process_pool(self):
+        assert self._pool_modules_loaded(["field-info", "--p", "2", "--n", "1"]) == [0, []]
+
+    def test_small_parallel_search_does_not_load_the_process_pool(self, tmp_path, z5):
+        # 125 normalized tables: far too few to pay for a worker
+        path = write(tmp_path, "z5.json", group_file_to_obj(z5))
+        argv = ["search", "--group", path, "--d", "5", "--jobs", "2"]
+        assert self._pool_modules_loaded(argv) == [0, []]

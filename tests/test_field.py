@@ -13,8 +13,10 @@ from gfharmonic import (
     NonPrime,
     ReducibleModulus,
     SpecMismatch,
+    TooLarge,
     make_context,
 )
+from gfharmonic import field
 from gfharmonic.cli import main
 from _oracles import (
     irreducible_by_factor_enumeration,
@@ -40,6 +42,34 @@ class TestConstruction:
         for p, n in [(2, 1), (2, 2), (3, 1), (5, 1)]:
             ctx = make_context(p, n)
             assert irreducible_by_factor_enumeration(ctx.modulus, p)
+
+    @pytest.mark.parametrize(
+        "p, n, q",
+        [
+            (2, 9, 2**18),
+            (257, 1, 257**2),
+            (2, 30, 2**60),
+            (1_000_000_007, 1, 1_000_000_007**2),
+            (2**521 - 1, 1, ">= 2^521"),
+            (2, 10**18, ">= 2^2000000000000000000"),
+            (10**400, 1, ">= 2^1329"),
+        ],
+    )
+    def test_field_size_bounded_before_construction(self, monkeypatch, p, n, q):
+        # Neither the primality test nor any construction step may run: a
+        # huge p or n must be rejected from bit lengths alone.
+        def forbidden(*args):
+            raise AssertionError("construction ran before the size check")
+
+        monkeypatch.setattr(field, "_is_prime", forbidden)
+        monkeypatch.setattr(field.FieldContext, "_select_modulus", forbidden)
+        with pytest.raises(TooLarge) as err:
+            make_context(p, n)
+        assert err.value.witness == {"q": q, "max_q": field.MAX_Q}
+
+    def test_largest_fields_within_bound(self):
+        assert make_context(2, 8).q == field.MAX_Q
+        assert make_context(251, 1).q == 251**2
 
     def test_composite_characteristic_rejected(self):
         with pytest.raises(NonPrime):
