@@ -5,141 +5,60 @@ circle of order p^n + 1.  Groups whose cyclic factors divide that circle
 order admit circle-valued characters, an exact Fourier transform, and a
 bentness notion for circle-valued (and vector-valued) tables, plus a
 floating-point bridge to the classical complex-valued bentness.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first access (PEP 562), so a process pays only
+for the modules it uses.
 """
 
-from .bent import (
-    BentReport,
-    SearchResult,
-    autocorrelation,
-    derivative,
-    dual_bent,
-    is_bent_autocorr,
-    is_bent_spectral,
-    iter_bent_tables,
-    mm_construct,
-    search_bent,
-)
-from .characters import (
-    ScalarFunction,
-    char_exponent,
-    character_row,
-    character_sum,
-    character_value,
-    character_value_naive,
-    evaluation_map_is_bijective,
-    inner_product,
-)
-from .classical import (
-    ExponentFunction,
-    classical_ft,
-    comparison_check,
-    embed,
-    is_classical_bent,
-)
-from .errors import (
-    BudgetExceeded,
-    DegreeMismatch,
-    DimensionMismatch,
-    DivisionByZero,
-    HarmonicError,
-    InadmissibleFactor,
-    IndexOutOfRange,
-    InvalidDegree,
-    InvalidDivisor,
-    InvalidOrder,
-    MalformedInput,
-    NonPrime,
-    NotBent,
-    NotCircleValued,
-    NotOnHypersphere,
-    NotQuadraticResidue,
-    ReducibleModulus,
-    ShapeMismatch,
-    SpecMismatch,
-    TooLarge,
-)
-from .field import FieldContext, FieldElement, make_context
-from .fourier import convolve, ft, inverse_ft, parseval_check, plancherel_check
-from .group import GroupSpec, make_group
-from .vectorial import (
-    VectorFunction,
-    coordinate_function,
-    hermitian_dot,
-    is_md_bent,
-    is_md_bent_derivative,
-    md_derivative,
-    md_ft,
-    md_inverse_ft,
-    norm_l,
-    on_hypersphere,
-    vector_convolve,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BentReport",
-    "BudgetExceeded",
-    "DegreeMismatch",
-    "DimensionMismatch",
-    "DivisionByZero",
-    "ExponentFunction",
-    "FieldContext",
-    "FieldElement",
-    "GroupSpec",
-    "HarmonicError",
-    "InadmissibleFactor",
-    "IndexOutOfRange",
-    "InvalidDegree",
-    "InvalidDivisor",
-    "InvalidOrder",
-    "MalformedInput",
-    "NonPrime",
-    "NotBent",
-    "NotCircleValued",
-    "NotOnHypersphere",
-    "NotQuadraticResidue",
-    "ReducibleModulus",
-    "ScalarFunction",
-    "SearchResult",
-    "ShapeMismatch",
-    "SpecMismatch",
-    "TooLarge",
-    "VectorFunction",
-    "autocorrelation",
-    "char_exponent",
-    "character_row",
-    "character_sum",
-    "character_value",
-    "character_value_naive",
-    "classical_ft",
-    "comparison_check",
-    "convolve",
-    "coordinate_function",
-    "derivative",
-    "dual_bent",
-    "embed",
-    "evaluation_map_is_bijective",
-    "ft",
-    "hermitian_dot",
-    "inner_product",
-    "inverse_ft",
-    "is_bent_autocorr",
-    "is_bent_spectral",
-    "is_classical_bent",
-    "is_md_bent",
-    "is_md_bent_derivative",
-    "iter_bent_tables",
-    "make_context",
-    "make_group",
-    "md_derivative",
-    "md_ft",
-    "md_inverse_ft",
-    "mm_construct",
-    "norm_l",
-    "on_hypersphere",
-    "parseval_check",
-    "plancherel_check",
-    "search_bent",
-    "vector_convolve",
-]
+_EXPORTS = {
+    "bent": (
+        "BentReport", "SearchResult", "autocorrelation", "derivative", "dual_bent",
+        "is_bent_autocorr", "is_bent_spectral", "iter_bent_tables", "mm_construct",
+        "search_bent",
+    ),
+    "characters": (
+        "ScalarFunction", "char_exponent", "character_row", "character_sum",
+        "character_value", "character_value_naive", "evaluation_map_is_bijective",
+        "inner_product",
+    ),
+    "classical": (
+        "ExponentFunction", "classical_ft", "comparison_check", "embed",
+        "is_classical_bent",
+    ),
+    "errors": (
+        "BudgetExceeded", "DegreeMismatch", "DimensionMismatch", "DivisionByZero",
+        "HarmonicError", "InadmissibleFactor", "IndexOutOfRange", "InvalidDegree",
+        "InvalidDivisor", "InvalidOrder", "MalformedInput", "NonPrime", "NotBent",
+        "NotCircleValued", "NotOnHypersphere", "NotQuadraticResidue", "ReducibleModulus",
+        "ShapeMismatch", "SpecMismatch", "TooLarge",
+    ),
+    "field": ("FieldContext", "FieldElement", "make_context"),
+    "fourier": ("convolve", "ft", "inverse_ft", "parseval_check", "plancherel_check"),
+    "group": ("GroupSpec", "make_group"),
+    "vectorial": (
+        "VectorFunction", "coordinate_function", "hermitian_dot", "is_md_bent",
+        "is_md_bent_derivative", "md_derivative", "md_ft", "md_inverse_ft", "norm_l",
+        "on_hypersphere", "vector_convolve",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

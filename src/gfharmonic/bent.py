@@ -15,26 +15,26 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .characters import ScalarFunction
+from .characters import Record, ScalarFunction
 from .errors import (
     BudgetExceeded,
     NotBent,
     NotCircleValued,
     NotQuadraticResidue,
+    TooLarge,
 )
 from .field import FieldElement
 from .fourier import _correlate, ft
 from .group import GroupElement, GroupSpec, _outer_sum, make_group
 
 
-@dataclass(frozen=True)
-class BentReport:
+class BentReport(Record):
     """Outcome of a bentness test: verdict, the per-direction norm table of
     the spectrum, and the points where the test failed (empty iff bent)."""
 
+    __slots__ = ("is_bent", "spectrum_norms", "failing_points")
     is_bent: bool
     spectrum_norms: tuple[FieldElement, ...]
     failing_points: tuple[GroupElement, ...]
@@ -179,9 +179,14 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
 # starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.
 BLOCK = 4096
 
+# The search kernel holds |G| translation rows of |G| entries each.  With
+# d >= 2 the d^|G| tables exceed any feasible budget long before |G| = 64, so
+# only d = 1 (a single table) reaches larger groups; the bound keeps the rows
+# of any search to at most 2^16 entries.
+MAX_SEARCH_ORDER = 256
 
-@dataclass(frozen=True)
-class SearchResult:
+
+class SearchResult(Record):
     """Outcome of an exhaustive search: the subgroup order d, the size
     d^|G| of the full candidate space, and every bent exponent table of that
     space in mixed-radix order.
@@ -191,6 +196,7 @@ class SearchResult:
     table decided, not the tables tested directly.
     """
 
+    __slots__ = ("d", "candidates", "tables")
     d: int
     candidates: int
     tables: tuple[tuple[int, ...], ...]
@@ -316,12 +322,33 @@ def _bent_tables(spec: GroupSpec, d: int, jobs: int) -> list[tuple[int, ...]]:
     return kernel.expand(found)
 
 
-def iter_bent_tables(spec: GroupSpec, d: int) -> Iterator[tuple[int, ...]]:
+def _check_search(spec: GroupSpec, d: int, max_candidates: int) -> int:
+    """Validate a search of the d^|G| tables G -> S_d before anything is
+    built, and return their number."""
+    spec.ctx.circle_subgroup_generator(d)  # validates d | s
+    if spec.order > MAX_SEARCH_ORDER:
+        raise TooLarge(
+            f"group order {spec.order} exceeds the search bound {MAX_SEARCH_ORDER}",
+            witness={"order": spec.order, "max_order": MAX_SEARCH_ORDER},
+        )
+    total = d**spec.order
+    if total > max_candidates:
+        raise BudgetExceeded(
+            f"{total} candidates exceed the budget of {max_candidates}", witness=total
+        )
+    return total
+
+
+def iter_bent_tables(
+    spec: GroupSpec, d: int, max_candidates: int = 1_000_000
+) -> Iterator[tuple[int, ...]]:
     """Yield the bent exponent tables in mixed-radix order.
 
     The tables come from the same serial search as `search_bent`, which runs
-    in full before the first one is yielded; no budget applies.
+    in full before the first one is yielded; the same budget and group bound
+    are checked before any table is tested.
     """
+    _check_search(spec, d, max_candidates)
     yield from _bent_tables(spec, d, 1)
 
 
@@ -334,18 +361,15 @@ def search_bent(
     """Find every bent table G -> S_d.
 
     The budget applies to the full space of d^|G| exponent tables, which is
-    also what `candidates` reports.  Only the normalized tables, one per
-    orbit of e -> e + c + h (d * prod gcd(d, d_j) tables each), are tested;
+    also what `candidates` reports; a group of more than MAX_SEARCH_ORDER
+    elements raises TooLarge before any table is built.  Only the
+    normalized tables, one per orbit of e -> e + c + h (d * prod gcd(d, d_j)
+    tables each), are tested;
     each bent one is expanded by its orbit and the result sorted into
     mixed-radix order (first point most significant).  Worker processes
     start only when jobs > 1 and there are at least 2 * BLOCK normalized
     tables: then min(jobs, os.cpu_count(), normalized // BLOCK) workers
     split them by leading positions.  The result does not depend on jobs.
     """
-    spec.ctx.circle_subgroup_generator(d)  # validates d | s
-    total = d**spec.order
-    if total > max_candidates:
-        raise BudgetExceeded(
-            f"{total} candidates exceed the budget of {max_candidates}", witness=total
-        )
+    total = _check_search(spec, d, max_candidates)
     return SearchResult(d, total, tuple(_bent_tables(spec, d, jobs)))

@@ -10,7 +10,6 @@ exponentiates in the field per factor is kept for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import SpecMismatch, TooLarge
@@ -18,14 +17,63 @@ from .field import FieldElement
 from .group import GroupElement, GroupSpec
 
 
-@dataclass(frozen=True)
-class ScalarFunction:
+class Record:
+    """Base of the library's immutable records.
+
+    A subclass names its fields in ``__slots__``; the constructor takes
+    them positionally or by name and then calls ``_validate``.  Records of
+    the same class are equal when their fields are, hash by their fields,
+    print as ``Name(field=value, ...)`` and reject assignment.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(k) for k in names[len(args):] if k in kwargs)
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Check (or normalize, through object.__setattr__) the fields."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class ScalarFunction(Record):
     """A total table G -> GF(q) in canonical element order."""
 
+    __slots__ = ("spec", "values")
     spec: GroupSpec
     values: tuple[FieldElement, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.values) != self.spec.order:
             raise SpecMismatch(
                 f"table has {len(self.values)} entries, group has {self.spec.order}"

@@ -14,24 +14,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bent import is_bent_spectral
-from .characters import ScalarFunction
+from .characters import Record, ScalarFunction
 from .errors import InvalidOrder, SpecMismatch
 from .group import GroupSpec
 
 
-@dataclass(frozen=True)
-class ExponentFunction:
+class ExponentFunction(Record):
     """A table G -> Z_m of exponents; the function is x -> zeta_m^exponents[x]."""
 
+    __slots__ = ("spec", "m", "exponents")
     spec: GroupSpec
     m: int
     exponents: tuple[int, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         s = self.spec.ctx.circle_order
         if self.m < 1 or s % self.m:
             raise InvalidOrder(

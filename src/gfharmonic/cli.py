@@ -3,6 +3,9 @@
 Exit status is 0 for success or a true verdict, 1 for a checked-and-false
 verdict (e.g. not bent), and 2 for any error, in which case a structured
 record {"code", "message", "witness"} is written to stderr.
+
+Each handler imports the library modules it runs, so a process loads only
+what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -13,15 +16,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .bent import dual_bent, is_bent_spectral, mm_construct, search_bent
-from .characters import character_row
-from .classical import ExponentFunction, comparison_check, is_classical_bent
 from .errors import HarmonicError, MalformedInput
-from .field import FieldElement, make_context
-from .fourier import convolve, ft, inverse_ft
+from .field import FieldElement
 from .serialize import (
     SCHEMA_VERSION,
-    _expect_coeffs,
+    _checked_context,
     context_to_obj,
     dumps,
     element_to_obj,
@@ -34,7 +33,6 @@ from .serialize import (
     scalar_function_to_obj,
     vector_function_from_obj,
 )
-from .vectorial import is_md_bent, is_md_bent_derivative
 
 
 def _emit(args, text: str) -> None:
@@ -58,10 +56,7 @@ def _bent_report_obj(report) -> dict:
 
 
 def _cmd_field_info(args) -> int:
-    modulus = _parse_coeffs(args.modulus)
-    ctx = make_context(args.p, args.n, modulus)
-    if modulus is not None:
-        _expect_coeffs(modulus, ctx.p, "--modulus")
+    ctx = _checked_context(args.p, args.n, _parse_coeffs(args.modulus), "--modulus")
     if args.pretty:
         lines = [
             f"p = {ctx.p}, n = {ctx.n}, q = {ctx.q}",
@@ -87,6 +82,8 @@ def _cmd_field_info(args) -> int:
 
 
 def _cmd_char_table(args) -> int:
+    from .characters import character_row
+
     spec = group_from_file_obj(read_json(args.group))
     rows = [character_row(spec, alpha) for alpha in spec.elements()]
     if args.pretty:
@@ -105,18 +102,24 @@ def _cmd_char_table(args) -> int:
 
 
 def _cmd_ft(args) -> int:
+    from .fourier import ft
+
     f = scalar_function_from_obj(read_json(args.infile))
     _emit(args, dumps(scalar_function_to_obj(ft(f))))
     return 0
 
 
 def _cmd_ift(args) -> int:
+    from .fourier import inverse_ft
+
     f = scalar_function_from_obj(read_json(args.infile))
     _emit(args, dumps(scalar_function_to_obj(inverse_ft(f))))
     return 0
 
 
 def _cmd_conv(args) -> int:
+    from .fourier import convolve
+
     f = scalar_function_from_obj(read_json(args.infile))
     g = scalar_function_from_obj(read_json(args.infile2))
     _emit(args, dumps(scalar_function_to_obj(convolve(f, g))))
@@ -124,6 +127,8 @@ def _cmd_conv(args) -> int:
 
 
 def _cmd_bent_check(args) -> int:
+    from .bent import is_bent_spectral
+
     f = scalar_function_from_obj(read_json(args.infile))
     report = is_bent_spectral(f)
     if args.pretty:
@@ -138,18 +143,24 @@ def _cmd_bent_check(args) -> int:
 
 
 def _cmd_mm(args) -> int:
+    from .bent import mm_construct
+
     g = scalar_function_from_obj(read_json(args.infile))
     _emit(args, dumps(scalar_function_to_obj(mm_construct(g))))
     return 0
 
 
 def _cmd_dual(args) -> int:
+    from .bent import dual_bent
+
     f = scalar_function_from_obj(read_json(args.infile))
     _emit(args, dumps(scalar_function_to_obj(dual_bent(f))))
     return 0
 
 
 def _cmd_search(args) -> int:
+    from .bent import search_bent
+
     spec = group_from_file_obj(read_json(args.group))
     result = search_bent(
         spec, args.d, max_candidates=args.max_candidates, jobs=args.jobs
@@ -172,6 +183,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .classical import ExponentFunction, comparison_check, is_classical_bent
+
     if args.infile:
         efs = [exponent_function_from_obj(read_json(args.infile))]
     elif args.exhaustive and args.group:
@@ -209,6 +222,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_vectorial_check(args) -> int:
+    from .vectorial import is_md_bent, is_md_bent_derivative
+
     f = vector_function_from_obj(read_json(args.infile))
     report = is_md_bent(f)
     cross = is_md_bent_derivative(f)

@@ -3,20 +3,24 @@
 Field elements serialize as coefficient arrays, lowest degree first.
 Function tables are listed in the group's canonical element order.  The
 writers are deterministic (fixed key order, compact separators), so any
-artifact round-trips bit for bit through its reader.
+artifact round-trips bit for bit through its reader.  The group and table
+types are imported by the readers that build them, so reading or writing a
+context alone loads only the field module.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from .characters import ScalarFunction
-from .classical import ExponentFunction
 from .errors import MalformedInput
 from .field import FieldContext, FieldElement, make_context
-from .group import GroupSpec, make_group
-from .vectorial import VectorFunction
+
+if TYPE_CHECKING:
+    from .characters import ScalarFunction
+    from .classical import ExponentFunction
+    from .group import GroupSpec
+    from .vectorial import VectorFunction
 
 SCHEMA_VERSION = 1
 
@@ -62,6 +66,14 @@ def context_to_obj(ctx: FieldContext) -> dict:
     return {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus)}
 
 
+def _checked_context(p: int, n: int, modulus: Optional[list[int]], what: str) -> FieldContext:
+    """make_context, with the modulus coefficients checked against [0, p)
+    first, so that a malformed modulus is reported as given, not reduced."""
+    if modulus is not None and p >= 2:
+        _expect_coeffs(modulus, p, what)
+    return make_context(p, n, modulus)
+
+
 def context_from_obj(obj: Any) -> FieldContext:
     obj = _expect_mapping(obj, "context")
     if "p" not in obj or "n" not in obj:
@@ -69,12 +81,8 @@ def context_from_obj(obj: Any) -> FieldContext:
     modulus = obj.get("modulus")
     if modulus is not None:
         modulus = _expect_int_list(modulus, "context.modulus")
-    ctx = make_context(
-        _expect_int(obj["p"], "context.p"), _expect_int(obj["n"], "context.n"), modulus
-    )
-    if modulus is not None:
-        _expect_coeffs(modulus, ctx.p, "context.modulus")
-    return ctx
+    p, n = _expect_int(obj["p"], "context.p"), _expect_int(obj["n"], "context.n")
+    return _checked_context(p, n, modulus, "context.modulus")
 
 
 # -- group ---------------------------------------------------------------------
@@ -85,6 +93,8 @@ def group_to_obj(spec: GroupSpec) -> dict:
 
 
 def group_from_obj(ctx: FieldContext, obj: Any) -> GroupSpec:
+    from .group import make_group
+
     obj = _expect_mapping(obj, "group")
     factors = obj.get("factors")
     if not isinstance(factors, list) or not factors:
@@ -137,6 +147,8 @@ def scalar_function_to_obj(f: ScalarFunction) -> dict:
 
 
 def scalar_function_from_obj(obj: Any) -> ScalarFunction:
+    from .characters import ScalarFunction
+
     obj = _expect_mapping(obj, "function")
     spec = group_from_file_obj(obj)
     values = obj.get("values")
@@ -159,6 +171,8 @@ def exponent_function_to_obj(ef: ExponentFunction) -> dict:
 
 
 def exponent_function_from_obj(obj: Any) -> ExponentFunction:
+    from .classical import ExponentFunction
+
     obj = _expect_mapping(obj, "exponent function")
     spec = group_from_file_obj(obj)
     if "m" not in obj:
@@ -181,6 +195,8 @@ def vector_function_to_obj(f: VectorFunction) -> dict:
 
 
 def vector_function_from_obj(obj: Any) -> VectorFunction:
+    from .vectorial import VectorFunction
+
     obj = _expect_mapping(obj, "vector function")
     spec = group_from_file_obj(obj)
     if "l" not in obj:

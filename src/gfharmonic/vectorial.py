@@ -12,11 +12,10 @@ have self-product |G| mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bent import BentReport, _derivative_report
-from .characters import ScalarFunction
+from .characters import Record, ScalarFunction
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -49,15 +48,15 @@ def on_hypersphere(x: Sequence[FieldElement]) -> bool:
     return norm_l(x).code == 1
 
 
-@dataclass(frozen=True)
-class VectorFunction:
+class VectorFunction(Record):
     """A total table G -> GF(q)^l in canonical element order."""
 
+    __slots__ = ("spec", "dim", "values")
     spec: GroupSpec
     dim: int
     values: tuple[FieldVector, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if self.dim < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {self.dim}")
         if len(self.values) != self.spec.order:

@@ -10,6 +10,7 @@ from gfharmonic import (
     NotBent,
     NotCircleValued,
     ScalarFunction,
+    TooLarge,
     autocorrelation,
     derivative,
     dual_bent,
@@ -250,6 +251,51 @@ class TestSearch:
         for e in sample:
             f = ScalarFunction.from_exponents(z3sq, 3, e)
             assert is_bent_spectral(f).is_bent
+
+
+def _no_kernel(*args):
+    raise AssertionError("the search built a kernel or a translation row")
+
+
+class TestSearchBounds:
+    """Both search entry points reject an infeasible search before the
+    kernel, or any row of it, is built."""
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        monkeypatch.setattr(bent, "_SearchKernel", _no_kernel)
+        monkeypatch.setattr(bent.GroupSpec, "translate_row", _no_kernel)
+
+    def test_iterator_budget(self, no_kernel, z5sq):
+        # 5^25 tables: the iterator used to run until it was killed
+        tables = iter_bent_tables(z5sq, 5)
+        with pytest.raises(BudgetExceeded) as exc:
+            next(tables)
+        assert exc.value.witness == 5**25
+
+    def test_iterator_budget_is_the_search_budget(self, z3):
+        with pytest.raises(BudgetExceeded):
+            next(iter_bent_tables(z3, 3, max_candidates=26))
+        tables = list(iter_bent_tables(z3, 3, max_candidates=27))
+        assert tables == list(search_bent(z3, 3, max_candidates=27).tables)
+
+    @pytest.mark.parametrize("m", [6, 10])
+    def test_group_bound(self, no_kernel, gf4, m):
+        # With d = 1 there is one candidate, so only the group bound applies.
+        spec = make_group(gf4, [(3, m)])
+        witness = {"order": 3**m, "max_order": bent.MAX_SEARCH_ORDER}
+        with pytest.raises(TooLarge) as exc:
+            search_bent(spec, 1)
+        assert exc.value.witness == witness
+        with pytest.raises(TooLarge) as exc:
+            next(iter_bent_tables(spec, 1))
+        assert exc.value.witness == witness
+
+    def test_largest_group_within_bound(self, gf9):
+        spec = make_group(gf9, [(2, 8)])
+        assert spec.order == bent.MAX_SEARCH_ORDER
+        result = search_bent(spec, 1)
+        assert (result.candidates, result.count) == (1, 0)
 
 
 class TestJobsBound:

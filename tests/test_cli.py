@@ -328,18 +328,51 @@ class TestErrorContract:
         assert record["code"] == "malformed-input"
         assert record["witness"] == [1, 1, 3]
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("modulus", [[1, 2, 1], [1, 1, 2]])
+    def test_modulus_range_checked_before_construction(self, capsys, tmp_path, modulus, source):
+        # Reduced mod 2 these read [1, 0, 1] (reducible) and [1, 1, 0] (not
+        # monic); the record names the list as given.
+        if source == "flag":
+            argv = ["field-info", "--p", "2", "--n", "1", "--modulus", ",".join(map(str, modulus))]
+        else:
+            context = {"p": 2, "n": 1, "modulus": modulus}
+            obj = {"context": context, "group": {"factors": [{"d": 3, "m": 1}]}}
+            argv = ["char-table", "--group", write(tmp_path, "mod.json", obj)]
+        record = self._record(capsys, *argv)
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == modulus
+
+    def test_search_group_too_large(self, capsys, tmp_path, gf4):
+        path = write(tmp_path, "z3pow6.json", group_file_to_obj(make_group(gf4, [(3, 6)])))
+        record = self._record(capsys, "search", "--group", path, "--d", "1")
+        assert record["code"] == "too-large"
+        assert record["witness"] == {"order": 729, "max_order": 256}
+
 
 class TestImports:
-    @staticmethod
-    def _pool_modules_loaded(argv):
-        """Run cli.main(argv) in a fresh interpreter; its exit code and the
-        process-pool modules it loaded."""
+    """What a fresh interpreter loads to run subcommands: no package module
+    a command does not use, no dataclasses, and no process pool unless a
+    search is big enough for workers."""
+
+    POOL = {"concurrent.futures", "multiprocessing"}
+    WATCHED = POOL | {"dataclasses"}
+
+    def _modules_loaded(self, *argvs):
+        """Import gfharmonic in a fresh interpreter and run cli.main on each
+        argv; the exit codes, and the gfharmonic modules and watched standard
+        modules loaded after start-up."""
         code = (
             "import json, sys\n"
-            "import gfharmonic, gfharmonic.cli\n"
-            f"rc = gfharmonic.cli.main({argv!r})\n"
-            "pool = ('concurrent.futures', 'multiprocessing')\n"
-            "print(json.dumps([rc, sorted(m for m in pool if m in sys.modules)]))\n"
+            "before = set(sys.modules)\n"
+            "import gfharmonic\n"
+            f"if {argvs!r}:\n"
+            "    import gfharmonic.cli\n"
+            f"rcs = [gfharmonic.cli.main(argv) for argv in {argvs!r}]\n"
+            f"watched = {sorted(self.WATCHED)!r}\n"
+            "new = sorted(m for m in set(sys.modules) - before\n"
+            "             if m.partition('.')[0] == 'gfharmonic' or m in watched)\n"
+            "print(json.dumps([rcs, new]))\n"
         )
         src = str(Path(gfharmonic.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
@@ -349,11 +382,52 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
+    def test_import_loads_no_submodule(self):
+        assert self._modules_loaded() == [[], ["gfharmonic"]]
+
     def test_serial_commands_do_not_load_the_process_pool(self):
-        assert self._pool_modules_loaded(["field-info", "--p", "2", "--n", "1"]) == [0, []]
+        rcs, loaded = self._modules_loaded(["field-info", "--p", "2", "--n", "1"])
+        assert rcs == [0]
+        assert not self.POOL & set(loaded)
 
     def test_small_parallel_search_does_not_load_the_process_pool(self, tmp_path, z5):
         # 125 normalized tables: far too few to pay for a worker
         path = write(tmp_path, "z5.json", group_file_to_obj(z5))
         argv = ["search", "--group", path, "--d", "5", "--jobs", "2"]
-        assert self._pool_modules_loaded(argv) == [0, []]
+        rcs, loaded = self._modules_loaded(argv)
+        assert rcs == [0]
+        assert not self.POOL & set(loaded)
+
+    @pytest.mark.parametrize(
+        "command, modules",
+        [
+            ("field-info", []),
+            ("char-table", ["characters", "group"]),
+            ("ft", ["characters", "fourier", "group"]),
+            ("ift", ["characters", "fourier", "group"]),
+            ("conv", ["characters", "fourier", "group"]),
+            ("bent-check", ["bent", "characters", "fourier", "group"]),
+            ("mm", ["bent", "characters", "fourier", "group"]),
+            ("dual", ["bent", "characters", "fourier", "group"]),
+            ("search", ["bent", "characters", "fourier", "group"]),
+            ("compare", ["bent", "characters", "classical", "fourier", "group"]),
+            ("vectorial-check", ["bent", "characters", "fourier", "group", "vectorial"]),
+        ],
+    )
+    def test_subcommand_loads_only_its_modules(
+        self, tmp_path, z3, bent_file, z3_group_file, command, modules
+    ):
+        vf = VectorFunction.from_scalar(ScalarFunction.from_exponents(z3, 3, [0, 1, 1]), 2)
+        vf_file = write(tmp_path, "vf.json", vector_function_to_obj(vf))
+        args = {
+            "field-info": ["--p", "2", "--n", "1"],
+            "char-table": ["--group", z3_group_file],
+            "conv": ["--in", bent_file, "--in2", bent_file],
+            "search": ["--group", z3_group_file, "--d", "3"],
+            "compare": ["--group", z3_group_file, "--m", "3", "--exhaustive"],
+            "vectorial-check": ["--in", vf_file],
+        }.get(command, ["--in", bent_file])
+        rcs, loaded = self._modules_loaded([command, *args])
+        assert rcs == [0]
+        base = ["cli", "errors", "field", "serialize"]
+        assert loaded == ["gfharmonic"] + [f"gfharmonic.{m}" for m in sorted(base + modules)]
