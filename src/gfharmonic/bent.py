@@ -51,9 +51,12 @@ def _require_circle_valued(f: ScalarFunction) -> None:
 def is_bent_spectral(f: ScalarFunction) -> BentReport:
     """Bentness by definition: norm(ft(f)(alpha)) == |G| mod p for all alpha."""
     _require_circle_valued(f)
-    spec = f.spec
+    return _spectral_report(f.spec, tuple(v.norm() for v in ft(f).values))
+
+
+def _spectral_report(spec: GroupSpec, norms: tuple[FieldElement, ...]) -> BentReport:
+    """The spectral verdict from a norm table: every norm must be |G| mod p."""
     target = spec.ctx.from_int(spec.order_mod_p)
-    norms = tuple(v.norm() for v in ft(f).values)
     failing = tuple(
         spec.element_at(i) for i, v in enumerate(norms) if v != target
     )
@@ -99,39 +102,14 @@ def _derivative_report(ac: ScalarFunction) -> BentReport:
 def _sqrt_mod_prime(a: int, p: int) -> int:
     """A square root of a modulo prime p; caller guarantees a is a residue.
 
-    For p = 2 the root is a itself; for p % 4 == 3 the closed form
-    a^((p+1)/4) is used; otherwise Tonelli-Shanks, tie-broken to the
-    smaller representative in [0, p).
+    For p % 4 == 3 the closed form a^((p+1)/4), not always the smaller root,
+    is used; otherwise the smallest root in [0, p), found by trying each as
+    q <= MAX_Q bounds p by 256.  The values of dual_bent depend on this choice.
     """
     a %= p
-    if p == 2 or a == 0:
-        return a
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks: write p - 1 = t * 2^e with t odd.
-    t, e = p - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, t, p)
-    x = pow(a, (t + 1) // 2, p)
-    r = pow(a, t, p)
-    m = e
-    while r != 1:
-        i = 0
-        probe = r
-        while probe != 1:
-            probe = probe * probe % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        r = r * b % p * b % p
-        c = b * b % p
-        m = i
-    return min(x, p - x)
+    return min(r for r in range(p) if r * r % p == a)
 
 
 def dual_bent(f: ScalarFunction) -> ScalarFunction:
@@ -178,6 +156,9 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
 # 16 ms / 2.8 us ~ 5900 tables; BLOCK is the power of two below that.  A search
 # starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.
 BLOCK = 4096
+
+# The default budget of a search, and of `compare --exhaustive`, in tables.
+MAX_CANDIDATES = 1_000_000
 
 # The search kernel holds |G| translation rows of |G| entries each.  With
 # d >= 2 the d^|G| tables exceed any feasible budget long before |G| = 64, so
@@ -326,21 +307,31 @@ def _check_search(spec: GroupSpec, d: int, max_candidates: int) -> int:
     """Validate a search of the d^|G| tables G -> S_d before anything is
     built, and return their number."""
     spec.ctx.circle_subgroup_generator(d)  # validates d | s
+    return _check_tables(spec, d, max_candidates)
+
+
+def _check_tables(spec: GroupSpec, base: int, budget: int) -> int:
+    """Return base^|G|, the number of tables G -> Z_base, unless |G| exceeds
+    MAX_SEARCH_ORDER or that number exceeds budget.
+
+    The order is bounded first, so the power has at most 617 digits (base
+    divides p^n + 1 <= 257); with |G| unbounded the power itself runs away.
+    """
     if spec.order > MAX_SEARCH_ORDER:
         raise TooLarge(
             f"group order {spec.order} exceeds the search bound {MAX_SEARCH_ORDER}",
             witness={"order": spec.order, "max_order": MAX_SEARCH_ORDER},
         )
-    total = d**spec.order
-    if total > max_candidates:
+    total = base**spec.order
+    if total > budget:
         raise BudgetExceeded(
-            f"{total} candidates exceed the budget of {max_candidates}", witness=total
+            f"{total} candidates exceed the budget of {budget}", witness=total
         )
     return total
 
 
 def iter_bent_tables(
-    spec: GroupSpec, d: int, max_candidates: int = 1_000_000
+    spec: GroupSpec, d: int, max_candidates: int = MAX_CANDIDATES
 ) -> Iterator[tuple[int, ...]]:
     """Yield the bent exponent tables in mixed-radix order.
 
@@ -355,7 +346,7 @@ def iter_bent_tables(
 def search_bent(
     spec: GroupSpec,
     d: int,
-    max_candidates: int = 1_000_000,
+    max_candidates: int = MAX_CANDIDATES,
     jobs: int = 1,
 ) -> SearchResult:
     """Find every bent table G -> S_d.

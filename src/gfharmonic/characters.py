@@ -94,10 +94,6 @@ class ScalarFunction(Record):
         return None
 
     @classmethod
-    def from_values(cls, spec: GroupSpec, values: Sequence[FieldElement]) -> "ScalarFunction":
-        return cls(spec, tuple(values))
-
-    @classmethod
     def constant(cls, spec: GroupSpec, value: FieldElement) -> "ScalarFunction":
         return cls(spec, (value,) * spec.order)
 
@@ -170,14 +166,17 @@ def character_sum(spec: GroupSpec, alpha: Sequence[int]) -> FieldElement:
     return acc
 
 
+def _dot(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> FieldElement:
+    """sum_i x_i * conj(y_i) over nonempty sequences of equal length."""
+    terms = [a * b.conjugate() for a, b in zip(x, y)]
+    return sum(terms[1:], terms[0])
+
+
 def inner_product(f: ScalarFunction, g: ScalarFunction) -> FieldElement:
     """sum_x f(x) * conj(g(x)); conjugate-symmetric, not positive definite."""
     if f.spec != g.spec:
         raise SpecMismatch("functions live on different groups")
-    acc = f.spec.ctx.zero
-    for a, b in zip(f.values, g.values):
-        acc = acc + a * b.conjugate()
-    return acc
+    return _dot(f.values, g.values)
 
 
 def evaluation_map_is_bijective(spec: GroupSpec, max_order: int = 1024) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from .bent import is_bent_spectral
 from .characters import Record, ScalarFunction
@@ -31,12 +31,7 @@ class ExponentFunction(Record):
     exponents: tuple[int, ...]
 
     def _validate(self):
-        s = self.spec.ctx.circle_order
-        if self.m < 1 or s % self.m:
-            raise InvalidOrder(
-                f"root order {self.m} does not divide the circle order {s}",
-                witness=self.m,
-            )
+        _check_root_order(self.spec, self.m)
         if len(self.exponents) != self.spec.order:
             raise SpecMismatch(
                 f"exponent table has {len(self.exponents)} entries, "
@@ -44,6 +39,15 @@ class ExponentFunction(Record):
             )
         object.__setattr__(
             self, "exponents", tuple(int(e) % self.m for e in self.exponents)
+        )
+
+
+def _check_root_order(spec: GroupSpec, m: int) -> None:
+    s = spec.ctx.circle_order
+    if m < 1 or s % m:
+        raise InvalidOrder(
+            f"root order {m} does not divide the circle order {s}",
+            witness=m,
         )
 
 

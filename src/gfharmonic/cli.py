@@ -26,8 +26,8 @@ from .serialize import (
     element_to_obj,
     exponent_function_from_obj,
     group_element_to_obj,
+    group_file_to_obj,
     group_from_file_obj,
-    group_to_obj,
     read_json,
     scalar_function_from_obj,
     scalar_function_to_obj,
@@ -36,15 +36,13 @@ from .serialize import (
 
 
 def _emit(args, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _bent_report_obj(report) -> dict:
@@ -93,27 +91,19 @@ def _cmd_char_table(args) -> int:
         _emit(args, text)
     else:
         obj = {
-            "context": context_to_obj(spec.ctx),
-            "group": group_to_obj(spec),
+            **group_file_to_obj(spec),
             "table": [[element_to_obj(v) for v in row.values] for row in rows],
         }
         _emit(args, dumps(obj))
     return 0
 
 
-def _cmd_ft(args) -> int:
-    from .fourier import ft
-
+def _cmd_table(args) -> int:
+    """Apply the library function named by args.function to one table."""
+    # The lazy package imports only the module that defines the function.
+    function = getattr(sys.modules[__package__], args.function)
     f = scalar_function_from_obj(read_json(args.infile))
-    _emit(args, dumps(scalar_function_to_obj(ft(f))))
-    return 0
-
-
-def _cmd_ift(args) -> int:
-    from .fourier import inverse_ft
-
-    f = scalar_function_from_obj(read_json(args.infile))
-    _emit(args, dumps(scalar_function_to_obj(inverse_ft(f))))
+    _emit(args, dumps(scalar_function_to_obj(function(f))))
     return 0
 
 
@@ -142,32 +132,16 @@ def _cmd_bent_check(args) -> int:
     return 0 if report.is_bent else 1
 
 
-def _cmd_mm(args) -> int:
-    from .bent import mm_construct
-
-    g = scalar_function_from_obj(read_json(args.infile))
-    _emit(args, dumps(scalar_function_to_obj(mm_construct(g))))
-    return 0
-
-
-def _cmd_dual(args) -> int:
-    from .bent import dual_bent
-
-    f = scalar_function_from_obj(read_json(args.infile))
-    _emit(args, dumps(scalar_function_to_obj(dual_bent(f))))
-    return 0
-
-
 def _cmd_search(args) -> int:
-    from .bent import search_bent
+    from .bent import MAX_CANDIDATES, search_bent
 
     spec = group_from_file_obj(read_json(args.group))
+    budget = MAX_CANDIDATES if args.max_candidates is None else args.max_candidates
     result = search_bent(
-        spec, args.d, max_candidates=args.max_candidates, jobs=args.jobs
+        spec, args.d, max_candidates=budget, jobs=args.jobs
     )
     obj = {
-        "context": context_to_obj(spec.ctx),
-        "group": group_to_obj(spec),
+        **group_file_to_obj(spec),
         "d": result.d,
         "candidates": result.candidates,
         "count": result.count,
@@ -183,7 +157,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .classical import ExponentFunction, comparison_check, is_classical_bent
+    from .bent import MAX_CANDIDATES, _check_tables
+    from .classical import ExponentFunction, _check_root_order, comparison_check, is_classical_bent
 
     if args.infile:
         efs = [exponent_function_from_obj(read_json(args.infile))]
@@ -191,10 +166,12 @@ def _cmd_compare(args) -> int:
         if args.m is None:
             raise HarmonicError("--m is required with --exhaustive")
         spec = group_from_file_obj(read_json(args.group))
-        efs = [
+        _check_root_order(spec, args.m)
+        _check_tables(spec, args.m, MAX_CANDIDATES)
+        efs = (
             ExponentFunction(spec, args.m, e)
             for e in itertools.product(range(args.m), repeat=spec.order)
-        ]
+        )
     else:
         raise HarmonicError(
             "compare needs either --in FILE or --group FILE --m M --exhaustive"
@@ -294,16 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", required=True, help="group JSON file")
     sp.set_defaults(handler=_cmd_char_table)
 
-    for name, handler, help_ in [
-        ("ft", _cmd_ft, "Fourier transform of a function table"),
-        ("ift", _cmd_ift, "inverse Fourier transform"),
-        ("bent-check", _cmd_bent_check, "test a table for bentness (exit 0/1)"),
-        ("mm", _cmd_mm, "product-group bent construction from a circle-valued table"),
-        ("dual", _cmd_dual, "dual of a bent function"),
+    # _cmd_table applies the library function a row names; bent-check has its own handler.
+    for name, function, help_ in [
+        ("ft", "ft", "Fourier transform of a function table"),
+        ("ift", "inverse_ft", "inverse Fourier transform"),
+        ("bent-check", None, "test a table for bentness (exit 0/1)"),
+        ("mm", "mm_construct", "product-group bent construction from a circle-valued table"),
+        ("dual", "dual_bent", "dual of a bent function"),
     ]:
         sp = sub.add_parser(name, parents=[common], help=help_)
         sp.add_argument("--in", dest="infile", required=True, help="function JSON file")
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=_cmd_table if function else _cmd_bent_check, function=function)
 
     sp = sub.add_parser("conv", parents=[common], help="convolution of two tables")
     sp.add_argument("--in", dest="infile", required=True)
@@ -313,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", parents=[common], help="exhaustive bent search")
     sp.add_argument("--group", required=True)
     sp.add_argument("--d", type=_int, required=True, help="order of the value subgroup")
-    sp.add_argument("--max-candidates", type=_int, default=1_000_000)
+    # None means bent.MAX_CANDIDATES, resolved when the search runs so that
+    # building the parser loads no library module.
+    sp.add_argument("--max-candidates", type=_int, default=None)
     sp.add_argument("--jobs", type=_int, default=1)
     sp.set_defaults(handler=_cmd_search)
 

@@ -52,18 +52,7 @@ def _check_size(p: int, n: int) -> None:
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m >= 2 and _prime_factors(m) == [m]
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -191,24 +180,15 @@ class FieldElement:
         return FieldElement(ctx, ctx._exp[k])
 
     def inverse(self) -> "FieldElement":
-        if self.code == 0:
-            raise DivisionByZero("0 has no inverse", witness=self.coeffs)
-        ctx = self.ctx
-        return FieldElement(ctx, ctx._exp[-ctx._log[self.code] % (ctx.q - 1)])
+        return self**-1
 
     def conjugate(self) -> "FieldElement":
         """The involutive automorphism x -> x^(p^n) fixing GF(p^n)."""
-        if self.code == 0:
-            return self
-        ctx = self.ctx
-        return FieldElement(ctx, ctx._exp[ctx._log[self.code] * ctx.sqrt_q % (ctx.q - 1)])
+        return self**self.ctx.sqrt_q
 
     def norm(self) -> "FieldElement":
         """x * conj(x); lies in the subfield GF(p^n) and vanishes only at 0."""
-        if self.code == 0:
-            return self
-        ctx = self.ctx
-        return FieldElement(ctx, ctx._exp[ctx._log[self.code] * (ctx.sqrt_q + 1) % (ctx.q - 1)])
+        return self ** (self.ctx.sqrt_q + 1)
 
     def in_circle(self) -> bool:
         return self.norm().code == 1
@@ -296,7 +276,6 @@ class FieldContext:
         ), "circle generator order check failed"
 
         self._circle_pow = tuple(self._exp[k * self._step % (q - 1)] for k in range(s))
-        self._circle_log = {code: k for k, code in enumerate(self._circle_pow)}
 
     # -- construction helpers -------------------------------------------------
 

@@ -140,8 +140,7 @@ def group_element_to_obj(x: Sequence[int]) -> list[int]:
 
 def scalar_function_to_obj(f: ScalarFunction) -> dict:
     return {
-        "context": context_to_obj(f.spec.ctx),
-        "group": group_to_obj(f.spec),
+        **group_file_to_obj(f.spec),
         "values": [element_to_obj(v) for v in f.values],
     }
 
@@ -163,8 +162,7 @@ def scalar_function_from_obj(obj: Any) -> ScalarFunction:
 
 def exponent_function_to_obj(ef: ExponentFunction) -> dict:
     return {
-        "context": context_to_obj(ef.spec.ctx),
-        "group": group_to_obj(ef.spec),
+        **group_file_to_obj(ef.spec),
         "m": ef.m,
         "exponents": list(ef.exponents),
     }
@@ -187,8 +185,7 @@ def exponent_function_from_obj(obj: Any) -> ExponentFunction:
 
 def vector_function_to_obj(f: VectorFunction) -> dict:
     return {
-        "context": context_to_obj(f.spec.ctx),
-        "group": group_to_obj(f.spec),
+        **group_file_to_obj(f.spec),
         "l": f.dim,
         "values": [[element_to_obj(v) for v in vec] for vec in f.values],
     }
@@ -221,11 +218,5 @@ def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise MalformedInput(f"{path}: {exc}") from exc
-
-
-def write_json(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")

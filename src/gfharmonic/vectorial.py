@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bent import BentReport, _derivative_report
-from .characters import Record, ScalarFunction
+from .bent import BentReport, _derivative_report, _spectral_report
+from .characters import Record, ScalarFunction, _dot
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -33,10 +33,7 @@ def hermitian_dot(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> Field
     """sum_i x_i * conj(y_i); linear in x, conjugate-symmetric."""
     if len(x) != len(y) or not x:
         raise DimensionMismatch(f"dimensions {len(x)} and {len(y)} differ or are zero")
-    acc = x[0] * y[0].conjugate()
-    for a, b in zip(x[1:], y[1:]):
-        acc = acc + a * b.conjugate()
-    return acc
+    return _dot(x, y)
 
 
 def norm_l(x: Sequence[FieldElement]) -> FieldElement:
@@ -80,12 +77,6 @@ class VectorFunction(Record):
             if not on_hypersphere(vec):
                 return self.spec.element_at(i)
         return None
-
-    @classmethod
-    def from_values(
-        cls, spec: GroupSpec, dim: int, values: Sequence[Sequence[FieldElement]]
-    ) -> "VectorFunction":
-        return cls(spec, dim, tuple(tuple(vec) for vec in values))
 
     @classmethod
     def from_scalar(cls, f: ScalarFunction, dim: int, slot: int = 0) -> "VectorFunction":
@@ -152,11 +143,7 @@ def _require_hypersphere(f: VectorFunction) -> None:
 def is_md_bent(f: VectorFunction) -> BentReport:
     """Bentness by definition: norm_l(md_ft(f)(alpha)) == |G| mod p for all alpha."""
     _require_hypersphere(f)
-    spec = f.spec
-    target = spec.ctx.from_int(spec.order_mod_p)
-    norms = tuple(norm_l(vec) for vec in md_ft(f).values)
-    failing = tuple(spec.element_at(i) for i, v in enumerate(norms) if v != target)
-    return BentReport(not failing, norms, failing)
+    return _spectral_report(f.spec, tuple(norm_l(vec) for vec in md_ft(f).values))
 
 
 def is_md_bent_derivative(f: VectorFunction) -> BentReport:

@@ -18,6 +18,7 @@ from gfharmonic import (
     is_bent_autocorr,
     is_bent_spectral,
     iter_bent_tables,
+    make_context,
     make_group,
     mm_construct,
     search_bent,
@@ -178,6 +179,22 @@ class TestDual:
                     r = _sqrt_mod_prime(a, p)
                     assert r * r % p == a
                     assert r <= p - r
+        # For p % 4 == 3 the root is a^((p+1)/4), which is not always the
+        # smaller one: the roots of 2 mod 7 are 3 and 4.
+        assert _sqrt_mod_prime(2, 7) == 4
+
+    def test_frozen_dual_fixes_the_root(self):
+        # |G| = 16 = 2 (mod 7): the dual scales ft(f) by 4^-1 = 2, where the
+        # other root 3 would scale it by 5 and negate every value.
+        gf49 = make_context(7, 1)
+        z4 = make_group(gf49, [(4, 1)])
+        f = mm_construct(ScalarFunction.from_exponents(z4, 4, [0, 1, 3, 2]))
+        dual = dual_bent(f)
+        assert dual.values == tuple(gf49.from_int(2) * v for v in ft(f).values)
+        assert [list(v.coeffs) for v in dual.values] == [
+            [1, 0], [1, 0], [1, 0], [1, 0], [6, 0], [0, 1], [1, 0], [0, 6],
+            [0, 6], [0, 1], [0, 6], [0, 1], [0, 1], [6, 0], [0, 6], [1, 0],
+        ]
 
 
 class TestProductConstruction:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import gfharmonic
 from gfharmonic import ExponentFunction, ScalarFunction, VectorFunction, make_group
+from gfharmonic import bent, classical
 from gfharmonic.cli import main
 from gfharmonic.serialize import (
     dumps,
@@ -199,6 +201,56 @@ class TestCompare:
         assert code == 0
         assert json.loads(out)["classical_bent"] == 1
 
+    def test_exhaustive_budget_checked_before_any_table(self, capsys, monkeypatch, tmp_path, z5sq):
+        # 5^25 tables: the comparison used to build them all in a list
+        def no_table(*args):
+            raise AssertionError("a table was built before the budget check")
+
+        monkeypatch.setattr(classical, "ExponentFunction", no_table)
+        path = write(tmp_path, "z5sq.json", group_file_to_obj(z5sq))
+        code, out, err = run(capsys, "compare", "--group", path, "--m", "5", "--exhaustive")
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["code"] == "budget-exceeded"
+        assert record["witness"] == 5**25
+
+    @pytest.mark.parametrize("m", [0, 7])
+    def test_exhaustive_order_checked_before_budget(self, capsys, tmp_path, z5sq, m):
+        # 7^25 is over the budget too, but 7 does not divide the circle order 5
+        path = write(tmp_path, "z5sq.json", group_file_to_obj(z5sq))
+        code, _, err = run(capsys, "compare", "--group", path, "--m", str(m), "--exhaustive")
+        assert code == 2
+        assert json.loads(err)["code"] == "invalid-order"
+        assert json.loads(err)["witness"] == m
+
+    @pytest.mark.parametrize("rank, m", [(9, 3), (6, 1)])
+    def test_exhaustive_group_order_bounded_before_the_count(
+        self, capsys, monkeypatch, tmp_path, rank, m
+    ):
+        # m^|G| for Z_3^9 has 9392 digits, more than Python will print, and
+        # for larger groups the power itself runs away; so |G| is bounded
+        # first, as in a search, even when m = 1 gives a single table.
+        def no_table(*args):
+            raise AssertionError("a table was built before the order check")
+
+        monkeypatch.setattr(classical, "ExponentFunction", no_table)
+        obj = {"context": {"p": 2, "n": 1}, "group": {"factors": [{"d": 3, "m": rank}]}}
+        path = write(tmp_path, "z3.json", obj)
+        code, out, err = run(capsys, "compare", "--group", path, "--m", str(m), "--exhaustive")
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["code"] == "too-large"
+        assert record["witness"] == {"order": 3**rank, "max_order": 256}
+
+    def test_exhaustive_budget_is_the_search_budget(self, capsys, monkeypatch, z3_group_file):
+        argv = ["compare", "--group", z3_group_file, "--m", "3", "--exhaustive"]
+        monkeypatch.setattr(bent, "MAX_CANDIDATES", 26)
+        code, _, err = run(capsys, *argv)
+        assert (code, json.loads(err)["witness"]) == (2, 27)
+        monkeypatch.setattr(bent, "MAX_CANDIDATES", 27)
+        code, out, _ = run(capsys, *argv)
+        assert (code, json.loads(out)["checked"]) == (0, 27)
+
 
 class TestVectorialCheck:
     def test_bent_padded_function(self, capsys, tmp_path, z3):
@@ -227,6 +279,19 @@ class TestParsing:
         code, _, err = run(capsys, "bent-check", "--in", str(path))
         assert code == 2
         assert json.loads(err)["code"] == "malformed-input"
+
+    @pytest.mark.parametrize("name", ["not-utf8", "deeply-nested"])
+    def test_undecodable_file(self, capsys, tmp_path, name):
+        # Not UTF-8, and nested past the decoder's recursion limit: both used
+        # to exit 1 with a traceback.
+        data = {"not-utf8": b"\xff\xfe{}", "deeply-nested": b"[" * 200_000}[name]
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "bent-check", "--in", str(path))
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["code"] == "malformed-input"
+        assert record["message"].startswith(f"{path}: ")
 
     def test_group_spec_validation_surfaces(self, capsys, tmp_path):
         obj = {"context": {"p": 2, "n": 2}, "group": {"factors": [{"d": 3, "m": 1}]}}
@@ -348,6 +413,36 @@ class TestErrorContract:
         record = self._record(capsys, "search", "--group", path, "--d", "1")
         assert record["code"] == "too-large"
         assert record["witness"] == {"order": 729, "max_order": 256}
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def golden_bytes(name, suffix):
+    path = GOLDEN / f"{name}.{suffix}"
+    return path.read_bytes() if path.exists() else b""
+
+
+class TestGolden:
+    """stdout, stderr and exit code of small commands, byte for byte as
+    recorded in tests/golden/; the inputs are in tests/golden/in/."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_output_bytes(self, capsys, monkeypatch, name):
+        case = GOLDEN_CASES[name]
+        monkeypatch.chdir(GOLDEN)
+        code, out, err = run(capsys, *shlex.split(case["args"]))
+        assert code == case["exit"]
+        assert out.encode() == golden_bytes(name, "out")
+        assert err.encode() == golden_bytes(name, "err")
+
+    def test_out_file_bytes(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(GOLDEN)
+        out_path = tmp_path / "F.json"
+        code, out, err = run(capsys, "ft", "--in", "in/f.json", "--out", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_bytes() == golden_bytes("ft", "out")
 
 
 class TestImports:
