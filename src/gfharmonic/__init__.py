@@ -3,8 +3,8 @@
 GF(p^(2n)) carries a conjugation, a norm into GF(p^n), and a cyclic unit
 circle of order p^n + 1.  Groups whose cyclic factors divide that circle
 order admit circle-valued characters, an exact Fourier transform, and a
-bentness notion for circle-valued (and vector-valued) tables, plus a
-floating-point bridge to the classical complex-valued bentness.
+bentness notion for circle-valued (and vector-valued) tables, plus an
+exact bridge to the classical complex-valued bentness.
 
 Importing the package loads none of its modules: each public name is
 imported from its module on first access (PEP 562), so a process pays only

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .field import FieldElement
 from .fourier import _correlate, ft
-from .group import GroupElement, GroupSpec, _outer_sum, make_group
+from .group import GroupElement, GroupSpec, _difference_counts, _outer_sum, make_group
 
 
 class BentReport(Record):
@@ -119,7 +119,9 @@ def dual_bent(f: ScalarFunction) -> ScalarFunction:
     ctx = spec.ctx
     p = ctx.p
     c = spec.order_mod_p
-    report = is_bent_spectral(f)
+    _require_circle_valued(f)
+    spectrum = ft(f).values
+    report = _spectral_report(spec, tuple(v.norm() for v in spectrum))
     if not report.is_bent:
         raise NotBent(
             f"dual requires a bent input; fails at {len(report.failing_points)} points",
@@ -131,7 +133,7 @@ def dual_bent(f: ScalarFunction) -> ScalarFunction:
         )
     root = _sqrt_mod_prime(c, p)
     scale = ctx.from_int(pow(root, -1, p))
-    values = tuple(scale * v for v in ft(f).values)
+    values = tuple(scale * v for v in spectrum)
     return ScalarFunction(spec, values)
 
 
@@ -209,11 +211,9 @@ class _SearchKernel:
         ud = ctx.circle_subgroup_generator(d)
         self.d = d
         self.p = ctx.p
-        self.n_points = spec.order
-        self.width = ctx.width
         self.add_rows = [spec.translate_row(a) for a in spec.elements()]
         powers = [(ud**j).coeffs for j in range(d)]
-        self.coord_cols = [[powers[j][t] for j in range(d)] for t in range(self.width)]
+        self.coord_cols = [[powers[j][t] for j in range(d)] for t in range(ctx.width)]
 
         # ranges[i] lists the values point i takes in a normalized table.
         self.ranges = [range(1)] + [range(d)] * (spec.order - 1)
@@ -233,9 +233,7 @@ class _SearchKernel:
     def is_bent(self, e: Sequence[int]) -> bool:
         d, p = self.d, self.p
         for row in self.add_rows[1:]:
-            counts = [0] * d
-            for x in range(self.n_points):
-                counts[(e[row[x]] - e[x]) % d] += 1
+            counts = _difference_counts(row, e, d)
             for col in self.coord_cols:
                 if sum(c * w for c, w in zip(counts, col)) % p:
                     break

@@ -179,15 +179,19 @@ def inner_product(f: ScalarFunction, g: ScalarFunction) -> FieldElement:
     return _dot(f.values, g.values)
 
 
-def evaluation_map_is_bijective(spec: GroupSpec, max_order: int = 1024) -> bool:
+# evaluation_map_is_bijective holds |G| rows of |G| exponents each.
+MAX_EVALUATION_ORDER = 1024
+
+
+def evaluation_map_is_bijective(spec: GroupSpec) -> bool:
     """Check that x -> (alpha -> chi_alpha(x)) separates the points of G.
 
     Injectivity suffices for bijectivity since G and its double dual have
-    equal order.  Guarded: groups larger than max_order raise TooLarge.
+    equal order.  Groups above MAX_EVALUATION_ORDER raise TooLarge.
     """
-    if spec.order > max_order:
+    if spec.order > MAX_EVALUATION_ORDER:
         raise TooLarge(
-            f"group order {spec.order} exceeds enumeration bound {max_order}",
+            f"group order {spec.order} exceeds enumeration bound {MAX_EVALUATION_ORDER}",
             witness=spec.order,
         )
     # chi_alpha(x) = chi_x(alpha), so the row of x is its evaluation map.

@@ -3,23 +3,25 @@
 A table of m-th roots of unity on G (m dividing the circle order) can be
 read two ways: as a complex-valued function, via zeta_m = exp(2*pi*i/m),
 or as a circle-valued function in the field, via the order-m circle
-generator u_m.  The complex side is evaluated in double precision against
-complex characters matched index-for-index with the field characters
-(same exponent data); the embedding into the field is exact.  Being bent
-on the complex side implies being bent on the field side, and
+generator u_m.  The classical verdict is exact: the autocorrelation at a is
+c_a(zeta_m), where c_a counts the differences e(a + x) - e(x) mod m, so the
+table is classically bent iff Phi_m divides every c_a with a != 0 in Z[x].
+Only classical_ft is complex-valued; the embedding into the field is exact.
+Being bent on the complex side implies being bent on the field side, and
 comparison_check flags any observed counterexample to that implication.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
-from typing import Optional
 
 from .bent import is_bent_spectral
 from .characters import Record, ScalarFunction
 from .errors import InvalidOrder, SpecMismatch
-from .group import GroupSpec
+from .group import GroupSpec, _difference_counts
 
 
 class ExponentFunction(Record):
@@ -72,13 +74,40 @@ def classical_ft(ef: ExponentFunction) -> list[complex]:
     return out
 
 
-def is_classical_bent(ef: ExponentFunction, tol: Optional[float] = None) -> bool:
-    """True when every spectral magnitude squared is |G|, within tol
-    (default 1e-6 scaled by |G|)."""
-    order = ef.spec.order
-    if tol is None:
-        tol = 1e-6 * order
-    return all(abs(abs(v) ** 2 - order) <= tol for v in classical_ft(ef))
+def _divmod_monic(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b in Z[x], low degree first."""
+    r = list(a)
+    k = len(b) - 1
+    q = [0] * max(len(a) - k, 0)
+    for i in range(len(a) - 1, k - 1, -1):
+        c = q[i - k] = r[i]
+        for j, bj in enumerate(b):
+            r[i - k + j] -= c * bj
+    return q, r[:k]
+
+
+@functools.cache
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Phi_m, low degree first: x^m - 1 divided exactly by Phi_d for every
+    proper divisor d of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divmod_monic(poly, _cyclotomic(d))[0]
+    return tuple(poly)
+
+
+def is_classical_bent(ef: ExponentFunction) -> bool:
+    """True when every classical autocorrelation at a != 0 vanishes, that
+    is, when Phi_m divides the difference counts c_a in Z[x]; decided in
+    integers, stopping at the first failing direction."""
+    spec, m = ef.spec, ef.m
+    phi = _cyclotomic(m)
+    for a in itertools.islice(spec.elements(), 1, None):
+        counts = _difference_counts(spec.translate_row(a), ef.exponents, m)
+        if any(_divmod_monic(counts, phi)[1]):
+            return False
+    return True
 
 
 def embed(ef: ExponentFunction) -> ScalarFunction:
@@ -86,9 +115,7 @@ def embed(ef: ExponentFunction) -> ScalarFunction:
     return ScalarFunction.from_exponents(ef.spec, ef.m, ef.exponents)
 
 
-def comparison_check(ef: ExponentFunction, tol: Optional[float] = None) -> bool:
+def comparison_check(ef: ExponentFunction) -> bool:
     """True unless ef is bent classically but its embedding is not bent in
     the field; a False here is a correctness alarm, not an expected outcome."""
-    if not is_classical_bent(ef, tol):
-        return True
-    return is_bent_spectral(embed(ef)).is_bent
+    return not is_classical_bent(ef) or is_bent_spectral(embed(ef)).is_bent

@@ -157,8 +157,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .bent import MAX_CANDIDATES, _check_tables
-    from .classical import ExponentFunction, _check_root_order, comparison_check, is_classical_bent
+    from .bent import MAX_CANDIDATES, _check_tables, is_bent_spectral
+    from .classical import ExponentFunction, _check_root_order, embed, is_classical_bent
 
     if args.infile:
         efs = [exponent_function_from_obj(read_json(args.infile))]
@@ -181,10 +181,11 @@ def _cmd_compare(args) -> int:
     counterexamples = []
     for ef in efs:
         checked += 1
-        cb = is_classical_bent(ef, args.tol)
-        classical += cb
-        if not comparison_check(ef, args.tol):
-            counterexamples.append(list(ef.exponents))
+        # comparison_check, with the classical verdict decided once per table
+        if is_classical_bent(ef):
+            classical += 1
+            if not is_bent_spectral(embed(ef)).is_bent:
+                counterexamples.append(list(ef.exponents))
     obj = {
         "checked": checked,
         "classical_bent": classical,
@@ -227,23 +228,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         # Messages that reach here end with the missing flags, the unknown
-        # arguments or the bad choice; bad numbers are caught by _number.
+        # arguments or the bad choice; bad integers are caught by _int.
         raise MalformedInput(message, witness=message.rpartition(": ")[2])
 
 
-def _number(kind, what: str):
+def _int(text: str) -> int:
     """An argparse type that reports a bad token as malformed input."""
-
-    def parse(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            raise MalformedInput(f"expected {what}, got {text!r}", witness=text) from None
-
-    return parse
-
-
-_int, _float = _number(int, "an integer"), _number(float, "a number")
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInput(f"expected an integer, got {text!r}", witness=text) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=_int, help="root-of-unity order")
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--in", dest="infile", help="exponent function JSON file")
-    sp.add_argument("--tol", type=_float, default=None)
     sp.set_defaults(handler=_cmd_compare)
 
     sp = sub.add_parser(

@@ -12,12 +12,19 @@ the table order used by every function serialization.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
-from .errors import InadmissibleFactor, ShapeMismatch
+from .errors import InadmissibleFactor, ShapeMismatch, TooLarge
 from .field import FieldContext
 
 GroupElement = tuple[int, ...]
+
+# GroupSpec accepts at most 2^MAX_LOG2_ORDER elements, checked on
+# sum m * log2(d) before the coordinates are listed: a huge m forms neither a
+# huge power nor a huge list, nor an order with too many digits to print.  A
+# factor Z_1 counts as Z_2, so there are at most MAX_LOG2_ORDER coordinates.
+MAX_LOG2_ORDER = 24
 
 
 def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:
@@ -27,6 +34,15 @@ def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:
     for part in parts:
         out = [a + b for a in out for b in part]
     return out
+
+
+def _difference_counts(row: Sequence[int], e: Sequence[int], m: int) -> list[int]:
+    """c with c[j] = #{x : e[a + x] - e[x] = j mod m}, where row is
+    translate_row(a): the exponent differences of the table e in direction a."""
+    counts = [0] * m
+    for y, ex in zip(row, e):
+        counts[(e[y] - ex) % m] += 1
+    return counts
 
 
 class GroupSpec:
@@ -46,24 +62,23 @@ class GroupSpec:
                 raise InadmissibleFactor(
                     f"cyclic order {d} does not divide the circle order {s}", witness=d
                 )
+        log2_order = sum(m * math.log2(max(d, 2)) for d, m in factors)
+        if log2_order > MAX_LOG2_ORDER:
+            raise TooLarge(
+                f"group order 2^{log2_order:.2f} exceeds the bound 2^{MAX_LOG2_ORDER}",
+                witness={"log2_order": round(log2_order, 2), "max_log2_order": MAX_LOG2_ORDER},
+            )
         self.ctx = ctx
         self.factors = factors
         self.dims: GroupElement = tuple(
             itertools.chain.from_iterable([d] * m for d, m in factors)
         )
-        self.order = 1
-        for d in self.dims:
-            self.order *= d
+        self.order = math.prod(self.dims)
         # |G| is coprime to p because every d divides p^n + 1.
         self.order_mod_p = self.order % ctx.p
         self.inv_order_mod_p = pow(self.order_mod_p, -1, ctx.p)
 
-        strides = []
-        acc = 1
-        for d in reversed(self.dims):
-            strides.append(acc)
-            acc *= d
-        self._strides = tuple(reversed(strides))
+        self._strides = tuple(math.prod(self.dims[i + 1:]) for i in range(len(self.dims)))
         # Exponent step of the circle generator per coordinate: a coordinate
         # with modulus d contributes multiples of s/d to character exponents.
         self.coord_steps = tuple(s // d for d in self.dims)
@@ -96,11 +111,7 @@ class GroupSpec:
         return sum(c * s for c, s in zip(x, self._strides))
 
     def element_at(self, index: int) -> GroupElement:
-        out = []
-        for s, d in zip(self._strides, self.dims):
-            c, index = divmod(index, s)
-            out.append(c % d)
-        return tuple(out)
+        return tuple(index // s % d for s, d in zip(self._strides, self.dims))
 
     def exponent_row(self, alpha: Sequence[int]) -> list[int]:
         """Exponents k with chi_alpha(x) = u^k, for every x in canonical order."""

@@ -4,16 +4,24 @@ Nothing here calls the library's fast paths: polynomial arithmetic is
 schoolbook, irreducibility is decided by enumerating factorizations,
 orders by repeated multiplication, transforms by double sums over the
 per-factor exponentiation route, and convolutions and autocorrelations by
-double sums of FieldElement products over G x G.  The one exception is
+double sums of FieldElement products over G x G.  The exceptions are
 naive_search, which tests every table with is_bent_spectral: the transform
-route, which shares no code with the search kernel's derivative counting.
+route, which shares no code with the search kernel's derivative counting;
+and float_classical_bent, the former floating-point classical verdict on
+classical_ft, which shares no code with the exact difference counts.
 """
 
 import cmath
 import itertools
 import math
 
-from gfharmonic import ScalarFunction, VectorFunction, hermitian_dot, is_bent_spectral
+from gfharmonic import (
+    ScalarFunction,
+    VectorFunction,
+    classical_ft,
+    hermitian_dot,
+    is_bent_spectral,
+)
 from gfharmonic.characters import character_value_naive
 
 
@@ -113,6 +121,13 @@ def naive_classical_ft_at(ef, alpha):
             v *= cmath.exp(2j * math.pi * dot / d)
         acc += v
     return acc
+
+
+def float_classical_bent(ef):
+    """Classical bentness in floating point: every |classical_ft(ef)|^2 is
+    |G| within 1e-6 * |G|."""
+    order = ef.spec.order
+    return all(abs(abs(v) ** 2 - order) <= 1e-6 * order for v in classical_ft(ef))
 
 
 # The double sums below are the library's former implementations, kept as

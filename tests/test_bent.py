@@ -168,6 +168,26 @@ class TestDual:
         with pytest.raises(NotBent):
             dual_bent(ScalarFunction.constant(z3, gf4.one))
 
+    def test_error_order(self, gf4, gf9, z3, z2z4):
+        # Zero is neither on the circle nor bent; the circle check comes first.
+        with pytest.raises(NotCircleValued):
+            dual_bent(ScalarFunction.constant(z3, gf4.zero))
+        # |G| = 8 = 2 (mod 3) is not a square, but the bent check comes first.
+        with pytest.raises(NotBent):
+            dual_bent(ScalarFunction.constant(z2z4, gf9.one))
+
+    def test_one_transform(self, monkeypatch, z3):
+        calls = []
+
+        def counting_ft(f):
+            calls.append(f)
+            return ft(f)
+
+        monkeypatch.setattr(bent, "ft", counting_ft)
+        f = ScalarFunction.from_exponents(z3, 3, [0, 1, 1])
+        assert dual_bent(f).values == ft(f).values  # the scale is 1 in characteristic 2
+        assert calls == [f]
+
     def test_square_root_selection(self):
         assert _sqrt_mod_prime(4, 5) == 2  # the smaller of {2, 3}
         assert _sqrt_mod_prime(1, 3) == 1

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from gfharmonic import (
     ExponentFunction,
+    FieldElement,
     InvalidOrder,
     ScalarFunction,
     classical_ft,
@@ -11,8 +13,14 @@ from gfharmonic import (
     embed,
     is_bent_spectral,
     is_classical_bent,
+    make_context,
+    make_group,
+    search_bent,
 )
-from _oracles import all_exponent_tables
+from gfharmonic import bent, classical
+from gfharmonic.classical import _cyclotomic
+from gfharmonic.group import _difference_counts
+from _oracles import all_exponent_tables, float_classical_bent
 
 
 class TestClassicalTransform:
@@ -115,3 +123,152 @@ class TestComparison:
         assert is_classical_bent(ef)
         assert comparison_check(ef)
         assert is_bent_spectral(embed(ef)).is_bent
+
+
+def int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestDifferenceCounts:
+    def test_z3_example(self, z3):
+        # direction 1 of (0, 1, 1): e(1) - e(0) = 1, e(2) - e(1) = 0, e(0) - e(2) = 2
+        assert _difference_counts(z3.translate_row((1,)), (0, 1, 1), 3) == [1, 1, 1]
+
+    def test_zero_direction(self, z2z4):
+        assert _difference_counts(z2z4.translate_row((0, 0)), tuple(range(8)), 4) == [8, 0, 0, 0]
+
+
+class TestCyclotomic:
+    def test_known_values(self):
+        assert _cyclotomic(1) == (-1, 1)
+        assert _cyclotomic(2) == (1, 1)
+        assert _cyclotomic(5) == (1, 1, 1, 1, 1)
+        assert _cyclotomic(12) == (1, 0, -1, 0, 1)
+
+    def test_phi_105_has_a_coefficient_minus_two(self):
+        phi = _cyclotomic(105)
+        assert len(phi) == 49  # degree phi(105) = 48
+        assert [i for i, c in enumerate(phi) if c == -2] == [7, 41]
+
+    def test_product_over_divisors_is_x_to_the_m_minus_one(self):
+        for m in range(1, 61):
+            prod = [1]
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    prod = int_poly_mul(prod, _cyclotomic(d))
+            assert prod == [-1] + [0] * (m - 1) + [1]
+
+
+class TestExactVerdict:
+    def test_no_float_or_field_route(self, monkeypatch, z3, z5):
+        tables = [ExponentFunction(z3, 3, e) for e in all_exponent_tables(z3, 3)]
+        quadratic = ExponentFunction(z5, 5, tuple(x * x % 5 for x in range(5)))
+
+        def forbidden(*args):
+            raise AssertionError("the classical verdict left the integers")
+
+        monkeypatch.setattr(classical, "classical_ft", forbidden)
+        monkeypatch.setattr(classical, "is_bent_spectral", forbidden)
+        monkeypatch.setattr(bent, "is_bent_spectral", forbidden)
+        for name in ("__add__", "__sub__", "__mul__", "__pow__", "conjugate", "norm"):
+            monkeypatch.setattr(FieldElement, name, forbidden)
+        assert sum(map(is_classical_bent, tables)) == 18
+        assert is_classical_bent(quadratic)
+
+    def test_stops_at_the_first_failing_direction(self, monkeypatch, z5sq):
+        rows = []
+
+        def counting(row, e, m):
+            rows.append(row)
+            return _difference_counts(row, e, m)
+
+        monkeypatch.setattr(classical, "_difference_counts", counting)
+        assert not is_classical_bent(ExponentFunction(z5sq, 5, (0,) * 25))
+        assert len(rows) == 1
+        rows.clear()
+        # x * y on Z_5^2 is bent: every one of the 24 directions is counted
+        xy = [x * y % 5 for x in range(5) for y in range(5)]
+        assert is_classical_bent(ExponentFunction(z5sq, 5, xy))
+        assert len(rows) == 24
+
+
+class TestFloatAgreement:
+    """The exact verdict against the former floating-point one, table by
+    table."""
+
+    @pytest.mark.parametrize(
+        "p, n, factors, m",
+        [
+            (2, 1, [(3, 1)], 3),
+            (3, 1, [(4, 1)], 4),
+            (2, 2, [(5, 1)], 5),
+            (3, 1, [(2, 2)], 1),
+            (3, 1, [(2, 2)], 2),
+            (3, 1, [(2, 2)], 4),
+        ],
+    )
+    def test_every_table(self, p, n, factors, m):
+        spec = make_group(make_context(p, n), factors)
+        for e in all_exponent_tables(spec, m):
+            ef = ExponentFunction(spec, m, e)
+            assert is_classical_bent(ef) == float_classical_bent(ef), e
+
+    @pytest.mark.parametrize(
+        "p, n, factors, m",
+        [
+            (2, 1, [(3, 2)], 3),
+            (2, 3, [(3, 2)], 3),
+            (3, 1, [(2, 1), (4, 1)], 4),
+            (5, 1, [(6, 1)], 6),
+        ],
+    )
+    def test_sampled_tables(self, p, n, factors, m):
+        # The field-bent tables hold every classically bent one (the census
+        # below checks that on every table); 300 random tables add the rest.
+        spec = make_group(make_context(p, n), factors)
+        rng = random.Random(f"{p} {n} {factors} {m}")
+        sample = list(search_bent(spec, m).tables)
+        sample += [tuple(rng.randrange(m) for _ in range(spec.order)) for _ in range(300)]
+        for e in sample:
+            ef = ExponentFunction(spec, m, e)
+            assert is_classical_bent(ef) == float_classical_bent(ef), e
+
+
+class TestCensus:
+    """Field-bent against classically bent tables G -> Z_d, over every table."""
+
+    @pytest.mark.parametrize(
+        "p, n, factors, d, field, classical",
+        [
+            (2, 1, [(3, 1)], 3, 18, 18),
+            (3, 1, [(4, 1)], 4, 32, 32),
+            (2, 2, [(5, 1)], 5, 100, 100),
+            (2, 1, [(3, 2)], 3, 2916, 486),
+            (2, 3, [(3, 2)], 3, 2916, 486),
+            (3, 1, [(2, 1), (4, 1)], 4, 1408, 896),
+            (5, 1, [(6, 1)], 6, 432, 0),
+        ],
+    )
+    def test_counts(self, p, n, factors, d, field, classical):
+        spec = make_group(make_context(p, n), factors)
+        field_tables = set(search_bent(spec, d).tables)
+        classical_tables = {
+            e
+            for e in all_exponent_tables(spec, d)
+            if is_classical_bent(ExponentFunction(spec, d, e))
+        }
+        assert (len(field_tables), len(classical_tables)) == (field, classical)
+        # the paper's theorem: classically bent implies field bent
+        assert classical_tables <= field_tables
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_field_bentness_does_not_depend_on_n(self, n):
+        # u_3 has the minimal polynomial x^2 + x + 1 over GF(2) for every odd n
+        def tables(n):
+            return search_bent(make_group(make_context(2, n), [(3, 2)]), 3).tables
+
+        assert tables(n) == tables(1)

@@ -408,6 +408,33 @@ class TestErrorContract:
         assert record["code"] == "malformed-input"
         assert record["witness"] == modulus
 
+    def test_compare_tolerance_flag_is_gone(self, capsys, z3_group_file):
+        argv = ["compare", "--group", z3_group_file, "--m", "3", "--exhaustive", "--tol", "0.1"]
+        record = self._record(capsys, *argv)
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == "--tol 0.1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--group", "{path}", "--d", "1"],
+            ["compare", "--group", "{path}", "--m", "1", "--exhaustive"],
+            ["ft", "--in", "{path}"],
+            ["bent-check", "--in", "{path}"],
+        ],
+    )
+    def test_group_order_bounded_before_it_is_formed(self, capsys, tmp_path, argv):
+        # |G| = 3^10000 has 4772 digits, more than Python will print.
+        obj = {
+            "context": {"p": 2, "n": 1},
+            "group": {"factors": [{"d": 3, "m": 10000}]},
+            "values": [],
+        }
+        path = write(tmp_path, "huge.json", obj)
+        record = self._record(capsys, *(a.format(path=path) for a in argv))
+        assert record["code"] == "too-large"
+        assert record["witness"] == {"log2_order": 15849.63, "max_log2_order": 24}
+
     def test_search_group_too_large(self, capsys, tmp_path, gf4):
         path = write(tmp_path, "z3pow6.json", group_file_to_obj(make_group(gf4, [(3, 6)])))
         record = self._record(capsys, "search", "--group", path, "--d", "1")

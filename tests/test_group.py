@@ -1,8 +1,10 @@
 import math
+import types
 
 import pytest
 
-from gfharmonic import InadmissibleFactor, ShapeMismatch, make_group
+from gfharmonic import InadmissibleFactor, ShapeMismatch, TooLarge, make_group
+from gfharmonic import group
 
 
 class TestMakeGroup:
@@ -32,6 +34,29 @@ class TestMakeGroup:
     def test_order_coprime_to_p(self, z3, z5, z4, z2z4, z5sq):
         for spec in (z3, z5, z4, z2z4, z5sq):
             assert math.gcd(spec.order, spec.ctx.p) == 1
+
+    def test_order_bound(self, gf9):
+        assert make_group(gf9, [(2, 12), (4, 6)]).order == 2**group.MAX_LOG2_ORDER
+        with pytest.raises(TooLarge) as exc:
+            make_group(gf9, [(2, 13), (4, 6)])
+        assert exc.value.witness == {"log2_order": 25.0, "max_log2_order": 24}
+
+    def test_trivial_factors_count_as_z2(self, gf9):
+        # Z_1 adds no elements but one coordinate each.
+        assert make_group(gf9, [(1, 24)]).dims == (1,) * 24
+        with pytest.raises(TooLarge):
+            make_group(gf9, [(1, 25)])
+
+    def test_order_bounded_before_the_coordinates_are_listed(self, monkeypatch, gf4):
+        def no_list(*args):
+            raise AssertionError("coordinates listed before the order check")
+
+        spy = types.SimpleNamespace(chain=types.SimpleNamespace(from_iterable=no_list))
+        monkeypatch.setattr(group, "itertools", spy)
+        with pytest.raises(TooLarge):
+            make_group(gf4, [(3, 1000)])
+        with pytest.raises(AssertionError):  # the spy does see a group within the bound
+            make_group(gf4, [(3, 15)])
 
 
 class TestElementOps:
