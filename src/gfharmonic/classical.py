@@ -78,7 +78,7 @@ def _divmod_monic(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int
     """Quotient and remainder of a by the monic b in Z[x], low degree first."""
     r = list(a)
     k = len(b) - 1
-    q = [0] * max(len(a) - k, 0)
+    q = [0] * (len(a) - k)
     for i in range(len(a) - 1, k - 1, -1):
         c = q[i - k] = r[i]
         for j, bj in enumerate(b):
