@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bent": (
         "BentReport", "SearchResult", "autocorrelation", "derivative", "dual_bent",
-        "is_bent_autocorr", "is_bent_spectral", "iter_bent_tables", "mm_construct",
-        "search_bent",
+        "is_bent_autocorr", "is_bent_spectral", "mm_construct", "search_bent",
     ),
     "characters": (
         "ScalarFunction", "char_exponent", "character_row", "character_sum",

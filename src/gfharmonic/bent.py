@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import os
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .characters import Record, ScalarFunction
 from .errors import (
@@ -150,13 +150,14 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
     return ScalarFunction(spec2, values)
 
 
-# Measured on a 2-vCPU VM with Python 3.11: a cold `gfharmonic search --jobs 2`
-# process takes a median 16 ms (quartiles 10-28 ms, 30 pairs) longer than
-# `--jobs 1` to import the process pool and fork and initialize two workers,
-# and the kernel decides a normalized table in 2.6-3.0 us (Z_3^2 with d = 3,
-# Z_4^2 with d = 2).  So a worker pays for its start-up at about
-# 16 ms / 2.8 us ~ 5900 tables; BLOCK is the power of two below that.  A search
-# starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.
+# Measured on a 2-vCPU VM with Python 3.11, on Z_4^2 over GF(9) with d = 2: a
+# cold `gfharmonic search --jobs 2` process takes a median 11 ms (quartiles
+# 4-21 ms, two sets of 30 pairs) longer than `--jobs 1` to import the process
+# pool and start two workers that receive the kernel, and the kernel decides a
+# normalized table in 2.7-3.2 us (also Z_3^2 with d = 3).  So a worker pays for
+# its start-up at about 11 ms / 2.9 us ~ 3800 tables.  BLOCK is the power of two
+# below the 5900 measured when each worker rebuilt the field; 2048 is untested.
+# A search starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.
 BLOCK = 4096
 
 # The default budget of a search, and of `compare --exhaustive`, in tables.
@@ -242,12 +243,10 @@ class _SearchKernel:
             return False
         return True
 
-    def run(self, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        """Yield the bent normalized tables that start with prefix."""
-        for suffix in itertools.product(*self.ranges[len(prefix):]):
-            e = prefix + suffix
-            if self.is_bent(e):
-                yield e
+    def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The bent normalized tables that start with prefix."""
+        tables = (prefix + suffix for suffix in itertools.product(*self.ranges[len(prefix):]))
+        return [e for e in tables if self.is_bent(e)]
 
     def expand(self, normalized: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Every shift of the given normalized tables, in mixed-radix order."""
@@ -257,55 +256,6 @@ class _SearchKernel:
             for e in normalized
             for s in self.shifts
         )
-
-
-_WORKER_KERNEL: Optional[_SearchKernel] = None
-
-
-def _init_search_worker(p, n, modulus, factors, d):
-    from .field import make_context
-
-    global _WORKER_KERNEL
-    ctx = make_context(p, n, modulus)
-    _WORKER_KERNEL = _SearchKernel(make_group(ctx, factors), d)
-
-
-def _run_search_block(prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return list(_WORKER_KERNEL.run(prefix))
-
-
-def _bent_tables(spec: GroupSpec, d: int, jobs: int) -> list[tuple[int, ...]]:
-    """The bent tables of the full space in mixed-radix order; the normalized
-    tables are tested inline, or split by leading positions across
-    min(jobs, cpu count, normalized // BLOCK) workers when that is above 1."""
-    kernel = _SearchKernel(spec, d)
-    workers = min(jobs, os.cpu_count() or 1, kernel.normalized // BLOCK)
-    if workers <= 1:
-        return kernel.expand(kernel.run(()))
-
-    # Imported here so that only a search big enough for workers loads the pool.
-    from concurrent.futures import ProcessPoolExecutor
-
-    depth, blocks = 0, 1
-    while blocks < workers:
-        blocks *= len(kernel.ranges[depth])
-        depth += 1
-    prefixes = list(itertools.product(*kernel.ranges[:depth]))
-    ctx = spec.ctx
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_search_worker,
-        initargs=(ctx.p, ctx.n, ctx.modulus, spec.factors, d),
-    ) as pool:
-        found = list(itertools.chain.from_iterable(pool.map(_run_search_block, prefixes)))
-    return kernel.expand(found)
-
-
-def _check_search(spec: GroupSpec, d: int, max_candidates: int) -> int:
-    """Validate a search of the d^|G| tables G -> S_d before anything is
-    built, and return their number."""
-    spec.ctx.circle_subgroup_generator(d)  # validates d | s
-    return _check_tables(spec, d, max_candidates)
 
 
 def _check_tables(spec: GroupSpec, base: int, budget: int) -> int:
@@ -328,19 +278,6 @@ def _check_tables(spec: GroupSpec, base: int, budget: int) -> int:
     return total
 
 
-def iter_bent_tables(
-    spec: GroupSpec, d: int, max_candidates: int = MAX_CANDIDATES
-) -> Iterator[tuple[int, ...]]:
-    """Yield the bent exponent tables in mixed-radix order.
-
-    The tables come from the same serial search as `search_bent`, which runs
-    in full before the first one is yielded; the same budget and group bound
-    are checked before any table is tested.
-    """
-    _check_search(spec, d, max_candidates)
-    yield from _bent_tables(spec, d, 1)
-
-
 def search_bent(
     spec: GroupSpec,
     d: int,
@@ -360,5 +297,22 @@ def search_bent(
     tables: then min(jobs, os.cpu_count(), normalized // BLOCK) workers
     split them by leading positions.  The result does not depend on jobs.
     """
-    total = _check_search(spec, d, max_candidates)
-    return SearchResult(d, total, tuple(_bent_tables(spec, d, jobs)))
+    spec.ctx.circle_subgroup_generator(d)  # validates d | s
+    total = _check_tables(spec, d, max_candidates)
+    kernel = _SearchKernel(spec, d)
+    workers = min(jobs, os.cpu_count() or 1, kernel.normalized // BLOCK)
+    if workers <= 1:
+        return SearchResult(d, total, tuple(kernel.expand(kernel.run(()))))
+
+    # Imported here so that only a search big enough for workers loads the pool.
+    from concurrent.futures import ProcessPoolExecutor
+
+    depth, blocks = 0, 1
+    while blocks < workers:
+        blocks *= len(kernel.ranges[depth])
+        depth += 1
+    prefixes = list(itertools.product(*kernel.ranges[:depth]))
+    # Each block carries the parent's kernel, so a worker builds no field or group.
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        found = list(itertools.chain.from_iterable(pool.map(kernel.run, prefixes)))
+    return SearchResult(d, total, tuple(kernel.expand(found)))

@@ -17,6 +17,7 @@ import cmath
 import functools
 import itertools
 import math
+from typing import Iterable, Sequence
 
 from .bent import is_bent_spectral
 from .characters import Record, ScalarFunction
@@ -101,11 +102,18 @@ def is_classical_bent(ef: ExponentFunction) -> bool:
     """True when every classical autocorrelation at a != 0 vanishes, that
     is, when Phi_m divides the difference counts c_a in Z[x]; decided in
     integers, stopping at the first failing direction."""
-    spec, m = ef.spec, ef.m
+    spec = ef.spec
+    # Built lazily, so a failing table builds no row past its first failing direction.
+    rows = map(spec.translate_row, itertools.islice(spec.elements(), 1, None))
+    return _phi_divides(rows, ef.exponents, ef.m)
+
+
+def _phi_divides(rows: Iterable[list[int]], exponents: Sequence[int], m: int) -> bool:
+    """True when Phi_m divides the difference counts of exponents along every
+    translation row; stops at the first row where it does not."""
     phi = _cyclotomic(m)
-    for a in itertools.islice(spec.elements(), 1, None):
-        counts = _difference_counts(spec.translate_row(a), ef.exponents, m)
-        if any(_divmod_monic(counts, phi)[1]):
+    for row in rows:
+        if any(_divmod_monic(_difference_counts(row, exponents, m), phi)[1]):
             return False
     return True
 

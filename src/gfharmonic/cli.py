@@ -158,20 +158,23 @@ def _cmd_search(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .bent import MAX_CANDIDATES, _check_tables, is_bent_spectral
-    from .classical import ExponentFunction, _check_root_order, embed, is_classical_bent
+    from .characters import ScalarFunction
+    from .classical import _check_root_order, _phi_divides
 
     if args.infile:
-        efs = [exponent_function_from_obj(read_json(args.infile))]
+        ef = exponent_function_from_obj(read_json(args.infile))
+        spec, m, tables = ef.spec, ef.m, [ef.exponents]
+        # One table: its rows are built lazily, as in is_classical_bent.
+        rows = map(spec.translate_row, itertools.islice(spec.elements(), 1, None))
     elif args.exhaustive and args.group:
         if args.m is None:
             raise HarmonicError("--m is required with --exhaustive")
-        spec = group_from_file_obj(read_json(args.group))
-        _check_root_order(spec, args.m)
-        _check_tables(spec, args.m, MAX_CANDIDATES)
-        efs = (
-            ExponentFunction(spec, args.m, e)
-            for e in itertools.product(range(args.m), repeat=spec.order)
-        )
+        spec, m = group_from_file_obj(read_json(args.group)), args.m
+        _check_root_order(spec, m)
+        _check_tables(spec, m, MAX_CANDIDATES)
+        tables = itertools.product(range(m), repeat=spec.order)
+        # The rows depend only on the group, so every table shares them.
+        rows = [spec.translate_row(a) for a in itertools.islice(spec.elements(), 1, None)]
     else:
         raise HarmonicError(
             "compare needs either --in FILE or --group FILE --m M --exhaustive"
@@ -179,13 +182,13 @@ def _cmd_compare(args) -> int:
     checked = 0
     classical = 0
     counterexamples = []
-    for ef in efs:
+    for e in tables:
         checked += 1
         # comparison_check, with the classical verdict decided once per table
-        if is_classical_bent(ef):
+        if _phi_divides(rows, e, m):
             classical += 1
-            if not is_bent_spectral(embed(ef)).is_bent:
-                counterexamples.append(list(ef.exponents))
+            if not is_bent_spectral(ScalarFunction.from_exponents(spec, m, e)).is_bent:
+                counterexamples.append(list(e))
     obj = {
         "checked": checked,
         "classical_bent": classical,
@@ -250,18 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"gfharmonic {__version__} (schema {SCHEMA_VERSION})",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="aligned text instead of JSON")
-    common.add_argument("--out", help="write output to a file instead of stdout")
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="aligned text instead of JSON")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to a file instead of stdout")
+    # ft, ift, mm, dual and conv print JSON only; the other subcommands add --pretty.
+    common, json_only = [pretty, out], [out]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("field-info", parents=[common], help="construct and describe a field")
+    sp = sub.add_parser("field-info", parents=common, help="construct and describe a field")
     sp.add_argument("--p", type=_int, required=True)
     sp.add_argument("--n", type=_int, required=True)
     sp.add_argument("--modulus", help="comma-separated coefficients, low degree first")
     sp.set_defaults(handler=_cmd_field_info)
 
-    sp = sub.add_parser("char-table", parents=[common], help="full character table of a group")
+    sp = sub.add_parser("char-table", parents=common, help="full character table of a group")
     sp.add_argument("--group", required=True, help="group JSON file")
     sp.set_defaults(handler=_cmd_char_table)
 
@@ -273,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("mm", "mm_construct", "product-group bent construction from a circle-valued table"),
         ("dual", "dual_bent", "dual of a bent function"),
     ]:
-        sp = sub.add_parser(name, parents=[common], help=help_)
+        sp = sub.add_parser(name, parents=json_only if function else common, help=help_)
         sp.add_argument("--in", dest="infile", required=True, help="function JSON file")
         sp.set_defaults(handler=_cmd_table if function else _cmd_bent_check, function=function)
 
-    sp = sub.add_parser("conv", parents=[common], help="convolution of two tables")
+    sp = sub.add_parser("conv", parents=json_only, help="convolution of two tables")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--in2", dest="infile2", required=True)
     sp.set_defaults(handler=_cmd_conv)
 
-    sp = sub.add_parser("search", parents=[common], help="exhaustive bent search")
+    sp = sub.add_parser("search", parents=common, help="exhaustive bent search")
     sp.add_argument("--group", required=True)
     sp.add_argument("--d", type=_int, required=True, help="order of the value subgroup")
     # None means bent.MAX_CANDIDATES, resolved when the search runs so that
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_search)
 
     sp = sub.add_parser(
-        "compare", parents=[common], help="classical-vs-field bentness comparison"
+        "compare", parents=common, help="classical-vs-field bentness comparison"
     )
     sp.add_argument("--group", help="group JSON file (for --exhaustive)")
     sp.add_argument("--m", type=_int, help="root-of-unity order")
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_compare)
 
     sp = sub.add_parser(
-        "vectorial-check", parents=[common], help="multidimensional bent test (exit 0/1)"
+        "vectorial-check", parents=common, help="multidimensional bent test (exit 0/1)"
     )
     sp.add_argument("--in", dest="infile", required=True, help="vector function JSON file")
     sp.set_defaults(handler=_cmd_vectorial_check)

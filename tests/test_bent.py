@@ -1,7 +1,11 @@
 import concurrent.futures
 import itertools
 import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +21,13 @@ from gfharmonic import (
     ft,
     is_bent_autocorr,
     is_bent_spectral,
-    iter_bent_tables,
     make_context,
     make_group,
     mm_construct,
     search_bent,
 )
-from gfharmonic import bent
+import gfharmonic
+from gfharmonic import bent, field
 from gfharmonic.bent import _sqrt_mod_prime
 from _oracles import naive_search, random_circle_function
 
@@ -248,9 +252,6 @@ class TestSearch:
         assert result.count == 18
         assert list(result.tables) == naive_search(z3, 3)
 
-    def test_lazy_iterator_matches(self, z3):
-        assert list(iter_bent_tables(z3, 3)) == list(search_bent(z3, 3).tables)
-
     def test_trivial_group_everything_bent(self, gf4):
         z1 = make_group(gf4, [(1, 1)])
         result = search_bent(z1, 3)
@@ -278,6 +279,35 @@ class TestSearch:
         assert started == [2]
         assert multi == single
 
+    def test_spawned_workers_match_one_job(self):
+        # spawn is the default start method on macOS (and forkserver on
+        # Linux from Python 3.14): workers import the package afresh and
+        # receive the kernel pickled.  Z_4^2 with d = 2 has 8192 normalized
+        # tables, enough for two workers.
+        code = (
+            "import concurrent.futures, multiprocessing, os\n"
+            "from gfharmonic import make_context, make_group, search_bent\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "os.cpu_count = lambda: 2\n"
+            "started = []\n"
+            "class RecordingPool(concurrent.futures.ProcessPoolExecutor):\n"
+            "    def __init__(self, max_workers, **kwargs):\n"
+            "        started.append(max_workers)\n"
+            "        super().__init__(max_workers, **kwargs)\n"
+            "concurrent.futures.ProcessPoolExecutor = RecordingPool\n"
+            "z4sq = make_group(make_context(3, 1), [(4, 2)])\n"
+            "single = search_bent(z4sq, 2, max_candidates=2**16)\n"
+            "multi = search_bent(z4sq, 2, max_candidates=2**16, jobs=2)\n"
+            "print(started, single.count, multi == single)\n"
+        )
+        src = str(Path(gfharmonic.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[2]", "896", "True"]
+
     def test_budget_guard(self, z5sq):
         with pytest.raises(BudgetExceeded):
             search_bent(z5sq, 5, max_candidates=1000)
@@ -295,26 +325,26 @@ def _no_kernel(*args):
 
 
 class TestSearchBounds:
-    """Both search entry points reject an infeasible search before the
-    kernel, or any row of it, is built."""
+    """The search rejects an infeasible search before the kernel, or any
+    row of it, is built."""
 
     @pytest.fixture
     def no_kernel(self, monkeypatch):
         monkeypatch.setattr(bent, "_SearchKernel", _no_kernel)
         monkeypatch.setattr(bent.GroupSpec, "translate_row", _no_kernel)
 
-    def test_iterator_budget(self, no_kernel, z5sq):
-        # 5^25 tables: the iterator used to run until it was killed
-        tables = iter_bent_tables(z5sq, 5)
+    def test_budget_checked_before_the_kernel(self, no_kernel, z5sq):
+        # 5^25 tables
         with pytest.raises(BudgetExceeded) as exc:
-            next(tables)
+            search_bent(z5sq, 5)
         assert exc.value.witness == 5**25
 
-    def test_iterator_budget_is_the_search_budget(self, z3):
-        with pytest.raises(BudgetExceeded):
-            next(iter_bent_tables(z3, 3, max_candidates=26))
-        tables = list(iter_bent_tables(z3, 3, max_candidates=27))
-        assert tables == list(search_bent(z3, 3, max_candidates=27).tables)
+    def test_budget_boundary(self, z3):
+        with pytest.raises(BudgetExceeded) as exc:
+            search_bent(z3, 3, max_candidates=26)
+        assert exc.value.witness == 27
+        result = search_bent(z3, 3, max_candidates=27)
+        assert (result.candidates, list(result.tables)) == (27, naive_search(z3, 3))
 
     @pytest.mark.parametrize("m", [6, 10])
     def test_group_bound(self, no_kernel, gf4, m):
@@ -323,9 +353,6 @@ class TestSearchBounds:
         witness = {"order": 3**m, "max_order": bent.MAX_SEARCH_ORDER}
         with pytest.raises(TooLarge) as exc:
             search_bent(spec, 1)
-        assert exc.value.witness == witness
-        with pytest.raises(TooLarge) as exc:
-            next(iter_bent_tables(spec, 1))
         assert exc.value.witness == witness
 
     def test_largest_group_within_bound(self, gf9):
@@ -339,13 +366,13 @@ class TestJobsBound:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """Replaces ProcessPoolExecutor with one that records max_workers and
-        runs every block in this process, so no worker process is started."""
+        runs every block in this process, so no worker process is started.
+        Like a pool, it runs a pickled copy of the function it is given."""
         sizes = []
 
         class InlineExecutor:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -354,11 +381,26 @@ class TestJobsBound:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                return map(pickle.loads(pickle.dumps(fn)), items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(bent, "_WORKER_KERNEL", None)
         return sizes
+
+    def test_pooled_search_builds_no_field(self, monkeypatch, pool_sizes, z3sq):
+        # The blocks carry the parent's kernel: neither the parent nor a
+        # worker builds a field context, so none is rebuilt per worker.
+        expected = search_bent(z3sq, 3)
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("the search built a field")
+
+        monkeypatch.setattr(bent, "BLOCK", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(field, "make_context", no_field)
+        monkeypatch.setattr(field.FieldContext, "__init__", no_field)
+        result = search_bent(z3sq, 3, jobs=3)
+        assert pool_sizes == [3]
+        assert result == expected
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch, pool_sizes, z3sq):
         monkeypatch.setattr(bent, "BLOCK", 1)

@@ -162,6 +162,22 @@ class TestCyclotomic:
                     prod = int_poly_mul(prod, _cyclotomic(d))
             assert prod == [-1] + [0] * (m - 1) + [1]
 
+    # The fields of TestCensus: GF(4), GF(9), GF(16), GF(64), GF(25) and GF(1024)
+    @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (2, 3), (5, 1), (2, 5)])
+    def test_circle_generator_is_a_root(self, p, n):
+        # Phi_m(u_m) = 0 in GF(q), so Phi_m | c_a in Z[x] forces c_a(u_m) = 0:
+        # a classically bent table is field bent.  x^m - 1 has simple roots
+        # (p does not divide m), so u_m is a root of no other Phi_k with k | m.
+        ctx = make_context(p, n)
+        s = ctx.circle_order
+        for m in (m for m in range(1, s + 1) if s % m == 0):
+            u = ctx.circle_subgroup_generator(m)
+            for k in (k for k in range(1, m + 1) if m % k == 0):
+                value = ctx.zero
+                for c in reversed(_cyclotomic(k)):
+                    value = value * u + ctx.from_int(c)
+                assert (value == ctx.zero) == (k == m), (m, k)
+
 
 class TestExactVerdict:
     def test_no_float_or_field_route(self, monkeypatch, z3, z5):

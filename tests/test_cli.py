@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import gfharmonic
-from gfharmonic import ExponentFunction, ScalarFunction, VectorFunction, make_group
-from gfharmonic import bent, classical
+from gfharmonic import ExponentFunction, GroupSpec, ScalarFunction, VectorFunction, make_group
+from gfharmonic import bent
 from gfharmonic.cli import main
 from gfharmonic.serialize import (
     dumps,
@@ -203,10 +203,10 @@ class TestCompare:
 
     def test_exhaustive_budget_checked_before_any_table(self, capsys, monkeypatch, tmp_path, z5sq):
         # 5^25 tables: the comparison used to build them all in a list
-        def no_table(*args):
-            raise AssertionError("a table was built before the budget check")
+        def no_row(*args):
+            raise AssertionError("a translation row was built before the budget check")
 
-        monkeypatch.setattr(classical, "ExponentFunction", no_table)
+        monkeypatch.setattr(GroupSpec, "translate_row", no_row)
         path = write(tmp_path, "z5sq.json", group_file_to_obj(z5sq))
         code, out, err = run(capsys, "compare", "--group", path, "--m", "5", "--exhaustive")
         assert (code, out) == (2, "")
@@ -230,10 +230,10 @@ class TestCompare:
         # m^|G| for Z_3^9 has 9392 digits, more than Python will print, and
         # for larger groups the power itself runs away; so |G| is bounded
         # first, as in a search, even when m = 1 gives a single table.
-        def no_table(*args):
-            raise AssertionError("a table was built before the order check")
+        def no_row(*args):
+            raise AssertionError("a translation row was built before the order check")
 
-        monkeypatch.setattr(classical, "ExponentFunction", no_table)
+        monkeypatch.setattr(GroupSpec, "translate_row", no_row)
         obj = {"context": {"p": 2, "n": 1}, "group": {"factors": [{"d": 3, "m": rank}]}}
         path = write(tmp_path, "z3.json", obj)
         code, out, err = run(capsys, "compare", "--group", path, "--m", str(m), "--exhaustive")
@@ -413,6 +413,16 @@ class TestErrorContract:
         record = self._record(capsys, *argv)
         assert record["code"] == "malformed-input"
         assert record["witness"] == "--tol 0.1"
+
+    @pytest.mark.parametrize("command", ["ft", "ift", "mm", "dual", "conv"])
+    def test_json_only_commands_reject_pretty(self, capsys, command):
+        # These five print JSON only, so --pretty is an unknown flag there.
+        argv = [command, "--in", "f.json", "--pretty"]
+        if command == "conv":
+            argv += ["--in2", "g.json"]
+        record = self._record(capsys, *argv)
+        assert record["code"] == "malformed-input"
+        assert record["witness"] == "--pretty"
 
     @pytest.mark.parametrize(
         "argv",

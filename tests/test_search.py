@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from gfharmonic import (
     ScalarFunction,
-    iter_bent_tables,
     make_context,
     make_group,
     mm_construct,
@@ -91,7 +90,6 @@ def test_search_matches_full_space_oracle(case):
     result = search_bent(spec, d)
     assert result.candidates == d**spec.order
     assert list(result.tables) == expected
-    assert list(iter_bent_tables(spec, d)) == expected
 
 
 @settings(max_examples=40, deadline=None)
