@@ -62,6 +62,7 @@ def classical_ft(ef: ExponentFunction) -> list[complex]:
     """Complex Fourier transform of x -> zeta_m^e(x), using the complex
     characters that match the field characters exponent-for-exponent."""
     spec = ef.spec
+    spec._check_work(spec.order)
     s = spec.ctx.circle_order
     zs = _roots_of_unity(s)
     zm = _roots_of_unity(ef.m)
@@ -103,6 +104,7 @@ def is_classical_bent(ef: ExponentFunction) -> bool:
     is, when Phi_m divides the difference counts c_a in Z[x]; decided in
     integers, stopping at the first failing direction."""
     spec = ef.spec
+    spec._check_work(spec.order)
     # Built lazily, so a failing table builds no row past its first failing direction.
     rows = map(spec.translate_row, itertools.islice(spec.elements(), 1, None))
     return _phi_divides(rows, ef.exponents, ef.m)

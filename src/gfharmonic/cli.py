@@ -83,6 +83,7 @@ def _cmd_char_table(args) -> int:
     from .characters import character_row
 
     spec = group_from_file_obj(read_json(args.group))
+    spec._check_work(spec.order)
     rows = [character_row(spec, alpha) for alpha in spec.elements()]
     if args.pretty:
         cells = [[str(v) for v in row.values] for row in rows]
@@ -164,6 +165,7 @@ def _cmd_compare(args) -> int:
     if args.infile:
         ef = exponent_function_from_obj(read_json(args.infile))
         spec, m, tables = ef.spec, ef.m, [ef.exponents]
+        spec._check_work(spec.order)
         # One table: its rows are built lazily, as in is_classical_bent.
         rows = map(spec.translate_row, itertools.islice(spec.elements(), 1, None))
     elif args.exhaustive and args.group:

@@ -15,8 +15,7 @@ is immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-import itertools
-from operator import getitem
+from array import array
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -71,11 +70,7 @@ def _prime_factors(m: int) -> list[int]:
 
 
 def _digits(code: int, p: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        code, r = divmod(code, p)
-        out.append(r)
-    return tuple(out)
+    return tuple([code // p**i % p for i in range(width)])
 
 
 def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -140,7 +135,7 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Coefficient vector over GF(p), lowest degree first."""
-        return self.ctx._coeffs[self.code]
+        return _digits(self.code, self.ctx.p, self.ctx.width)
 
     def is_zero(self) -> bool:
         return self.code == 0
@@ -151,19 +146,24 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check_field(other)
-        return FieldElement(self.ctx, self.ctx._add_codes(self.code, other.code))
+        ctx = self.ctx
+        # Digit by digit (XOR when p = 2), apart from the kernel's packed table.
+        a, b, p = self.code, other.code, ctx.p
+        if p == 2:
+            return FieldElement(ctx, a ^ b)
+        return FieldElement(ctx, sum([(a // w + b // w) % p * w for w in ctx._pw]))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __neg__(self) -> "FieldElement":
-        ctx = self.ctx
-        coeffs = ctx._coeffs[self.code]
-        return ctx.element([-c for c in coeffs])
+        return self.ctx.element([-c for c in self.coeffs])
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check_field(other)
-        return FieldElement(self.ctx, self.ctx._mul_codes(self.code, other.code))
+        ctx, a, b = self.ctx, self.code, other.code
+        code = a and b and ctx._exp[(ctx._log[a] + ctx._log[b]) % (ctx.q - 1)]
+        return FieldElement(ctx, code)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -258,9 +258,6 @@ class FieldContext:
 
         q = self.q
         self._pw = tuple(p**i for i in range(self.width))
-        # product() varies its last entry fastest; reversed, each tuple lists
-        # the base-p digits of its index, lowest first.
-        self._coeffs = [c[::-1] for c in itertools.product(range(p), repeat=self.width)]
 
         g_code = self._find_primitive()
         self._build_log_tables(g_code)
@@ -293,58 +290,55 @@ class FieldContext:
         one = [1] + [0] * (self.width - 1)
         checks = [(q - 1) // r for r in _prime_factors(q - 1)]
         for code in range(2, q):
-            cand = self._coeffs[code]
+            cand = _digits(code, p, self.width)
             if all(_poly_pow_mod(cand, e, self.modulus, p) != one for e in checks):
                 return code
         raise ReducibleModulus("no primitive element found; modulus is not irreducible")
 
     def _build_log_tables(self, g_code: int) -> None:
-        # Multiplication by g is GF(p)-linear, so g * sum(c_i x^i) is the sum
-        # over positions i of the precomputed vectors c_i * x^i * g.  Each
-        # vector is packed into one int with `bits` bits per coefficient;
-        # a sum of `width` digits below p never carries into the next field,
-        # so a power costs `width` lookups, one sum and one unpacking.
-        q, p, w = self.q, self.p, self.width
-        bits = (w * (p - 1)).bit_length()
-        mask = (1 << bits) - 1
-        shifts = range(0, bits * w, bits)
-        times_g = []
-        xg = list(self._coeffs[g_code])
-        for _ in range(w):
-            times_g.append(
-                [sum((c * a % p) << sh for a, sh in zip(xg, shifts)) for c in range(p)]
-            )
+        # An element packs into one int, a lane of `bits` bits per coefficient
+        # (lowest degree lowest) that holds the kernel's longest sum, s = p^n + 1
+        # digits below p, widened to fill the 30-bit digits the int has anyway.
+        # Multiplication by g is GF(p)-linear: g * (lo + x^n hi), for the halves
+        # lo and hi of a coefficient vector, is a sum of two packed vectors
+        # looked up by half code.  Its lanes are below 2p, so one step on the int
+        # reduces them mod p, and a dict from packed halves gives the half codes.
+        q, p, n, w, P = self.q, self.p, self.n, self.width, self.sqrt_q
+        lane = (self.circle_order * (p - 1)).bit_length()
+        bits = self._bits = -(-lane * w // 30) * 30 // w
+        ones = self._ones = sum(1 << i * bits for i in range(w))
+        # A lane below 2p is at least p iff adding 2^top - p to it sets bit top.
+        top, over = bits - 1, ((1 << bits - 1) - p) * ones
+
+        def reduce(x: int) -> int:
+            return x - p * ((x + over) >> top & ones)
+
+        def pack(digits: Iterable[int]) -> int:
+            return sum(c << i * bits for i, c in enumerate(digits))
+
+        half = self._half = {pack(_digits(c, p, n)): c for c in range(P)}
+        times = [[0], [0]]  # times[h][c]: the packed g * x^(n h) * c, for half codes c
+        xg = list(_digits(g_code, p, w))
+        for j in range(w):
+            multiples = [pack([c * a % p for a in xg]) for c in range(p)]
+            times[j // n] = [reduce(t + m) for m in multiples for t in times[j // n]]
             xg = _poly_rem([0] + xg, self.modulus, p)
-        places = tuple(zip(shifts, self._pw))
-        coeffs = self._coeffs
-        exp = [1] * (q - 1)
-        cur = coeffs[1]
+        shift, low, lo, hi = n * bits, (1 << n * bits) - 1, 1, 0
+        exp, packed = array("i", [1]) * (q - 1), [1] * (q - 1)
         for i in range(1, q - 1):
-            packed = sum(map(getitem, times_g, cur))
-            code = sum((packed >> sh & mask) % p * pw for sh, pw in places)
-            exp[i] = code
-            cur = coeffs[code]
-        log = [-1] * q
+            x = packed[i] = reduce(times[0][lo] + times[1][hi])
+            lo, hi = half[x & low], half[x >> shift]
+            exp[i] = lo + P * hi
+        log = array("i", [-1]) * q
         for i, code in enumerate(exp):
             log[code] = i
         assert log.count(-1) == 1, "primitive element does not generate GF(q)*"
-        self._exp = tuple(exp)
-        self._log = tuple(log)
-
-    def _encode(self, coeffs: Sequence[int]) -> int:
-        return sum(c * w for c, w in zip(coeffs, self._pw))
-
-    # -- code-level arithmetic (internal fast paths) ---------------------------
-
-    def _add_codes(self, a: int, b: int) -> int:
-        ca, cb = self._coeffs[a], self._coeffs[b]
-        p = self.p
-        return sum(((x + y) % p) * w for x, y, w in zip(ca, cb, self._pw))
-
-    def _mul_codes(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        # The kernel's table: _terms[k] is g^k packed for k < 2(q - 1) and 0
+        # from there on, where the log of 0 points.  So _terms[log a + log b]
+        # is the packed product ab unless both a and b are 0.
+        log[0] = 2 * (q - 1)
+        self._exp, self._log = exp, log
+        self._terms = packed * 2 + [0] * (q - 1)
 
     # -- public surface --------------------------------------------------------
 
@@ -363,7 +357,7 @@ class FieldContext:
             raise DegreeMismatch(
                 f"expected {self.width} coefficients, got {len(cs)}", witness=cs
             )
-        return FieldElement(self, self._encode(cs))
+        return FieldElement(self, sum(c * w for c, w in zip(cs, self._pw)))
 
     def from_int(self, k: int) -> FieldElement:
         """The scalar (k mod p) * 1, i.e. the image of k in GF(p) < GF(q)."""

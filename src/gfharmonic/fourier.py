@@ -4,18 +4,21 @@ ft(f)(alpha) = sum_x f(x) chi_alpha(x).  Applying ft twice yields
 (|G| mod p) * f(-alpha), so the transform is invertible with the scalar
 inverse of |G| mod p.
 
-Every sum over G here goes through one kernel: each term is a power g^k of
-the primitive element, given by its discrete log k, and the sum is the
-coordinatewise sum of the terms' coefficient vectors, reduced mod p once.
-The transforms feed it the logs of f(x) chi_alpha(x), read from exponent
-rows.  Convolution and the autocorrelations behind the derivative bent
-criteria feed it the logs of F(alpha + x) H(x), read from translation rows,
-so they never go through the transform.
+Sums over G take one of two routes, both over the packed elements of
+FieldContext._terms: one int per element, a lane per GF(p) coefficient, so a
+sum of packed elements is one int sum, reduced mod p lane by lane once.
+The transform is separable, since chi_alpha(x) is a product of one factor
+per coordinate: it runs a length-d transform along each coordinate of
+G = prod Z_(d_j), |G| * sum_j d_j terms in all instead of |G|^2.
+Convolution and the autocorrelations behind the derivative bent criteria
+never transform: they sum the |G| terms F(alpha + x) H(x) for each alpha,
+read from translation rows, reducing every lane before it can overflow.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import add
+from typing import Callable, Sequence
 
 from .characters import ScalarFunction, inner_product
 from .errors import SpecMismatch
@@ -23,29 +26,42 @@ from .field import FieldContext, FieldElement
 from .group import GroupSpec
 
 
-def _log_sum(ctx: FieldContext, logs: Iterable[int]) -> int:
-    """Code of sum_k g^k over the discrete logs k (any integers)."""
-    exp, coeffs, q1, p = ctx._exp, ctx._coeffs, ctx.q - 1, ctx.p
-    terms = [coeffs[exp[k % q1]] for k in logs]
-    return sum(sum(col) % p * w for col, w in zip(zip(*terms), ctx._pw))
-
-
-def _nonzero_logs(ctx: FieldContext, values: Sequence[FieldElement]) -> list[tuple[int, int]]:
-    """(index, discrete log) of every nonzero value."""
-    return [(x, ctx._log[v.code]) for x, v in enumerate(values) if v.code]
+def _reducer(ctx: FieldContext) -> Callable[[int], int]:
+    """Code of a packed sum whose lanes have not overflowed: each lane
+    reduced mod p."""
+    p, bits = ctx.p, ctx._bits
+    if p == 2:
+        # A lane's parity is its low bit; the halves of the code are looked up.
+        ones, half, shift, n = ctx._ones, ctx._half, ctx.n * bits, ctx.n
+        low = (1 << shift) - 1
+        return lambda x: half[(x := x & ones) & low] | half[x >> shift] << n
+    places, mask = [(i * bits, w) for i, w in enumerate(ctx._pw)], (1 << bits) - 1
+    return lambda x: sum((x >> sh & mask) % p * w for sh, w in places)
 
 
 def _transform(f: ScalarFunction, sign: int, scale_mod_p: int) -> ScalarFunction:
-    spec = f.spec
-    ctx = spec.ctx
-    # chi_alpha(x) = u^k = g^(k * step); the scale is a nonzero element of GF(p).
-    step = sign * ctx._step
-    terms = [(x, b + ctx._log[scale_mod_p]) for x, b in _nonzero_logs(ctx, f.values)]
-    out = []
-    for alpha in spec.elements():
-        row = spec.exponent_row(alpha)
-        out.append(FieldElement(ctx, _log_sum(ctx, (b + step * row[x] for x, b in terms))))
-    return ScalarFunction(spec, tuple(out))
+    spec, ctx = f.spec, f.spec.ctx
+    n, q1 = spec.order, ctx.q - 1
+    spec._check_work(sum(spec.dims))
+    terms, log, code_of = ctx._terms, ctx._log, _reducer(ctx)
+    # The scale, a nonzero element of GF(p), multiplies the first pass.
+    shift = log[scale_mod_p]
+    codes = [v.code for v in f.values]
+    for d, st, c in zip(spec.dims, spec._strides, spec.coord_steps):
+        # Along this axis chi_alpha(x) has the factor u^(c a t) = g^(k a t),
+        # where a and t are the coordinates of alpha and x.
+        k = sign * ctx._step * c
+        rows = [[(k * a * t + shift) % q1 for t in range(d)] for a in range(d)]
+        shift = 0
+        logs = [log[x] for x in codes]
+        for block in range(0, n, d * st):
+            for first in range(block, block + st):
+                line = slice(first, first + d * st, st)  # the x with x_j = 0, 1, ..
+                x_logs = logs[line]
+                codes[line] = [
+                    code_of(sum(map(terms.__getitem__, map(add, x_logs, row)))) for row in rows
+                ]
+    return ScalarFunction(spec, tuple(FieldElement(ctx, x) for x in codes))
 
 
 def ft(f: ScalarFunction) -> ScalarFunction:
@@ -63,16 +79,23 @@ def _correlate(
 ) -> ScalarFunction:
     """alpha -> sum_x sum_i F_i(alpha + x) * H_i(x), for tables (F_i, H_i) on spec."""
     ctx = spec.ctx
-    # Per pair: the logs of F by index, None at zeros, and the nonzero entries of H.
+    spec._check_work(len(pairs) * spec.order)
+    terms, log, code_of = ctx._terms, ctx._log, _reducer(ctx)
+    # A lane holds the reduced partial sum carried in and chunk more terms.
+    chunk = ((1 << ctx._bits) - 1) // (ctx.p - 1) - 1
+    # Per pair: the logs of F by index, and the (index, log) of H's nonzero entries.
     logs = [
-        ([ctx._log[v.code] if v.code else None for v in F], _nonzero_logs(ctx, H))
+        ([log[v.code] for v in F], [(x, log[v.code]) for x, v in enumerate(H) if v.code])
         for F, H in pairs
     ]
     out = []
     for alpha in spec.elements():
         row = spec.translate_row(alpha)
-        terms = (a + b for lf, lh in logs for x, b in lh if (a := lf[row[x]]) is not None)
-        out.append(FieldElement(ctx, _log_sum(ctx, terms)))
+        summands = [terms[lf[row[x]] + b] for lf, lh in logs for x, b in lh]
+        code = 0
+        for i in range(0, len(summands), chunk):
+            code = code_of(terms[log[code]] + sum(summands[i:i + chunk]))
+        out.append(FieldElement(ctx, code))
     return ScalarFunction(spec, tuple(out))
 
 

@@ -26,6 +26,11 @@ GroupElement = tuple[int, ...]
 # factor Z_1 counts as Z_2, so there are at most MAX_LOG2_ORDER coordinates.
 MAX_LOG2_ORDER = 24
 
+# The most terms one call may sum, checked before any row or table is built:
+# |G| * sum d_j for the transform, |G|^2 per table pair for the routes that sum
+# over G for every element.  Admits Z_17^3 (4913 elements) on every route.
+MAX_WORK = 1 << 25
+
 
 def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:
     """Entry i is sum_j parts[j][x_j], where x is the i-th element in
@@ -82,6 +87,15 @@ class GroupSpec:
         # Exponent step of the circle generator per coordinate: a coordinate
         # with modulus d contributes multiples of s/d to character exponents.
         self.coord_steps = tuple(s // d for d in self.dims)
+
+    def _check_work(self, per_element: int) -> None:
+        """Raise TooLarge before a route sums |G| * per_element > MAX_WORK terms."""
+        work = self.order * per_element
+        if work > MAX_WORK:
+            raise TooLarge(
+                f"{work} terms exceed the work bound MAX_WORK = {MAX_WORK}",
+                witness={"work": work, "max_work": MAX_WORK},
+            )
 
     def validate_element(self, x: Sequence[int]) -> GroupElement:
         if len(x) != len(self.dims):

@@ -445,6 +445,29 @@ class TestErrorContract:
         assert record["code"] == "too-large"
         assert record["witness"] == {"log2_order": 15849.63, "max_log2_order": 24}
 
+    @pytest.mark.parametrize("command", ["char-table", "conv"])
+    def test_quadratic_work_bounded_before_any_row(self, tmp_path, command):
+        # Z_257^2 over GF(2^16): 66049 elements, 66049^2 terms.  Unbounded,
+        # char-table ran until it was killed.
+        group = {"context": {"p": 2, "n": 8}, "group": {"factors": [{"d": 257, "m": 2}]}}
+        if command == "char-table":
+            argv = ["char-table", "--group", write(tmp_path, "g.json", group)]
+        else:
+            path = write(tmp_path, "f.json", {**group, "values": [[0] * 16] * 257**2})
+            argv = ["conv", "--in", path, "--in2", path]
+        src = str(Path(gfharmonic.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfharmonic", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        record = json.loads(proc.stderr)
+        assert record["code"] == "too-large"
+        assert record["witness"] == {"work": 257**4, "max_work": 1 << 25}
+
     def test_search_group_too_large(self, capsys, tmp_path, gf4):
         path = write(tmp_path, "z3pow6.json", group_file_to_obj(make_group(gf4, [(3, 6)])))
         record = self._record(capsys, "search", "--group", path, "--d", "1")

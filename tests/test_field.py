@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gfharmonic import (
     DegreeMismatch,
     DivisionByZero,
+    FieldElement,
     InvalidDivisor,
     NonPrime,
     ReducibleModulus,
@@ -254,12 +255,14 @@ class TestLogTables:
     @pytest.mark.parametrize("p, n, modulus", CONTEXTS)
     def test_coeffs_are_base_p_digits(self, p, n, modulus):
         ctx = make_context(p, n, modulus)
-        w = ctx.width
-        assert ctx._coeffs == [tuple(c // p**i % p for i in range(w)) for c in range(ctx.q)]
+        # product() varies its last entry fastest, so reversed, its c-th tuple
+        # lists the base-p digits of c, lowest first.
+        want = [c[::-1] for c in itertools.product(range(p), repeat=ctx.width)]
+        assert [FieldElement(ctx, c).coeffs for c in range(ctx.q)] == want
 
 
 # `field-info` output of the reference construction, and the sha256 of
-# repr(ctx._exp).  Any change to the modulus search, the choice of g or the
+# repr(tuple(ctx._exp)).  Any change to the modulus search, the choice of g or the
 # power tables shows here.
 GOLDEN = [
     (
@@ -341,7 +344,7 @@ def test_golden_construction(capsys, p, n, modulus, info, exp_sha256):
     assert list(ctx.modulus) == want["modulus"]
     assert list(ctx.g.coeffs) == want["g"]
     assert list(ctx.u.coeffs) == want["u"]
-    assert hashlib.sha256(repr(ctx._exp).encode()).hexdigest() == exp_sha256
+    assert hashlib.sha256(repr(tuple(ctx._exp)).encode()).hexdigest() == exp_sha256
 
 
 @settings(max_examples=60, deadline=None)

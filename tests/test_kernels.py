@@ -1,10 +1,11 @@
 """The row builders and the exact sum kernels against their double-sum oracles.
 
-Every sum over G in gfharmonic.fourier (transforms, convolution, the scalar
-and vectorial autocorrelations) goes through one log-domain kernel, fed by
-GroupSpec.exponent_row or GroupSpec.translate_row.  These tests compare each
-with the former FieldElement double sums kept in tests/_oracles.py, over
-fields from GF(4) to GF(1024), two of them with a non-default modulus.
+Sums over G in gfharmonic.fourier take two routes over the packed elements
+of FieldContext._terms: the separable transform, one pass per coordinate,
+and the correlation sums (convolution, the scalar and vectorial
+autocorrelations), fed by GroupSpec.translate_row.  These tests compare each
+with the FieldElement double sums kept in tests/_oracles.py, over fields
+from GF(4) to GF(1024), two of them with a non-default modulus.
 """
 
 import functools
@@ -18,7 +19,9 @@ import gfharmonic.bent as bent_module
 from gfharmonic import (
     ExponentFunction,
     FieldElement,
+    GroupSpec,
     ScalarFunction,
+    TooLarge,
     VectorFunction,
     autocorrelation,
     char_exponent,
@@ -28,6 +31,7 @@ from gfharmonic import (
     ft,
     inverse_ft,
     is_bent_autocorr,
+    is_classical_bent,
     is_md_bent_derivative,
     make_context,
     make_group,
@@ -36,6 +40,7 @@ from gfharmonic import (
     md_inverse_ft,
     vector_convolve,
 )
+from gfharmonic.group import MAX_WORK
 from _oracles import (
     naive_autocorrelation,
     naive_classical_ft_at,
@@ -49,6 +54,7 @@ from _oracles import (
     naive_md_ft,
     naive_md_inverse_ft,
     naive_vector_convolve,
+    random_function,
 )
 
 # (p, n, modulus or None for the default, factors)
@@ -63,6 +69,9 @@ CASES = [
     (7, 1, None, [(8, 1)]),
     (3, 2, None, [(2, 1), (5, 1)]),
     (2, 5, None, [(3, 1), (11, 1)]),
+    (5, 1, None, [(6, 1)]),  # one composite cyclic factor
+    (2, 1, None, [(3, 3)]),  # a factor of multiplicity 3
+    (3, 2, None, [(10, 1)]),  # odd p, four coefficient lanes
 ]
 
 
@@ -231,6 +240,93 @@ class TestPastTheOldCacheCutoff:
         for idx in self._rows(z17sq, rng):
             want = naive_classical_ft_at(ef, z17sq.element_at(idx))
             assert abs(spectrum[idx] - want) <= tol
+
+
+class TestThousandsOfElements:
+    """Sampled rows of the transforms on groups of 625 and 4913 elements,
+    against the per-factor character route."""
+
+    @pytest.mark.parametrize("p, n, factors", [(2, 2, [(5, 4)]), (2, 4, [(17, 3)])])
+    def test_ft_and_inverse_rows(self, p, n, factors):
+        spec = make_group(make_context(p, n), factors)
+        rng = random.Random(spec.order)
+        f = random_function(spec, rng)
+        F, f_back = ft(f), inverse_ft(f)
+        for idx in [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(2)]:
+            point = spec.element_at(idx)
+            assert F.values[idx] == naive_ft_at(f, point)
+            assert f_back.values[idx] == naive_inverse_ft_at(f, point)
+
+
+class TestLongCorrelationSums:
+    """A correlation sum of more terms than one coefficient lane can hold is
+    reduced in chunks, so no lane carries into the next."""
+
+    @pytest.mark.parametrize("p, n, factors", [(3, 2, [(10, 2)]), (2, 5, [(11, 2)])])
+    def test_sums_past_one_lane(self, p, n, factors):
+        spec = make_group(make_context(p, n), factors)
+        assert spec.order * (p - 1) >= 1 << spec.ctx._bits
+        rng = random.Random(p)
+        f, g = random_function(spec, rng), random_function(spec, rng)
+        assert autocorrelation(f) == naive_autocorrelation(f)
+        assert convolve(f, g) == naive_convolve(f, g)
+        # Every term has the largest digit in every lane.
+        top = ScalarFunction.constant(spec, spec.ctx.element([p - 1] * spec.ctx.width))
+        one = ScalarFunction.constant(spec, spec.ctx.one)
+        assert convolve(top, one) == naive_convolve(top, one)
+
+
+class TestOraclesIgnoreThePackedTable:
+    """With the kernel's packed table scrambled, ft breaks but the oracle,
+    coefficient vectors and field addition do not."""
+
+    @pytest.mark.parametrize("p, n, factors", [(2, 2, [(5, 1)]), (3, 1, [(2, 1), (4, 1)])])
+    def test_scrambled_table(self, monkeypatch, p, n, factors):
+        spec = make_group(make_context(p, n), factors)
+        ctx = spec.ctx
+        f = random_function(spec, random.Random(5))
+        els = list(ctx.elements())
+        want = (naive_ft(f), [x.coeffs for x in els], [x + y for x in els for y in els])
+        # Shifted by one, the table maps almost every term to the next power of g.
+        monkeypatch.setattr(ctx, "_terms", ctx._terms[1:] + ctx._terms[:1])
+        assert (naive_ft(f), [x.coeffs for x in els], [x + y for x in els for y in els]) == want
+        assert ft(f) != want[0]
+
+
+class TestWorkBound:
+    """Every route refuses more than MAX_WORK terms before it builds a row:
+    Z_257^2 has 66049 elements, so the transform would sum 66049 * 514 terms
+    and the quadratic routes 66049^2."""
+
+    @pytest.fixture(scope="class")
+    def z257sq(self):
+        return make_group(make_context(2, 8), [(257, 2)])
+
+    def test_routes_refuse_before_any_row(self, monkeypatch, z257sq):
+        def no_row(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(GroupSpec, "exponent_row", no_row)
+        monkeypatch.setattr(GroupSpec, "translate_row", no_row)
+        f = ScalarFunction.constant(z257sq, z257sq.ctx.one)
+        ef = ExponentFunction(z257sq, 257, (0,) * z257sq.order)
+        vf = VectorFunction.from_scalar(f, 2)
+        order = z257sq.order
+        for call, work in [
+            (lambda: ft(f), order * 514),
+            (lambda: inverse_ft(f), order * 514),
+            (lambda: autocorrelation(f), order**2),
+            (lambda: convolve(f, f), order**2),
+            (lambda: vector_convolve(vf, vf), 2 * order**2),
+            (lambda: classical_ft(ef), order**2),
+            (lambda: is_classical_bent(ef), order**2),
+        ]:
+            with pytest.raises(TooLarge) as info:
+                call()
+            assert info.value.witness == {"work": work, "max_work": MAX_WORK}
+
+    def test_bound_admits_the_tested_sizes(self):
+        assert 4913**2 <= MAX_WORK
 
 
 class TestIndependentRoutes:
