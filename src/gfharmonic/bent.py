@@ -27,7 +27,7 @@ from .errors import (
 )
 from .field import FieldElement
 from .fourier import _correlate, ft
-from .group import GroupElement, GroupSpec, _difference_counts, _outer_sum, make_group
+from .group import GroupElement, GroupSpec, _outer_sum, make_group
 
 
 class BentReport(Record):
@@ -153,17 +153,19 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
 # Measured on a 2-vCPU VM with Python 3.11, on Z_4^2 over GF(9) with d = 2: a
 # cold `gfharmonic search --jobs 2` process takes a median 11 ms (quartiles
 # 4-21 ms, two sets of 30 pairs) longer than `--jobs 1` to import the process
-# pool and start two workers that receive the kernel, and the kernel decides a
-# normalized table in 2.7-3.2 us (also Z_3^2 with d = 3).  So a worker pays for
-# its start-up at about 11 ms / 2.9 us ~ 3800 tables.  BLOCK is the power of two
-# below the 5900 measured when each worker rebuilt the field; 2048 is untested.
+# pool and start two workers that receive the kernel.  Per-direction count
+# lists decided a normalized table in 2.7-3.2 us there (also Z_3^2 with d = 3);
+# the packed kernel is about 2 and 3 times as fast (the two timed alternately),
+# so a worker pays for its start-up at about 11 ms / 1.3 us ~ 8500 tables, and
+# the power of two below is 8192.  BLOCK keeps the 4096 set when each worker
+# rebuilt the field until a pooled benchmark workload measures it.
 # A search starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.
 BLOCK = 4096
 
 # The default budget of a search, and of `compare --exhaustive`, in tables.
 MAX_CANDIDATES = 1_000_000
 
-# The search kernel holds |G| translation rows of |G| entries each.  With
+# The search kernel holds fewer than |G| translation rows of |G| entries.  With
 # d >= 2 the d^|G| tables exceed any feasible budget long before |G| = 64, so
 # only d = 1 (a single table) reaches larger groups; the bound keeps the rows
 # of any search to at most 2^16 entries.
@@ -195,9 +197,12 @@ class _SearchKernel:
     one normalized table per orbit of the shifts e -> e + c + h.
 
     A candidate x -> u_d^(e[x]) has derivative values u_d^(e[a+x] - e[x]),
-    so the autocorrelation at direction a is determined by the multiset of
-    exponent differences; the test counts them and checks that the weighted
-    sum of u_d powers vanishes coordinate by coordinate.
+    so the autocorrelation at direction a is sum_j c_a[j] u_d^j, where c_a
+    counts the exponent differences mod d.  c_{-a}[j] = c_a[-j mod d] and u_d^-1
+    is the Frobenius image of u_d, so a and -a agree and one of each pair is
+    checked.  A row's counts are summed at C level into one int, |G|.bit_length()
+    bits per difference class; each distinct sum (at most one per composition of
+    |G| into d parts) is decided once and kept in the kernel's own `verdicts`.
 
     For a constant c and a homomorphism h: G -> Z_d, the differences of
     e + c + h at direction a are those of e plus h(a), so the verdict is the
@@ -212,9 +217,15 @@ class _SearchKernel:
         ud = ctx.circle_subgroup_generator(d)
         self.d = d
         self.p = ctx.p
-        self.add_rows = [spec.translate_row(a) for a in spec.elements()]
+        # A nonzero direction needs |G| >= 2, so each getter returns a tuple.
+        rows = map(spec.translate_row, spec.directions_up_to_sign())
+        self.rows = [operator.itemgetter(*row) for row in rows]
         powers = [(ud**j).coeffs for j in range(d)]
         self.coord_cols = [[powers[j][t] for j in range(d)] for t in range(ctx.width)]
+        # lanes[e[a+x] - e[x]] counts one in the lane of that difference mod d.
+        self.lane_bits = spec.order.bit_length()
+        self.lanes = [1 << (self.lane_bits * j) for j in range(d)]
+        self.verdicts: dict[int, bool] = {}
 
         # ranges[i] lists the values point i takes in a normalized table.
         self.ranges = [range(1)] + [range(d)] * (spec.order - 1)
@@ -231,16 +242,21 @@ class _SearchKernel:
             for parts in itertools.product(*hom_parts)
         ]
 
+    def _vanishes(self, packed: int) -> bool:
+        """Whether sum_j c[j] u_d^j = 0 for the counts c packed in lanes."""
+        mask = (1 << self.lane_bits) - 1
+        counts = [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
+        return not any(sum(c * w for c, w in zip(counts, col)) % self.p for col in self.coord_cols)
+
     def is_bent(self, e: Sequence[int]) -> bool:
-        d, p = self.d, self.p
-        for row in self.add_rows[1:]:
-            counts = _difference_counts(row, e, d)
-            for col in self.coord_cols:
-                if sum(c * w for c, w in zip(counts, col)) % p:
-                    break
-            else:
-                continue
-            return False
+        lane, verdicts = self.lanes.__getitem__, self.verdicts
+        for row in self.rows:
+            packed = sum(map(lane, map(operator.sub, row(e), e)))
+            vanishes = verdicts.get(packed)
+            if vanishes is None:
+                vanishes = verdicts[packed] = self._vanishes(packed)
+            if not vanishes:
+                return False
         return True
 
     def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:

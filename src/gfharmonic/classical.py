@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -106,13 +105,14 @@ def is_classical_bent(ef: ExponentFunction) -> bool:
     spec = ef.spec
     spec._check_work(spec.order)
     # Built lazily, so a failing table builds no row past its first failing direction.
-    rows = map(spec.translate_row, itertools.islice(spec.elements(), 1, None))
+    rows = map(spec.translate_row, spec.directions_up_to_sign())
     return _phi_divides(rows, ef.exponents, ef.m)
 
 
 def _phi_divides(rows: Iterable[list[int]], exponents: Sequence[int], m: int) -> bool:
     """True when Phi_m divides the difference counts of exponents along every
-    translation row; stops at the first row where it does not."""
+    translation row; stops at the first row where it does not.  One row per
+    pair {a, -a} is enough: c_{-a}(zeta) = c_a(1/zeta), a root of Phi_m too."""
     phi = _cyclotomic(m)
     for row in rows:
         if any(_divmod_monic(_difference_counts(row, exponents, m), phi)[1]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from . import __version__
 from .errors import HarmonicError, MalformedInput
@@ -35,14 +35,14 @@ from .serialize import (
 )
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(args, text: Union[str, Iterable[str]]) -> None:
+    """Write text, or text chunks as they are produced, to --out or stdout."""
+    chunks = [text if text.endswith("\n") else text + "\n"] if isinstance(text, str) else text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _bent_report_obj(report) -> dict:
@@ -80,22 +80,26 @@ def _cmd_field_info(args) -> int:
 
 
 def _cmd_char_table(args) -> int:
-    from .characters import character_row
-
     spec = group_from_file_obj(read_json(args.group))
     spec._check_work(spec.order)
-    rows = [character_row(spec, alpha) for alpha in spec.elements()]
+
+    def rows():
+        # chi_alpha(x) = u^k for k in exponent_row(alpha); one row is held at a time.
+        return map(spec.exponent_row, spec.elements())
+
     if args.pretty:
-        cells = [[str(v) for v in row.values] for row in rows]
-        width_ = max(len(c) for row in cells for c in row)
-        text = "\n".join("  ".join(c.rjust(width_) for c in row) for row in cells)
-        _emit(args, text)
+        cells = [str(v) for v in spec.ctx.circle()]
+        width_ = max(len(cells[k]) for row in rows() for k in row)
+        _emit(args, ("  ".join(cells[k].rjust(width_) for k in row) + "\n" for row in rows()))
     else:
-        obj = {
-            **group_file_to_obj(spec),
-            "table": [[element_to_obj(v) for v in row.values] for row in rows],
-        }
-        _emit(args, dumps(obj))
+        # The bytes of dumps({**group_file_to_obj(spec), "table": ...}), row by row.
+        cells = [dumps(element_to_obj(v)) for v in spec.ctx.circle()]
+        head = dumps(group_file_to_obj(spec))[:-1] + ',"table":['
+        body = (
+            ("," if i else "") + "[" + ",".join(cells[k] for k in row) + "]"
+            for i, row in enumerate(rows())
+        )
+        _emit(args, itertools.chain([head], body, ["]}\n"]))
     return 0
 
 
@@ -167,7 +171,7 @@ def _cmd_compare(args) -> int:
         spec, m, tables = ef.spec, ef.m, [ef.exponents]
         spec._check_work(spec.order)
         # One table: its rows are built lazily, as in is_classical_bent.
-        rows = map(spec.translate_row, itertools.islice(spec.elements(), 1, None))
+        rows = map(spec.translate_row, spec.directions_up_to_sign())
     elif args.exhaustive and args.group:
         if args.m is None:
             raise HarmonicError("--m is required with --exhaustive")
@@ -176,7 +180,7 @@ def _cmd_compare(args) -> int:
         _check_tables(spec, m, MAX_CANDIDATES)
         tables = itertools.product(range(m), repeat=spec.order)
         # The rows depend only on the group, so every table shares them.
-        rows = [spec.translate_row(a) for a in itertools.islice(spec.elements(), 1, None)]
+        rows = [spec.translate_row(a) for a in spec.directions_up_to_sign()]
     else:
         raise HarmonicError(
             "compare needs either --in FILE or --group FILE --m M --exhaustive"

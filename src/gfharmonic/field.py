@@ -135,7 +135,8 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Coefficient vector over GF(p), lowest degree first."""
-        return _digits(self.code, self.ctx.p, self.ctx.width)
+        ctx = self.ctx
+        return tuple([self.code // w % ctx.p for w in ctx._pw])
 
     def is_zero(self) -> bool:
         return self.code == 0

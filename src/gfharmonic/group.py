@@ -120,6 +120,10 @@ class GroupSpec:
         """All elements in canonical mixed-radix order."""
         return itertools.product(*(range(d) for d in self.dims))
 
+    def directions_up_to_sign(self) -> Iterator[GroupElement]:
+        """The first-listed element of each pair {a, -a} with a != 0, in canonical order."""
+        return (a for i, a in enumerate(self.elements()) if i and self.index_of(self.neg(a)) >= i)
+
     def index_of(self, x: Sequence[int]) -> int:
         x = self.validate_element(x)
         return sum(c * s for c, s in zip(x, self._strides))

@@ -9,9 +9,13 @@ naive_search, which tests every table with is_bent_spectral: the transform
 route, which shares no code with the search kernel's derivative counting;
 and float_classical_bent, the former floating-point classical verdict on
 classical_ft, which shares no code with the exact difference counts.
+count_route_is_bent counts exponent differences as the search kernel
+does, but direction by direction, unpacked, uncached and in FieldElement
+arithmetic.
 """
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -275,6 +279,31 @@ def naive_search(spec, d):
         for e in all_exponent_tables(spec, d)
         if is_bent_spectral(ScalarFunction.from_exponents(spec, d, e)).is_bent
     ]
+
+
+@functools.cache
+def _translations(spec):
+    """For every a != 0, the index of a + x for every x, through GroupSpec.add."""
+    elements = list(spec.elements())
+    return [[spec.index_of(spec.add(a, x)) for x in elements] for a in elements[1:]]
+
+
+def count_route_is_bent(spec, d, e):
+    """The derivative criterion on the exponent table e: for every a != 0,
+    sum_j c_a[j] u_d^j = 0, where c_a[j] counts the x with
+    e[a + x] - e[x] = j mod d; every direction is checked on its own."""
+    ctx = spec.ctx
+    powers = [ctx.circle_subgroup_generator(d) ** j for j in range(d)]
+    for row in _translations(spec):
+        counts = [0] * d
+        for y, ex in zip(row, e):
+            counts[(e[y] - ex) % d] += 1
+        acc = ctx.zero
+        for c, w in zip(counts, powers):
+            acc = acc + ctx.from_int(c) * w
+        if acc != ctx.zero:
+            return False
+    return True
 
 
 def negated_argument(f):

@@ -141,6 +141,20 @@ class TestDifferenceCounts:
     def test_zero_direction(self, z2z4):
         assert _difference_counts(z2z4.translate_row((0, 0)), tuple(range(8)), 4) == [8, 0, 0, 0]
 
+    @pytest.mark.parametrize(
+        "p, n, factors, m", [(2, 2, [(5, 2)], 5), (3, 1, [(2, 1), (4, 1)], 4), (2, 1, [(3, 3)], 3)]
+    )
+    def test_negated_direction_reverses_the_counts(self, p, n, factors, m):
+        # c_{-a}[j] = c_a[-j mod m]: why one direction of each pair {a, -a} decides
+        spec = make_group(make_context(p, n), factors)
+        rng = random.Random(m)
+        tables = [[rng.randrange(m) for _ in range(spec.order)] for _ in range(4)]
+        for e in [[0] * spec.order] + tables:
+            for a in spec.elements():
+                c = _difference_counts(spec.translate_row(a), e, m)
+                c_neg = _difference_counts(spec.translate_row(spec.neg(a)), e, m)
+                assert c_neg == [c[-j % m] for j in range(m)]
+
 
 class TestCyclotomic:
     def test_known_values(self):
@@ -206,10 +220,10 @@ class TestExactVerdict:
         assert not is_classical_bent(ExponentFunction(z5sq, 5, (0,) * 25))
         assert len(rows) == 1
         rows.clear()
-        # x * y on Z_5^2 is bent: every one of the 24 directions is counted
+        # x * y on Z_5^2 is bent: one direction of each of the 12 pairs {a, -a} is counted
         xy = [x * y % 5 for x in range(5) for y in range(5)]
         assert is_classical_bent(ExponentFunction(z5sq, 5, xy))
-        assert len(rows) == 24
+        assert len(rows) == 12
 
 
 class TestFloatAgreement:

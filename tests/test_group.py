@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from gfharmonic import InadmissibleFactor, ShapeMismatch, TooLarge, make_group
+from gfharmonic import InadmissibleFactor, ShapeMismatch, TooLarge, make_context, make_group
 from gfharmonic import group
 
 
@@ -80,6 +80,18 @@ class TestElementOps:
         for i, x in enumerate(z2z4.elements()):
             assert z2z4.index_of(x) == i
             assert z2z4.element_at(i) == x
+
+    @pytest.mark.parametrize(
+        "p, n, factors",
+        [(2, 2, [(5, 2)]), (3, 1, [(2, 1), (4, 1)]), (2, 1, [(3, 3)]), (2, 1, [(1, 1)])],
+    )
+    def test_directions_up_to_sign(self, p, n, factors):
+        spec = make_group(make_context(p, n), factors)
+        reps = list(spec.directions_up_to_sign())
+        assert reps == sorted(reps, key=spec.index_of)
+        pairs = [{a, spec.neg(a)} for a in reps]
+        assert all(spec.index_of(spec.neg(a)) >= spec.index_of(a) for a in reps)
+        assert sorted(x for pair in pairs for x in pair) == list(spec.elements())[1:]
 
     def test_shape_mismatch(self, z5sq):
         with pytest.raises(ShapeMismatch):

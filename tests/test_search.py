@@ -8,21 +8,25 @@ one of them with a non-default modulus.
 """
 
 import functools
+import hashlib
 import itertools
 import math
+import os
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfharmonic import (
     ScalarFunction,
+    is_bent_spectral,
     make_context,
     make_group,
     mm_construct,
     search_bent,
 )
 from gfharmonic.bent import _SearchKernel
-from _oracles import naive_search
+from _oracles import count_route_is_bent, naive_search
 
 # (p, n, modulus or None for the default): GF(4), GF(9), GF(9) mod
 # x^2 + 2x + 2, GF(16), GF(25), GF(49) and GF(81)
@@ -123,3 +127,89 @@ def test_product_construction_is_a_lower_bound():
     assert len(lifted) == 27
     assert lifted <= found
     assert len(found) == 2916
+
+
+# The benchmark's census searches: (field, factors, d).
+CENSUS = [
+    ((2, 1, None), ((3, 1),), 3),
+    ((2, 2, None), ((5, 1),), 5),
+    ((2, 1, None), ((3, 2),), 3),
+    ((3, 1, None), ((2, 1), (4, 1)), 4),
+]
+
+
+@pytest.mark.parametrize("field, factors, d", CENSUS)
+def test_kernel_matches_the_count_and_spectral_routes(field, factors, d):
+    """Every normalized table: the kernel, which checks one direction of each
+    pair {a, -a} on packed counts with cached verdicts, against the count
+    route over every direction and against the spectral definition."""
+    spec = _spec(field, factors)
+    kernel = _SearchKernel(spec, d)
+    for e in itertools.product(*kernel.ranges):
+        expected = count_route_is_bent(spec, d, e)
+        assert kernel.is_bent(e) == expected, e
+        assert is_bent_spectral(ScalarFunction.from_exponents(spec, d, e)).is_bent == expected, e
+
+
+@pytest.mark.parametrize("field, factors, d", CENSUS[:2])
+def test_census_search_matches_full_space_oracle(field, factors, d):
+    spec = _spec(field, factors)
+    assert list(search_bent(spec, d).tables) == naive_search(spec, d)
+
+
+@pytest.mark.parametrize("field, factors, d", CENSUS + [((3, 1, None), ((4, 2),), 2)])
+def test_verdicts_stay_within_the_composition_bound(field, factors, d):
+    spec = _spec(field, factors)
+    kernel = _SearchKernel(spec, d)
+    kernel.run(())
+    # one row per pair {a, -a}: the pairs of the |G| - 1 nonzero elements, of
+    # which those of order 2 pair with themselves
+    involutions = sum(1 for a in spec.elements() if a != spec.zero() and spec.neg(a) == a)
+    assert len(kernel.rows) == (spec.order - 1 + involutions) // 2
+    # each key packs d counts that sum to |G|: a composition of |G| into d parts
+    assert 0 < len(kernel.verdicts) <= math.comb(spec.order + d - 1, d - 1)
+    mask = (1 << kernel.lane_bits) - 1
+    for packed in kernel.verdicts:
+        assert packed >> (kernel.lane_bits * d) == 0
+        assert sum(packed >> (kernel.lane_bits * j) & mask for j in range(d)) == spec.order
+
+
+# sha256 of repr(search_bent(spec, d).tables), taken with the kernel that
+# counted every direction into a list: (field, factors, d, count, digest).
+PINNED = [
+    (
+        (2, 1, None), ((3, 1),), 3, 18,
+        "0b8a2d7cd7d5719801da76b3f43fe38f34a36c81160182cdb8e35e81400485f9",
+    ),
+    (
+        (2, 2, None), ((5, 1),), 5, 100,
+        "6b92e3544a75d3c718307be8da29065ab6b43504e16c4d0e4593a62eb029e87d",
+    ),
+    (
+        (2, 1, None), ((3, 2),), 3, 2916,
+        "0a7aee445e7ccb18d535b881b00f1eaf241b1624a01214a689cd06b7f90cb90a",
+    ),
+    (
+        (3, 1, None), ((2, 1), (4, 1)), 4, 1408,
+        "d6ee388c6958bb6c223fc9c3bc798ea70f92e33886da78e16fa32c15cdb32f25",
+    ),
+    (
+        (3, 1, None), ((4, 2),), 2, 896,
+        "2a6683125240830622a0f745339bbbcf1e0cb44bf2ac2ffb789cf2401ea05139",
+    ),
+    (
+        (131, 1, None), ((2, 1),), 132, 264,
+        "8d5768bf8e82f82742987da7bc1d10466f91ca39f3b5e49972186dac17738f6c",
+    ),
+]
+
+
+@pytest.mark.parametrize("field, factors, d, count, digest", PINNED)
+def test_search_output_is_pinned(monkeypatch, field, factors, d, count, digest):
+    # With two CPUs, Z_4^2 with d = 2 (8192 normalized tables) starts a two-worker pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = _spec(field, factors)
+    for jobs in (1, 2):
+        result = search_bent(spec, d, jobs=jobs)
+        assert result.count == count
+        assert hashlib.sha256(repr(result.tables).encode()).hexdigest() == digest
