@@ -11,11 +11,12 @@ tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import os
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .characters import Record, ScalarFunction
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     NotQuadraticResidue,
     TooLarge,
 )
-from .field import FieldElement
+from .field import FieldContext, FieldElement
 from .fourier import _correlate, ft
 from .group import GroupElement, GroupSpec, _outer_sum, make_group
 
@@ -192,41 +193,68 @@ class SearchResult(Record):
         return len(self.tables)
 
 
-class _SearchKernel:
-    """Derivative-criterion bent test specialized to exponent tables, over
-    one normalized table per orbit of the shifts e -> e + c + h.
+def _direction_rows(spec: GroupSpec) -> Iterator[operator.itemgetter]:
+    """Getters of e[a + x] for every x, one per pair {a, -a} of directions,
+    each built when it is reached.  |G| >= 2 here, so each returns a tuple."""
+    return (operator.itemgetter(*spec.translate_row(a)) for a in spec.directions_up_to_sign())
 
-    A candidate x -> u_d^(e[x]) has derivative values u_d^(e[a+x] - e[x]),
-    so the autocorrelation at direction a is sum_j c_a[j] u_d^j, where c_a
-    counts the exponent differences mod d.  c_{-a}[j] = c_a[-j mod d] and u_d^-1
-    is the Frobenius image of u_d, so a and -a agree and one of each pair is
-    checked.  A row's counts are summed at C level into one int, |G|.bit_length()
-    bits per difference class; each distinct sum (at most one per composition of
-    |G| into d parts) is decided once and kept in the kernel's own `verdicts`.
 
-    For a constant c and a homomorphism h: G -> Z_d, the differences of
-    e + c + h at direction a are those of e plus h(a), so the verdict is the
-    same.  h is fixed by its values h_j at the coordinate generators, which
-    are the multiples of d / gcd(d, d_j).  These d * prod gcd(d, d_j) shifts
-    act freely, and each orbit holds exactly one normalized table: e[0] = 0
-    and e[g_j] < d / gcd(d, d_j) at each generator g_j.
+def _vanishes(cols: list[tuple[int, ...]], p: int, counts: list[int]) -> bool:
+    return not any(sum(map(operator.mul, counts, col)) % p for col in cols)
+
+
+def _field_verdict(ctx: FieldContext, d: int) -> Callable[[list[int]], bool]:
+    """Whether sum_j c[j] u_d^j = 0 in GF(q), for counts c; checks that d | s."""
+    ud = ctx.circle_subgroup_generator(d)
+    return functools.partial(_vanishes, list(zip(*((ud**j).coeffs for j in range(d)))), ctx.p)
+
+
+class _CountKernel:
+    """A verdict on the counts c_a[j] = #{x : e[a+x] - e[x] = j mod d} of
+    tables e: G -> Z_d, whose autocorrelation at a is sum_j c_a[j] w^j for w
+    of order d.  `verdict` (picklable: pool workers receive the kernel)
+    decides whether that vanishes: at u_d for the field (`_field_verdict`),
+    at every primitive d-th root of unity classically.  Both hold at w iff
+    at 1/w, and c_{-a}[j] = c_a[-j mod d], so one row of each pair {a, -a}
+    is counted.  A row's counts are summed at C level into one int, a lane
+    of |G|.bit_length() bits per class; each distinct sum is decided once.
     """
 
-    def __init__(self, spec: GroupSpec, d: int):
-        ctx = spec.ctx
-        ud = ctx.circle_subgroup_generator(d)
-        self.d = d
-        self.p = ctx.p
-        # A nonzero direction needs |G| >= 2, so each getter returns a tuple.
-        rows = map(spec.translate_row, spec.directions_up_to_sign())
-        self.rows = [operator.itemgetter(*row) for row in rows]
-        powers = [(ud**j).coeffs for j in range(d)]
-        self.coord_cols = [[powers[j][t] for j in range(d)] for t in range(ctx.width)]
+    def __init__(self, order: int, d: int, verdict: Callable[[list[int]], bool]):
+        self.d, self.verdict = d, verdict
         # lanes[e[a+x] - e[x]] counts one in the lane of that difference mod d.
-        self.lane_bits = spec.order.bit_length()
+        self.lane_bits = order.bit_length()
         self.lanes = [1 << (self.lane_bits * j) for j in range(d)]
         self.verdicts: dict[int, bool] = {}
 
+    def holds(self, e: Sequence[int], rows: Iterable[operator.itemgetter]) -> bool:
+        """Whether the verdict holds along every row; stops at the first that fails."""
+        lane, verdicts = self.lanes.__getitem__, self.verdicts
+        for row in rows:
+            packed = sum(map(lane, map(operator.sub, row(e), e)))
+            ok = verdicts.get(packed)
+            if ok is None:
+                mask = (1 << self.lane_bits) - 1
+                counts = [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
+                ok = verdicts[packed] = self.verdict(counts)
+            if not ok:
+                return False
+        return True
+
+
+class _SearchKernel(_CountKernel):
+    """The count kernel, with every row built once, over one normalized table
+    per orbit of e -> e + c + h, for a constant c and a homomorphism
+    h: G -> Z_d.  At a, e + c + h has the differences of e plus h(a), which
+    multiplies c_a by x^h(a) mod x^d - 1 and keeps either verdict.  h_j at
+    each coordinate generator g_j is a multiple of d / gcd(d, d_j).  These
+    d * prod gcd(d, d_j) shifts act freely, and each orbit holds exactly one
+    normalized table: e[0] = 0 and e[g_j] < d / gcd(d, d_j) at each g_j.
+    """
+
+    def __init__(self, spec: GroupSpec, d: int, verdict: Callable[[list[int]], bool]):
+        super().__init__(spec.order, d, verdict)
+        self.rows = list(_direction_rows(spec))
         # ranges[i] lists the values point i takes in a normalized table.
         self.ranges = [range(1)] + [range(d)] * (spec.order - 1)
         hom_parts = []
@@ -242,27 +270,10 @@ class _SearchKernel:
             for parts in itertools.product(*hom_parts)
         ]
 
-    def _vanishes(self, packed: int) -> bool:
-        """Whether sum_j c[j] u_d^j = 0 for the counts c packed in lanes."""
-        mask = (1 << self.lane_bits) - 1
-        counts = [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
-        return not any(sum(c * w for c, w in zip(counts, col)) % self.p for col in self.coord_cols)
-
-    def is_bent(self, e: Sequence[int]) -> bool:
-        lane, verdicts = self.lanes.__getitem__, self.verdicts
-        for row in self.rows:
-            packed = sum(map(lane, map(operator.sub, row(e), e)))
-            vanishes = verdicts.get(packed)
-            if vanishes is None:
-                vanishes = verdicts[packed] = self._vanishes(packed)
-            if not vanishes:
-                return False
-        return True
-
     def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The bent normalized tables that start with prefix."""
+        """The normalized tables that start with prefix and pass the verdict."""
         tables = (prefix + suffix for suffix in itertools.product(*self.ranges[len(prefix):]))
-        return [e for e in tables if self.is_bent(e)]
+        return [e for e in tables if self.holds(e, self.rows)]
 
     def expand(self, normalized: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Every shift of the given normalized tables, in mixed-radix order."""
@@ -306,16 +317,16 @@ def search_bent(
     also what `candidates` reports; a group of more than MAX_SEARCH_ORDER
     elements raises TooLarge before any table is built.  Only the
     normalized tables, one per orbit of e -> e + c + h (d * prod gcd(d, d_j)
-    tables each), are tested;
-    each bent one is expanded by its orbit and the result sorted into
-    mixed-radix order (first point most significant).  Worker processes
-    start only when jobs > 1 and there are at least 2 * BLOCK normalized
-    tables: then min(jobs, os.cpu_count(), normalized // BLOCK) workers
-    split them by leading positions.  The result does not depend on jobs.
+    tables each), are tested; each bent one is expanded by its orbit and the
+    result sorted into mixed-radix order (first point most significant).
+    Worker processes start only when jobs > 1 and there are at least
+    2 * BLOCK normalized tables: then min(jobs, os.cpu_count(),
+    normalized // BLOCK) workers split them by leading positions.  The
+    result does not depend on jobs.
     """
-    spec.ctx.circle_subgroup_generator(d)  # validates d | s
+    verdict = _field_verdict(spec.ctx, d)  # validates d | s
     total = _check_tables(spec, d, max_candidates)
-    kernel = _SearchKernel(spec, d)
+    kernel = _SearchKernel(spec, d, verdict)
     workers = min(jobs, os.cpu_count() or 1, kernel.normalized // BLOCK)
     if workers <= 1:
         return SearchResult(d, total, tuple(kernel.expand(kernel.run(()))))

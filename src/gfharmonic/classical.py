@@ -5,10 +5,11 @@ read two ways: as a complex-valued function, via zeta_m = exp(2*pi*i/m),
 or as a circle-valued function in the field, via the order-m circle
 generator u_m.  The classical verdict is exact: the autocorrelation at a is
 c_a(zeta_m), where c_a counts the differences e(a + x) - e(x) mod m, so the
-table is classically bent iff Phi_m divides every c_a with a != 0 in Z[x].
-Only classical_ft is complex-valued; the embedding into the field is exact.
-Being bent on the complex side implies being bent on the field side, and
-comparison_check flags any observed counterexample to that implication.
+table is classically bent iff Phi_m divides every c_a with a != 0 in Z[x];
+the search's count kernel counts them.  Only classical_ft is complex-valued;
+the embedding into the field is exact.  Being bent on the complex side
+implies being bent on the field side, and comparison_check flags any
+observed counterexample to that implication.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Callable
 
-from .bent import is_bent_spectral
+from .bent import _CountKernel, _direction_rows, is_bent_spectral
 from .characters import Record, ScalarFunction
 from .errors import InvalidOrder, SpecMismatch
-from .group import GroupSpec, _difference_counts
+from .group import GroupSpec
 
 
 class ExponentFunction(Record):
@@ -104,20 +105,17 @@ def is_classical_bent(ef: ExponentFunction) -> bool:
     integers, stopping at the first failing direction."""
     spec = ef.spec
     spec._check_work(spec.order)
-    # Built lazily, so a failing table builds no row past its first failing direction.
-    rows = map(spec.translate_row, spec.directions_up_to_sign())
-    return _phi_divides(rows, ef.exponents, ef.m)
+    kernel = _CountKernel(spec.order, ef.m, _classical_verdict(ef.m))
+    return kernel.holds(ef.exponents, _direction_rows(spec))
 
 
-def _phi_divides(rows: Iterable[list[int]], exponents: Sequence[int], m: int) -> bool:
-    """True when Phi_m divides the difference counts of exponents along every
-    translation row; stops at the first row where it does not.  One row per
-    pair {a, -a} is enough: c_{-a}(zeta) = c_a(1/zeta), a root of Phi_m too."""
-    phi = _cyclotomic(m)
-    for row in rows:
-        if any(_divmod_monic(_difference_counts(row, exponents, m), phi)[1]):
-            return False
-    return True
+def _phi_divides(phi: tuple[int, ...], counts: list[int]) -> bool:
+    return not any(_divmod_monic(counts, phi)[1])
+
+
+def _classical_verdict(m: int) -> Callable[[list[int]], bool]:
+    """Whether Phi_m divides c in Z[x], for counts c; no field arithmetic."""
+    return functools.partial(_phi_divides, _cyclotomic(m))
 
 
 def embed(ef: ExponentFunction) -> ScalarFunction:

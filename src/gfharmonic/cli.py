@@ -162,49 +162,39 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .bent import MAX_CANDIDATES, _check_tables, is_bent_spectral
+    from .bent import MAX_CANDIDATES, _check_tables, _SearchKernel, is_bent_spectral
     from .characters import ScalarFunction
-    from .classical import _check_root_order, _phi_divides
+    from .classical import _check_root_order, _classical_verdict, is_classical_bent
 
     if args.infile:
         ef = exponent_function_from_obj(read_json(args.infile))
-        spec, m, tables = ef.spec, ef.m, [ef.exponents]
-        spec._check_work(spec.order)
-        # One table: its rows are built lazily, as in is_classical_bent.
-        rows = map(spec.translate_row, spec.directions_up_to_sign())
+        spec, m, checked = ef.spec, ef.m, 1
+        classical = [ef.exponents] if is_classical_bent(ef) else []
     elif args.exhaustive and args.group:
         if args.m is None:
             raise HarmonicError("--m is required with --exhaustive")
         spec, m = group_from_file_obj(read_json(args.group)), args.m
         _check_root_order(spec, m)
-        _check_tables(spec, m, MAX_CANDIDATES)
-        tables = itertools.product(range(m), repeat=spec.order)
-        # The rows depend only on the group, so every table shares them.
-        rows = [spec.translate_row(a) for a in spec.directions_up_to_sign()]
+        checked = _check_tables(spec, m, MAX_CANDIDATES)
+        # The shifts that normalize a search keep Phi_m | c_a too.
+        kernel = _SearchKernel(spec, m, _classical_verdict(m))
+        classical = kernel.expand(kernel.run(()))
     else:
         raise HarmonicError(
             "compare needs either --in FILE or --group FILE --m M --exhaustive"
         )
-    checked = 0
-    classical = 0
-    counterexamples = []
-    for e in tables:
-        checked += 1
-        # comparison_check, with the classical verdict decided once per table
-        if _phi_divides(rows, e, m):
-            classical += 1
-            if not is_bent_spectral(ScalarFunction.from_exponents(spec, m, e)).is_bent:
-                counterexamples.append(list(e))
-    obj = {
-        "checked": checked,
-        "classical_bent": classical,
-        "counterexamples": counterexamples,
-    }
+    # comparison_check on each classically bent table, in mixed-radix order
+    counterexamples = [
+        list(e)
+        for e in classical
+        if not is_bent_spectral(ScalarFunction.from_exponents(spec, m, e)).is_bent
+    ]
     if args.pretty:
         verdict = "implication holds" if not counterexamples else "COUNTEREXAMPLES FOUND"
-        _emit(args, f"{checked} checked, {classical} classically bent: {verdict}")
+        _emit(args, f"{checked} checked, {len(classical)} classically bent: {verdict}")
     else:
-        _emit(args, dumps(obj))
+        obj = {"checked": checked, "classical_bent": len(classical)}
+        _emit(args, dumps({**obj, "counterexamples": counterexamples}))
     return 0 if not counterexamples else 1
 
 
@@ -229,7 +219,12 @@ def _parse_coeffs(text: Optional[str]) -> Optional[list[int]]:
     try:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise MalformedInput("--modulus must list integers", witness=text) from None
+        raise MalformedInput("--modulus must list integers", witness=_clip(text)) from None
+
+
+def _clip(text: str, limit: int = 200) -> str:
+    """text as a record echoes it: its head and length past limit (argparse's choices fit)."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,7 +233,8 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         # Messages that reach here end with the missing flags, the unknown
         # arguments or the bad choice; bad integers are caught by _int.
-        raise MalformedInput(message, witness=message.rpartition(": ")[2])
+        head, sep, token = message.rpartition(": ")
+        raise MalformedInput(head + sep + _clip(token), witness=_clip(token))
 
 
 def _int(text: str) -> int:
@@ -246,6 +242,7 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        text = _clip(text)
         raise MalformedInput(f"expected an integer, got {text!r}", witness=text) from None
 
 

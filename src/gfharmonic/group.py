@@ -41,15 +41,6 @@ def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def _difference_counts(row: Sequence[int], e: Sequence[int], m: int) -> list[int]:
-    """c with c[j] = #{x : e[a + x] - e[x] = j mod m}, where row is
-    translate_row(a): the exponent differences of the table e in direction a."""
-    counts = [0] * m
-    for y, ex in zip(row, e):
-        counts[(e[y] - ex) % m] += 1
-    return counts
-
-
 class GroupSpec:
     """A validated product of cyclic factors bound to a field context."""
 

@@ -218,5 +218,6 @@ def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and overlong integers.
+        except (ValueError, RecursionError) as exc:
             raise MalformedInput(f"{path}: {exc}") from exc

@@ -9,9 +9,9 @@ naive_search, which tests every table with is_bent_spectral: the transform
 route, which shares no code with the search kernel's derivative counting;
 and float_classical_bent, the former floating-point classical verdict on
 classical_ft, which shares no code with the exact difference counts.
-count_route_is_bent counts exponent differences as the search kernel
-does, but direction by direction, unpacked, uncached and in FieldElement
-arithmetic.
+count_route_is_bent counts exponent differences (difference_counts) as the
+search kernel does, but direction by direction, unpacked, uncached and in
+FieldElement arithmetic.
 """
 
 import cmath
@@ -288,6 +288,16 @@ def _translations(spec):
     return [[spec.index_of(spec.add(a, x)) for x in elements] for a in elements[1:]]
 
 
+def difference_counts(row, e, m):
+    """c with c[j] = #{x : e[a + x] - e[x] = j mod m}, where row is
+    translate_row(a): the exponent differences of the table e in direction a,
+    counted one by one into a list."""
+    counts = [0] * m
+    for y, ex in zip(row, e):
+        counts[(e[y] - ex) % m] += 1
+    return counts
+
+
 def count_route_is_bent(spec, d, e):
     """The derivative criterion on the exponent table e: for every a != 0,
     sum_j c_a[j] u_d^j = 0, where c_a[j] counts the x with
@@ -295,9 +305,7 @@ def count_route_is_bent(spec, d, e):
     ctx = spec.ctx
     powers = [ctx.circle_subgroup_generator(d) ** j for j in range(d)]
     for row in _translations(spec):
-        counts = [0] * d
-        for y, ex in zip(row, e):
-            counts[(e[y] - ex) % d] += 1
+        counts = difference_counts(row, e, d)
         acc = ctx.zero
         for c, w in zip(counts, powers):
             acc = acc + ctx.from_int(c) * w

@@ -242,7 +242,7 @@ def test_criterion_9_search_determinism(tmp_path):
     # of min(4, cpu count, 2) workers.
     gf9 = make_context(3, 1)
     z4sq = make_group(gf9, [(4, 2)])
-    assert bent._SearchKernel(z4sq, 2).normalized // bent.BLOCK >= 2
+    assert bent._SearchKernel(z4sq, 2, bent._field_verdict(gf9, 2)).normalized >= 2 * bent.BLOCK
     group_path = tmp_path / "z4sq.json"
     group_path.write_text(dumps(group_file_to_obj(z4sq)) + "\n", encoding="utf-8")
     src = str(Path(gfharmonic.__file__).resolve().parent.parent)

@@ -261,7 +261,7 @@ class TestSearch:
     def test_worker_count_does_not_change_output(self, monkeypatch, gf9):
         # Z_4^2 with d = 2 has 8192 normalized tables, enough for two workers.
         z4sq = make_group(gf9, [(4, 2)])
-        assert bent._SearchKernel(z4sq, 2).normalized // bent.BLOCK >= 2
+        assert bent._SearchKernel(z4sq, 2, bent._field_verdict(gf9, 2)).normalized >= 2 * bent.BLOCK
         started = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):

@@ -6,6 +6,7 @@ import pytest
 from gfharmonic import (
     ExponentFunction,
     FieldElement,
+    GroupSpec,
     InvalidOrder,
     ScalarFunction,
     classical_ft,
@@ -18,9 +19,8 @@ from gfharmonic import (
     search_bent,
 )
 from gfharmonic import bent, classical
-from gfharmonic.classical import _cyclotomic
-from gfharmonic.group import _difference_counts
-from _oracles import all_exponent_tables, float_classical_bent
+from gfharmonic.classical import _classical_verdict, _cyclotomic
+from _oracles import all_exponent_tables, difference_counts, float_classical_bent
 
 
 class TestClassicalTransform:
@@ -136,10 +136,10 @@ def int_poly_mul(a, b):
 class TestDifferenceCounts:
     def test_z3_example(self, z3):
         # direction 1 of (0, 1, 1): e(1) - e(0) = 1, e(2) - e(1) = 0, e(0) - e(2) = 2
-        assert _difference_counts(z3.translate_row((1,)), (0, 1, 1), 3) == [1, 1, 1]
+        assert difference_counts(z3.translate_row((1,)), (0, 1, 1), 3) == [1, 1, 1]
 
     def test_zero_direction(self, z2z4):
-        assert _difference_counts(z2z4.translate_row((0, 0)), tuple(range(8)), 4) == [8, 0, 0, 0]
+        assert difference_counts(z2z4.translate_row((0, 0)), tuple(range(8)), 4) == [8, 0, 0, 0]
 
     @pytest.mark.parametrize(
         "p, n, factors, m", [(2, 2, [(5, 2)], 5), (3, 1, [(2, 1), (4, 1)], 4), (2, 1, [(3, 3)], 3)]
@@ -151,8 +151,8 @@ class TestDifferenceCounts:
         tables = [[rng.randrange(m) for _ in range(spec.order)] for _ in range(4)]
         for e in [[0] * spec.order] + tables:
             for a in spec.elements():
-                c = _difference_counts(spec.translate_row(a), e, m)
-                c_neg = _difference_counts(spec.translate_row(spec.neg(a)), e, m)
+                c = difference_counts(spec.translate_row(a), e, m)
+                c_neg = difference_counts(spec.translate_row(spec.neg(a)), e, m)
                 assert c_neg == [c[-j % m] for j in range(m)]
 
 
@@ -194,7 +194,7 @@ class TestCyclotomic:
 
 
 class TestExactVerdict:
-    def test_no_float_or_field_route(self, monkeypatch, z3, z5):
+    def test_no_float_or_field_route(self, monkeypatch, z3, z5, z3sq):
         tables = [ExponentFunction(z3, 3, e) for e in all_exponent_tables(z3, 3)]
         quadratic = ExponentFunction(z5, 5, tuple(x * x % 5 for x in range(5)))
 
@@ -208,19 +208,23 @@ class TestExactVerdict:
             monkeypatch.setattr(FieldElement, name, forbidden)
         assert sum(map(is_classical_bent, tables)) == 18
         assert is_classical_bent(quadratic)
+        # the exhaustive route of compare: the search kernel with the classical verdict
+        kernel = bent._SearchKernel(z3sq, 3, _classical_verdict(3))
+        assert len(kernel.expand(kernel.run(()))) == 486
 
     def test_stops_at_the_first_failing_direction(self, monkeypatch, z5sq):
         rows = []
+        translate_row = GroupSpec.translate_row
 
-        def counting(row, e, m):
-            rows.append(row)
-            return _difference_counts(row, e, m)
+        def counting(spec, a):
+            rows.append(a)
+            return translate_row(spec, a)
 
-        monkeypatch.setattr(classical, "_difference_counts", counting)
+        monkeypatch.setattr(GroupSpec, "translate_row", counting)
         assert not is_classical_bent(ExponentFunction(z5sq, 5, (0,) * 25))
         assert len(rows) == 1
         rows.clear()
-        # x * y on Z_5^2 is bent: one direction of each of the 12 pairs {a, -a} is counted
+        # x * y on Z_5^2 is bent: one row per pair {a, -a} is built, 12 in all
         xy = [x * y % 5 for x in range(5) for y in range(5)]
         assert is_classical_bent(ExponentFunction(z5sq, 5, xy))
         assert len(rows) == 12
@@ -292,6 +296,9 @@ class TestCensus:
             if is_classical_bent(ExponentFunction(spec, d, e))
         }
         assert (len(field_tables), len(classical_tables)) == (field, classical)
+        # compare --exhaustive: the classical verdict on the normalized tables, expanded
+        kernel = bent._SearchKernel(spec, d, _classical_verdict(d))
+        assert kernel.expand(kernel.run(())) == sorted(classical_tables)
         # the paper's theorem: classically bent implies field bent
         assert classical_tables <= field_tables
 

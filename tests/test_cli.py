@@ -360,6 +360,38 @@ class TestParsing:
         assert record["code"] == "malformed-input"
         assert record["message"].startswith(f"{path}: ")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ft", "--in", "{path}"],
+            ["conv", "--in", "{bent}", "--in2", "{path}"],
+            ["bent-check", "--in", "{path}"],
+            ["dual", "--in", "{path}"],
+            ["mm", "--in", "{path}"],
+            ["vectorial-check", "--in", "{path}"],
+            ["compare", "--in", "{path}"],
+            ["search", "--group", "{path}", "--d", "3"],
+            ["char-table", "--group", "{path}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overlong_integer_literal(self, capsys, tmp_path, bent_file, argv):
+        # Past sys.get_int_max_str_digits() digits the decoder raises a plain
+        # ValueError, which used to exit 1 with a traceback.
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "overlong.json"
+        path.write_text('{"context": {"p": ' + digits + ', "n": 1}}', encoding="utf-8")
+        argv = [a.format(path=path, bent=bent_file) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["code"] == "malformed-input"
+        assert record["message"].startswith(f"{path}: ")
+        assert len(err) < 1024
+
     def test_group_spec_validation_surfaces(self, capsys, tmp_path):
         obj = {"context": {"p": 2, "n": 2}, "group": {"factors": [{"d": 3, "m": 1}]}}
         path = write(tmp_path, "bad_group.json", obj)
@@ -410,6 +442,28 @@ class TestErrorContract:
         record = self._record(capsys, "field-info", "--p", "x", "--n", "1")
         assert record["code"] == "malformed-input"
         assert record["witness"] == "x"
+
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (["field-info", "--p", "7" * 5001, "--n", "1"], "7" * 200),
+            (["search", "--group", "g.json", "--d", "3", "--max-candidates", "9" * 5000], "9" * 200),
+            (["field-info", "--p", "2", "--n", "1", "--modulus", "1," * 2500 + "x"], "1," * 100),
+            (["field-info", "--p", "2", "--n", "1", "x" * 5000], "x" * 200),
+            (["y" * 5000], "'" + "y" * 199),
+        ],
+        ids=["int-flag", "budget-flag", "modulus-flag", "unknown-argument", "unknown-command"],
+    )
+    def test_echoed_token_is_bounded(self, capsys, argv, head):
+        # A hostile token is echoed as its first 200 characters and its length;
+        # unbounded, field-info --p echoed 5001 digits twice in 10082 bytes.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1024
+        record = json.loads(err)
+        assert record["code"] == "malformed-input"
+        assert record["witness"].startswith(head + "... (")
+        assert record["witness"].endswith(" characters)")
 
     def test_missing_flag(self, capsys):
         record = self._record(capsys, "field-info", "--p", "2")

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfharmonic import (
+    ExponentFunction,
     ScalarFunction,
     is_bent_spectral,
     make_context,
@@ -25,8 +26,9 @@ from gfharmonic import (
     mm_construct,
     search_bent,
 )
-from gfharmonic.bent import _SearchKernel
-from _oracles import count_route_is_bent, naive_search
+from gfharmonic.bent import _field_verdict, _SearchKernel
+from gfharmonic.classical import _classical_verdict
+from _oracles import count_route_is_bent, float_classical_bent, naive_search
 
 # (p, n, modulus or None for the default): GF(4), GF(9), GF(9) mod
 # x^2 + 2x + 2, GF(16), GF(25), GF(49) and GF(81)
@@ -47,6 +49,10 @@ MAX_TABLES = 729
 @functools.cache
 def _spec(field, factors):
     return make_group(make_context(*field), factors)
+
+
+def _field_kernel(spec, d):
+    return _SearchKernel(spec, d, _field_verdict(spec.ctx, d))
 
 
 @st.composite
@@ -102,7 +108,7 @@ def test_search_matches_full_space_oracle(case):
 def test_normalized_tables_and_shifts_partition_the_space(case):
     field, factors, d = case
     spec = _spec(field, factors)
-    kernel = _SearchKernel(spec, d)
+    kernel = _field_kernel(spec, d)
     normalized = list(itertools.product(*kernel.ranges))
     shift_count = d * math.prod(math.gcd(d, dj) for dj in spec.dims)
     assert len(kernel.shifts) == shift_count
@@ -142,13 +148,17 @@ CENSUS = [
 def test_kernel_matches_the_count_and_spectral_routes(field, factors, d):
     """Every normalized table: the kernel, which checks one direction of each
     pair {a, -a} on packed counts with cached verdicts, against the count
-    route over every direction and against the spectral definition."""
+    route over every direction and against the spectral definition; with
+    the classical verdict, against the floating-point classical transform."""
     spec = _spec(field, factors)
-    kernel = _SearchKernel(spec, d)
+    kernel = _field_kernel(spec, d)
+    classical = _SearchKernel(spec, d, _classical_verdict(d))
     for e in itertools.product(*kernel.ranges):
         expected = count_route_is_bent(spec, d, e)
-        assert kernel.is_bent(e) == expected, e
+        assert kernel.holds(e, kernel.rows) == expected, e
         assert is_bent_spectral(ScalarFunction.from_exponents(spec, d, e)).is_bent == expected, e
+        ef = ExponentFunction(spec, d, e)
+        assert classical.holds(e, classical.rows) == float_classical_bent(ef), e
 
 
 @pytest.mark.parametrize("field, factors, d", CENSUS[:2])
@@ -160,7 +170,7 @@ def test_census_search_matches_full_space_oracle(field, factors, d):
 @pytest.mark.parametrize("field, factors, d", CENSUS + [((3, 1, None), ((4, 2),), 2)])
 def test_verdicts_stay_within_the_composition_bound(field, factors, d):
     spec = _spec(field, factors)
-    kernel = _SearchKernel(spec, d)
+    kernel = _field_kernel(spec, d)
     kernel.run(())
     # one row per pair {a, -a}: the pairs of the |G| - 1 nonzero elements, of
     # which those of order 2 pair with themselves
