@@ -285,24 +285,39 @@ class _SearchKernel(_CountKernel):
         )
 
 
-def _check_tables(spec: GroupSpec, base: int, budget: int) -> int:
-    """Return base^|G|, the number of tables G -> Z_base, unless |G| exceeds
-    MAX_SEARCH_ORDER or that number exceeds budget.
-
-    The order is bounded first, so the power has at most 617 digits (base
-    divides p^n + 1 <= 257); with |G| unbounded the power itself runs away.
-    """
+def _search(
+    spec: GroupSpec, d: int, verdict: Callable[[list[int]], bool], budget: int, jobs: int
+) -> SearchResult:
+    """Every table G -> Z_d whose difference counts pass verdict.  |G| is
+    bounded first (so d^|G|, d | p^n + 1 <= 257, has at most 617 digits), then
+    d^|G| by budget, before any row is built; workers as `search_bent` says."""
     if spec.order > MAX_SEARCH_ORDER:
         raise TooLarge(
             f"group order {spec.order} exceeds the search bound {MAX_SEARCH_ORDER}",
             witness={"order": spec.order, "max_order": MAX_SEARCH_ORDER},
         )
-    total = base**spec.order
+    total = d**spec.order
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidates exceed the budget of {budget}", witness=total
         )
-    return total
+    kernel = _SearchKernel(spec, d, verdict)
+    workers = min(jobs, os.cpu_count() or 1, kernel.normalized // BLOCK)
+    if workers <= 1:
+        return SearchResult(d, total, tuple(kernel.expand(kernel.run(()))))
+
+    # Imported here so that only a search big enough for workers loads the pool.
+    from concurrent.futures import ProcessPoolExecutor
+
+    depth, blocks = 0, 1
+    while blocks < workers:
+        blocks *= len(kernel.ranges[depth])
+        depth += 1
+    prefixes = list(itertools.product(*kernel.ranges[:depth]))
+    # Each block carries the parent's kernel, so a worker builds no field or group.
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        found = list(itertools.chain.from_iterable(pool.map(kernel.run, prefixes)))
+    return SearchResult(d, total, tuple(kernel.expand(found)))
 
 
 def search_bent(
@@ -324,22 +339,4 @@ def search_bent(
     normalized // BLOCK) workers split them by leading positions.  The
     result does not depend on jobs.
     """
-    verdict = _field_verdict(spec.ctx, d)  # validates d | s
-    total = _check_tables(spec, d, max_candidates)
-    kernel = _SearchKernel(spec, d, verdict)
-    workers = min(jobs, os.cpu_count() or 1, kernel.normalized // BLOCK)
-    if workers <= 1:
-        return SearchResult(d, total, tuple(kernel.expand(kernel.run(()))))
-
-    # Imported here so that only a search big enough for workers loads the pool.
-    from concurrent.futures import ProcessPoolExecutor
-
-    depth, blocks = 0, 1
-    while blocks < workers:
-        blocks *= len(kernel.ranges[depth])
-        depth += 1
-    prefixes = list(itertools.product(*kernel.ranges[:depth]))
-    # Each block carries the parent's kernel, so a worker builds no field or group.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        found = list(itertools.chain.from_iterable(pool.map(kernel.run, prefixes)))
-    return SearchResult(d, total, tuple(kernel.expand(found)))
+    return _search(spec, d, _field_verdict(spec.ctx, d), max_candidates, jobs)

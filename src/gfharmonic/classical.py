@@ -105,7 +105,7 @@ def is_classical_bent(ef: ExponentFunction) -> bool:
     integers, stopping at the first failing direction."""
     spec = ef.spec
     spec._check_work(spec.order)
-    kernel = _CountKernel(spec.order, ef.m, _classical_verdict(ef.m))
+    kernel = _CountKernel(spec.order, ef.m, _classical_verdict(spec, ef.m))
     return kernel.holds(ef.exponents, _direction_rows(spec))
 
 
@@ -113,8 +113,9 @@ def _phi_divides(phi: tuple[int, ...], counts: list[int]) -> bool:
     return not any(_divmod_monic(counts, phi)[1])
 
 
-def _classical_verdict(m: int) -> Callable[[list[int]], bool]:
-    """Whether Phi_m divides c in Z[x], for counts c; no field arithmetic."""
+def _classical_verdict(spec: GroupSpec, m: int) -> Callable[[list[int]], bool]:
+    """Whether Phi_m divides counts c in Z[x], with no field arithmetic; checks m | s."""
+    _check_root_order(spec, m)
     return functools.partial(_phi_divides, _cyclotomic(m))
 
 

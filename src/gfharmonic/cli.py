@@ -4,8 +4,10 @@ Exit status is 0 for success or a true verdict, 1 for a checked-and-false
 verdict (e.g. not bent), and 2 for any error, in which case a structured
 record {"code", "message", "witness"} is written to stderr.
 
-Each handler imports the library modules it runs, so a process loads only
-what its subcommand needs.
+Each handler parses its input, makes one library call and returns through
+`_reply`, the one writer of JSON or --pretty text to stdout or --out;
+`char-table` alone streams its rows.  A handler imports the library modules
+it runs, so a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import __version__
 from .errors import HarmonicError, MalformedInput
@@ -25,7 +27,6 @@ from .serialize import (
     dumps,
     element_to_obj,
     exponent_function_from_obj,
-    group_element_to_obj,
     group_file_to_obj,
     group_from_file_obj,
     read_json,
@@ -45,38 +46,38 @@ def _emit(args, text: Union[str, Iterable[str]]) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _reply(args, code: int, obj, pretty: Optional[Callable[[], str]] = None) -> int:
+    """Write pretty() under --pretty, else dumps(obj); return the exit code."""
+    _emit(args, pretty() if pretty and args.pretty else dumps(obj))
+    return code
+
+
 def _bent_report_obj(report) -> dict:
     return {
         "is_bent": report.is_bent,
         "spectrum_norms": [element_to_obj(v) for v in report.spectrum_norms],
-        "failing_points": [group_element_to_obj(x) for x in report.failing_points],
+        "failing_points": [list(x) for x in report.failing_points],
     }
 
 
 def _cmd_field_info(args) -> int:
     ctx = _checked_context(args.p, args.n, _parse_coeffs(args.modulus), "--modulus")
-    if args.pretty:
-        lines = [
-            f"p = {ctx.p}, n = {ctx.n}, q = {ctx.q}",
-            f"sqrt(q) = {ctx.sqrt_q}, circle order = {ctx.circle_order}",
-            f"modulus = {list(ctx.modulus)}",
-            f"g = {ctx.g} (coeffs {list(ctx.g.coeffs)})",
-            f"u = {ctx.u} (coeffs {list(ctx.u.coeffs)})",
-        ]
-        _emit(args, "\n".join(lines))
-    else:
-        obj = context_to_obj(ctx)
-        obj.update(
-            {
-                "q": ctx.q,
-                "sqrt_q": ctx.sqrt_q,
-                "circle_order": ctx.circle_order,
-                "g": element_to_obj(ctx.g),
-                "u": element_to_obj(ctx.u),
-            }
-        )
-        _emit(args, dumps(obj))
-    return 0
+    obj = {
+        **context_to_obj(ctx),
+        "q": ctx.q,
+        "sqrt_q": ctx.sqrt_q,
+        "circle_order": ctx.circle_order,
+        "g": element_to_obj(ctx.g),
+        "u": element_to_obj(ctx.u),
+    }
+    lines = [
+        f"p = {ctx.p}, n = {ctx.n}, q = {ctx.q}",
+        f"sqrt(q) = {ctx.sqrt_q}, circle order = {ctx.circle_order}",
+        f"modulus = {list(ctx.modulus)}",
+        f"g = {ctx.g} (coeffs {list(ctx.g.coeffs)})",
+        f"u = {ctx.u} (coeffs {list(ctx.u.coeffs)})",
+    ]
+    return _reply(args, 0, obj, lambda: "\n".join(lines))
 
 
 def _cmd_char_table(args) -> int:
@@ -104,37 +105,21 @@ def _cmd_char_table(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    """Apply the library function named by args.function to one table."""
+    """Apply the library function args.function names to the --in (then --in2) table."""
     # The lazy package imports only the module that defines the function.
     function = getattr(sys.modules[__package__], args.function)
-    f = scalar_function_from_obj(read_json(args.infile))
-    _emit(args, dumps(scalar_function_to_obj(function(f))))
-    return 0
-
-
-def _cmd_conv(args) -> int:
-    from .fourier import convolve
-
-    f = scalar_function_from_obj(read_json(args.infile))
-    g = scalar_function_from_obj(read_json(args.infile2))
-    _emit(args, dumps(scalar_function_to_obj(convolve(f, g))))
-    return 0
+    paths = [args.infile] + ([args.infile2] if "infile2" in args else [])
+    tables = [scalar_function_from_obj(read_json(path)) for path in paths]
+    return _reply(args, 0, scalar_function_to_obj(function(*tables)))
 
 
 def _cmd_bent_check(args) -> int:
     from .bent import is_bent_spectral
 
-    f = scalar_function_from_obj(read_json(args.infile))
-    report = is_bent_spectral(f)
-    if args.pretty:
-        if report.is_bent:
-            _emit(args, "bent")
-        else:
-            pts = ", ".join(str(list(x)) for x in report.failing_points)
-            _emit(args, f"not bent (fails at {pts})")
-    else:
-        _emit(args, dumps(_bent_report_obj(report)))
-    return 0 if report.is_bent else 1
+    report = is_bent_spectral(scalar_function_from_obj(read_json(args.infile)))
+    points = ", ".join(str(list(x)) for x in report.failing_points)
+    pretty = "bent" if report.is_bent else f"not bent (fails at {points})"
+    return _reply(args, 0 if report.is_bent else 1, _bent_report_obj(report), lambda: pretty)
 
 
 def _cmd_search(args) -> int:
@@ -142,29 +127,23 @@ def _cmd_search(args) -> int:
 
     spec = group_from_file_obj(read_json(args.group))
     budget = MAX_CANDIDATES if args.max_candidates is None else args.max_candidates
-    result = search_bent(
-        spec, args.d, max_candidates=budget, jobs=args.jobs
-    )
+    result = search_bent(spec, args.d, max_candidates=budget, jobs=args.jobs)
+    tables = [list(e) for e in result.tables]
     obj = {
         **group_file_to_obj(spec),
         "d": result.d,
         "candidates": result.candidates,
         "count": result.count,
-        "bent": [list(e) for e in result.tables],
+        "bent": tables,
     }
-    if args.pretty:
-        lines = [f"{result.count} bent of {result.candidates} candidates (d={result.d})"]
-        lines.extend(str(list(e)) for e in result.tables)
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, dumps(obj))
-    return 0
+    head = f"{result.count} bent of {result.candidates} candidates (d={result.d})"
+    return _reply(args, 0, obj, lambda: "\n".join([head, *map(str, tables)]))
 
 
 def _cmd_compare(args) -> int:
-    from .bent import MAX_CANDIDATES, _check_tables, _SearchKernel, is_bent_spectral
+    from .bent import MAX_CANDIDATES, _search, is_bent_spectral
     from .characters import ScalarFunction
-    from .classical import _check_root_order, _classical_verdict, is_classical_bent
+    from .classical import _classical_verdict, is_classical_bent
 
     if args.infile:
         ef = exponent_function_from_obj(read_json(args.infile))
@@ -174,11 +153,9 @@ def _cmd_compare(args) -> int:
         if args.m is None:
             raise HarmonicError("--m is required with --exhaustive")
         spec, m = group_from_file_obj(read_json(args.group)), args.m
-        _check_root_order(spec, m)
-        checked = _check_tables(spec, m, MAX_CANDIDATES)
-        # The shifts that normalize a search keep Phi_m | c_a too.
-        kernel = _SearchKernel(spec, m, _classical_verdict(m))
-        classical = kernel.expand(kernel.run(()))
+        # The search's driver with the classical verdict, which checks m | s first.
+        result = _search(spec, m, _classical_verdict(spec, m), MAX_CANDIDATES, jobs=1)
+        checked, classical = result.candidates, result.tables
     else:
         raise HarmonicError(
             "compare needs either --in FILE or --group FILE --m M --exhaustive"
@@ -189,13 +166,11 @@ def _cmd_compare(args) -> int:
         for e in classical
         if not is_bent_spectral(ScalarFunction.from_exponents(spec, m, e)).is_bent
     ]
-    if args.pretty:
-        verdict = "implication holds" if not counterexamples else "COUNTEREXAMPLES FOUND"
-        _emit(args, f"{checked} checked, {len(classical)} classically bent: {verdict}")
-    else:
-        obj = {"checked": checked, "classical_bent": len(classical)}
-        _emit(args, dumps({**obj, "counterexamples": counterexamples}))
-    return 0 if not counterexamples else 1
+    obj = {"checked": checked, "classical_bent": len(classical)}
+    obj["counterexamples"] = counterexamples
+    verdict = "implication holds" if not counterexamples else "COUNTEREXAMPLES FOUND"
+    pretty = f"{checked} checked, {len(classical)} classically bent: {verdict}"
+    return _reply(args, 1 if counterexamples else 0, obj, lambda: pretty)
 
 
 def _cmd_vectorial_check(args) -> int:
@@ -203,14 +178,10 @@ def _cmd_vectorial_check(args) -> int:
 
     f = vector_function_from_obj(read_json(args.infile))
     report = is_md_bent(f)
-    cross = is_md_bent_derivative(f)
     obj = _bent_report_obj(report)
-    obj["derivative_agrees"] = cross.is_bent == report.is_bent
-    if args.pretty:
-        _emit(args, "bent" if report.is_bent else "not bent")
-    else:
-        _emit(args, dumps(obj))
-    return 0 if report.is_bent else 1
+    obj["derivative_agrees"] = is_md_bent_derivative(f).is_bent == report.is_bent
+    pretty = "bent" if report.is_bent else "not bent"
+    return _reply(args, 0 if report.is_bent else 1, obj, lambda: pretty)
 
 
 def _parse_coeffs(text: Optional[str]) -> Optional[list[int]]:
@@ -281,15 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("bent-check", None, "test a table for bentness (exit 0/1)"),
         ("mm", "mm_construct", "product-group bent construction from a circle-valued table"),
         ("dual", "dual_bent", "dual of a bent function"),
+        ("conv", "convolve", "convolution of two tables"),
     ]:
         sp = sub.add_parser(name, parents=json_only if function else common, help=help_)
         sp.add_argument("--in", dest="infile", required=True, help="function JSON file")
+        if name == "conv":
+            sp.add_argument("--in2", dest="infile2", required=True)
         sp.set_defaults(handler=_cmd_table if function else _cmd_bent_check, function=function)
-
-    sp = sub.add_parser("conv", parents=json_only, help="convolution of two tables")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--in2", dest="infile2", required=True)
-    sp.set_defaults(handler=_cmd_conv)
 
     sp = sub.add_parser("search", parents=common, help="exhaustive bent search")
     sp.add_argument("--group", required=True)

@@ -10,10 +10,12 @@ context alone loads only the field module.
 
 from __future__ import annotations
 
+import io
 import json
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+import os
+from typing import TYPE_CHECKING, Any, Optional
 
-from .errors import MalformedInput
+from .errors import MalformedInput, TooLarge
 from .field import FieldContext, FieldElement, make_context
 
 if TYPE_CHECKING:
@@ -131,10 +133,6 @@ def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
     return ctx.element(_expect_coeffs(obj, ctx.p, "field element"))
 
 
-def group_element_to_obj(x: Sequence[int]) -> list[int]:
-    return list(x)
-
-
 # -- scalar functions -------------------------------------------------------------
 
 
@@ -214,10 +212,26 @@ def vector_function_from_obj(obj: Any) -> VectorFunction:
 # -- files -------------------------------------------------------------------------
 
 
+# The largest table group.MAX_WORK admits (786432 values) is about 11 MB of JSON.
+MAX_INPUT_BYTES = 1 << 26
+
+
 def read_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and overlong integers.
-        except (ValueError, RecursionError) as exc:
-            raise MalformedInput(f"{path}: {exc}") from exc
+    """The JSON value in the file at path, refused before decoding past MAX_INPUT_BYTES."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size <= MAX_INPUT_BYTES:
+            # A pipe reports size 0, so its read stops one byte past the bound.
+            data = fh.read(None if size else MAX_INPUT_BYTES + 1)
+            size = len(data)
+    if size > MAX_INPUT_BYTES:
+        raise TooLarge(
+            f"{path}: {size} bytes exceed the input bound of {MAX_INPUT_BYTES}",
+            witness={"bytes": size, "max_bytes": MAX_INPUT_BYTES},
+        )
+    try:
+        # Decoded as a text-mode read would, universal newlines included.
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and overlong integers.
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc

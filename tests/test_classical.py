@@ -209,7 +209,7 @@ class TestExactVerdict:
         assert sum(map(is_classical_bent, tables)) == 18
         assert is_classical_bent(quadratic)
         # the exhaustive route of compare: the search kernel with the classical verdict
-        kernel = bent._SearchKernel(z3sq, 3, _classical_verdict(3))
+        kernel = bent._SearchKernel(z3sq, 3, _classical_verdict(z3sq, 3))
         assert len(kernel.expand(kernel.run(()))) == 486
 
     def test_stops_at_the_first_failing_direction(self, monkeypatch, z5sq):
@@ -297,7 +297,7 @@ class TestCensus:
         }
         assert (len(field_tables), len(classical_tables)) == (field, classical)
         # compare --exhaustive: the classical verdict on the normalized tables, expanded
-        kernel = bent._SearchKernel(spec, d, _classical_verdict(d))
+        kernel = bent._SearchKernel(spec, d, _classical_verdict(spec, d))
         assert kernel.expand(kernel.run(())) == sorted(classical_tables)
         # the paper's theorem: classically bent implies field bent
         assert classical_tables <= field_tables

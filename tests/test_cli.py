@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import shlex
@@ -6,8 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gfharmonic
+import gfharmonic.errors
 from gfharmonic import (
     ExponentFunction,
     GroupSpec,
@@ -16,7 +22,7 @@ from gfharmonic import (
     make_context,
     make_group,
 )
-from gfharmonic import bent
+from gfharmonic import TooLarge, bent, serialize
 from gfharmonic.characters import character_row
 from gfharmonic.cli import main
 from gfharmonic.serialize import (
@@ -392,6 +398,53 @@ class TestParsing:
         assert record["message"].startswith(f"{path}: ")
         assert len(err) < 1024
 
+    def test_input_bound(self, capsys, monkeypatch, tmp_path):
+        # A file exactly at the bound parses; one byte more is refused unread.
+        path = tmp_path / "f.json"
+        path.write_bytes((GOLDEN / "in" / "f.json").read_bytes())
+        size = path.stat().st_size
+        monkeypatch.setattr(serialize, "MAX_INPUT_BYTES", size)
+        assert run(capsys, "ft", "--in", str(path))[:2] == (0, golden_bytes("ft", "out").decode())
+        path.write_bytes(path.read_bytes() + b" ")
+        code, out, err = run(capsys, "ft", "--in", str(path))
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["code"] == "too-large"
+        assert record["message"].startswith(f"{path}: ")
+        assert record["witness"] == {"bytes": size + 1, "max_bytes": size}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+    def test_input_bound_on_a_pipe(self, monkeypatch):
+        # A pipe has no size to check first, so the read itself is bounded.
+        monkeypatch.setattr(serialize, "MAX_INPUT_BYTES", 10)
+        r, w = os.pipe()
+        try:
+            os.write(w, b"[" + b"0," * 100 + b"0]")
+            os.close(w)
+            with pytest.raises(TooLarge) as info:
+                serialize.read_json(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert info.value.witness == {"bytes": 11, "max_bytes": 10}
+
+    def test_input_bound_in_a_process(self, tmp_path):
+        # A sparse file one byte past the real bound takes no disk space.
+        path = tmp_path / "sparse.json"
+        with open(path, "wb") as fh:
+            fh.truncate(serialize.MAX_INPUT_BYTES + 1)
+        src = str(Path(gfharmonic.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfharmonic", "ft", "--in", str(path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        record = json.loads(proc.stderr)
+        assert record["code"] == "too-large"
+        assert record["witness"] == {"bytes": (1 << 26) + 1, "max_bytes": 1 << 26}
+
     def test_group_spec_validation_surfaces(self, capsys, tmp_path):
         obj = {"context": {"p": 2, "n": 2}, "group": {"factors": [{"d": 3, "m": 1}]}}
         path = write(tmp_path, "bad_group.json", obj)
@@ -618,12 +671,18 @@ class TestGolden:
         assert out.encode() == golden_bytes(name, "out")
         assert err.encode() == golden_bytes(name, "err")
 
-    def test_out_file_bytes(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_out_file_bytes(self, capsys, monkeypatch, tmp_path, name):
+        # --out holds exactly what stdout would; an error writes no file.
+        case = GOLDEN_CASES[name]
         monkeypatch.chdir(GOLDEN)
-        out_path = tmp_path / "F.json"
-        code, out, err = run(capsys, "ft", "--in", "in/f.json", "--out", str(out_path))
-        assert (code, out, err) == (0, "", "")
-        assert out_path.read_bytes() == golden_bytes("ft", "out")
+        out_path = tmp_path / "out.txt"
+        code, out, err = run(capsys, *shlex.split(case["args"]), "--out", str(out_path))
+        assert (code, out, err.encode()) == (case["exit"], "", golden_bytes(name, "err"))
+        if code == 2:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_bytes() == golden_bytes(name, "out")
 
 
 class TestImports:
@@ -707,3 +766,110 @@ class TestImports:
         assert rcs == [0]
         base = ["cli", "errors", "field", "serialize"]
         assert loaded == ["gfharmonic"] + [f"gfharmonic.{m}" for m in sorted(base + modules)]
+
+
+# A deep-nesting marker, spliced in as text after dumps, which would recurse.
+_DEEP, _DEPTHS = "__deep__", (50, 900, 100_000)
+_ERROR_CODES = {
+    cls.code
+    for cls in vars(gfharmonic.errors).values()
+    if isinstance(cls, type) and issubclass(cls, gfharmonic.HarmonicError)
+} | {"io-error"}
+_FUZZ_SOURCES = {
+    path.name: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((GOLDEN / "in").glob("*.json"))
+    if path.name != "truncated.json"
+}
+
+
+def _sites(obj, path=()):
+    """The path of every value inside obj, obj's own included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _sites(value, path + (key,))
+
+
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(-300, 300),
+    st.sampled_from([2**31, 2**64, 10**100, -(2**64), -(10**100)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([[], {}, [[]], {"d": 3}, [0] * 20_000]),
+).map(copy.deepcopy)
+
+
+@st.composite
+def _mutated_file(draw):
+    """The text of a golden input after one to three mutations: a dropped or
+    renamed key, a value of another type, a huge or negative int, a float or
+    NaN, deep nesting, or a long array."""
+    obj = json.loads(json.dumps(_FUZZ_SOURCES[draw(st.sampled_from(sorted(_FUZZ_SOURCES)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_sites(obj))[1:] or [()]))
+        if not path:
+            obj = draw(_ODD_VALUES)
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["drop", "rename", "replace", "long", "deep"]))
+        key = path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "rename" and isinstance(parent, dict):
+            parent[key + draw(st.sampled_from(["_", "X", " "]))] = parent.pop(key)
+        elif kind == "long":
+            # A container is only doubled, so later mutations visit few sites.
+            nested = isinstance(parent[key], (dict, list))
+            parent[key] = [parent[key]] * (2 if nested else draw(st.sampled_from([2, 1000])))
+        elif kind == "deep":
+            parent[key] = _DEEP + str(draw(st.sampled_from(_DEPTHS)))
+        else:
+            parent[key] = draw(_ODD_VALUES)
+    text = json.dumps(obj)
+    for k in _DEPTHS:
+        text = text.replace(f'"{_DEEP}{k}"', "[" * k + "]" * k)
+    return text
+
+
+class TestExitContract:
+    """Every subcommand that reads a file, on mutated golden inputs: exit 0,
+    1 or 2, and on 2 an empty stdout and one error record on stderr."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(text=_mutated_file(), d=st.integers(1, 4))
+    def test_mutated_inputs(self, tmp_path, text, d):
+        path = tmp_path / "mutant.json"
+        path.write_text(text, encoding="utf-8")
+        f = str(path)
+        argvs = [[c, "--in", f] for c in ("ft", "ift", "bent-check", "mm", "dual")]
+        argvs += [
+            ["conv", "--in", f, "--in2", f],
+            ["vectorial-check", "--in", f],
+            ["compare", "--in", f],
+            ["compare", "--group", f, "--m", str(d), "--exhaustive"],
+            ["search", "--group", f, "--d", str(d), "--max-candidates", "10000"],
+            ["char-table", "--group", f],
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bent, "MAX_CANDIDATES", 10_000)
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), argv
+                if code == 2:
+                    assert out.getvalue() == "", argv
+                    line, newline, rest = err.getvalue().partition("\n")
+                    assert (newline, rest) == ("\n", ""), argv
+                    record = json.loads(line)
+                    assert record["code"] in _ERROR_CODES, argv
+                    assert list(record) == ["code", "message", "witness"], argv

@@ -152,7 +152,7 @@ def test_kernel_matches_the_count_and_spectral_routes(field, factors, d):
     the classical verdict, against the floating-point classical transform."""
     spec = _spec(field, factors)
     kernel = _field_kernel(spec, d)
-    classical = _SearchKernel(spec, d, _classical_verdict(d))
+    classical = _SearchKernel(spec, d, _classical_verdict(spec, d))
     for e in itertools.product(*kernel.ranges):
         expected = count_route_is_bent(spec, d, e)
         assert kernel.holds(e, kernel.rows) == expected, e
