@@ -21,9 +21,8 @@ _EXPORTS = {
         "is_bent_autocorr", "is_bent_spectral", "mm_construct", "search_bent",
     ),
     "characters": (
-        "ScalarFunction", "char_exponent", "character_row", "character_sum",
-        "character_value", "character_value_naive", "evaluation_map_is_bijective",
-        "inner_product",
+        "ScalarFunction", "char_exponent", "character_row", "character_value",
+        "evaluation_map_is_bijective", "inner_product",
     ),
     "classical": (
         "ExponentFunction", "classical_ft", "comparison_check", "embed",

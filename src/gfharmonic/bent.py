@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .characters import Record, ScalarFunction
 from .errors import (
     BudgetExceeded,
+    HarmonicError,
     NotBent,
     NotCircleValued,
     NotQuadraticResidue,
@@ -41,17 +42,15 @@ class BentReport(Record):
     failing_points: tuple[GroupElement, ...]
 
 
-def _require_circle_valued(f: ScalarFunction) -> None:
-    witness = f.circle_witness()
+def _require(witness: GroupElement | None, error: type[HarmonicError], what: str) -> None:
+    """Raise error at witness, the first point whose value has `what` != 1."""
     if witness is not None:
-        raise NotCircleValued(
-            f"value at {list(witness)} has norm != 1", witness=witness
-        )
+        raise error(f"value at {list(witness)} has {what} != 1", witness=witness)
 
 
 def is_bent_spectral(f: ScalarFunction) -> BentReport:
     """Bentness by definition: norm(ft(f)(alpha)) == |G| mod p for all alpha."""
-    _require_circle_valued(f)
+    _require(f.circle_witness(), NotCircleValued, "norm")
     return _spectral_report(f.spec, tuple(v.norm() for v in ft(f).values))
 
 
@@ -84,7 +83,7 @@ def is_bent_autocorr(f: ScalarFunction) -> BentReport:
     norms without ever computing ft(f) itself, so the two reports stay on
     independent computational routes.
     """
-    _require_circle_valued(f)
+    _require(f.circle_witness(), NotCircleValued, "norm")
     return _derivative_report(autocorrelation(f))
 
 
@@ -120,7 +119,7 @@ def dual_bent(f: ScalarFunction) -> ScalarFunction:
     ctx = spec.ctx
     p = ctx.p
     c = spec.order_mod_p
-    _require_circle_valued(f)
+    _require(f.circle_witness(), NotCircleValued, "norm")
     spectrum = ft(f).values
     report = _spectral_report(spec, tuple(v.norm() for v in spectrum))
     if not report.is_bent:
@@ -141,9 +140,10 @@ def dual_bent(f: ScalarFunction) -> ScalarFunction:
 def mm_construct(g: ScalarFunction) -> ScalarFunction:
     """Lift any circle-valued g on G to the bent table
     (x, y) -> chi_x(y) g(y) on G x G."""
-    _require_circle_valued(g)
+    _require(g.circle_witness(), NotCircleValued, "norm")
     spec = g.spec
     spec2 = make_group(spec.ctx, spec.factors + spec.factors)
+    spec2._check_work(sum(spec2.dims))  # an output table that ft would refuse
     circle = spec.ctx.circle()
     values = tuple(
         circle[k] * v for x in spec.elements() for k, v in zip(spec.exponent_row(x), g.values)
@@ -151,6 +151,7 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
     return ScalarFunction(spec2, values)
 
 
+# A search starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.
 # Measured on a 2-vCPU VM with Python 3.11, on Z_4^2 over GF(9) with d = 2: a
 # cold `gfharmonic search --jobs 2` process takes a median 11 ms (quartiles
 # 4-21 ms, two sets of 30 pairs) longer than `--jobs 1` to import the process
@@ -158,9 +159,8 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
 # lists decided a normalized table in 2.7-3.2 us there (also Z_3^2 with d = 3);
 # the packed kernel is about 2 and 3 times as fast (the two timed alternately),
 # so a worker pays for its start-up at about 11 ms / 1.3 us ~ 8500 tables, and
-# the power of two below is 8192.  BLOCK keeps the 4096 set when each worker
-# rebuilt the field until a pooled benchmark workload measures it.
-# A search starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.
+# the nearest power of two is 8192.  BLOCK stays 4096 while no benchmark
+# workload starts a pool, since no benchmark could then show what a change does.
 BLOCK = 4096
 
 # The default budget of a search, and of `compare --exhaustive`, in tables.

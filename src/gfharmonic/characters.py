@@ -10,7 +10,7 @@ exponentiates in the field per factor is kept for cross-checking.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import SpecMismatch, TooLarge
 from .field import FieldElement
@@ -66,6 +66,14 @@ class Record:
         return type(self), self._fields()
 
 
+def _first_failing(spec: GroupSpec, oks: Iterable[bool]) -> GroupElement | None:
+    """The first point whose flag in oks is false, or None."""
+    for i, ok in enumerate(oks):
+        if not ok:
+            return spec.element_at(i)
+    return None
+
+
 class ScalarFunction(Record):
     """A total table G -> GF(q) in canonical element order."""
 
@@ -87,11 +95,7 @@ class ScalarFunction(Record):
 
     def circle_witness(self) -> GroupElement | None:
         """First point whose value has norm != 1, or None if circle-valued."""
-        one = self.spec.ctx.one
-        for i, v in enumerate(self.values):
-            if v.norm() != one:
-                return self.spec.element_at(i)
-        return None
+        return _first_failing(self.spec, map(FieldElement.in_circle, self.values))
 
     @classmethod
     def constant(cls, spec: GroupSpec, value: FieldElement) -> "ScalarFunction":
@@ -138,10 +142,11 @@ def character_value(spec: GroupSpec, alpha: Sequence[int], x: Sequence[int]) -> 
 
 def character_value_naive(spec: GroupSpec, alpha: Sequence[int], x: Sequence[int]) -> FieldElement:
     """chi_alpha(x) by per-factor field exponentiation; reference path."""
-    ctx = spec.ctx
-    out = ctx.one
-    for (d, _), dot in zip(spec.factors, spec.factor_dot(alpha, x)):
-        out = out * ctx.circle_subgroup_generator(d) ** dot
+    alpha, x = spec.validate_element(alpha), spec.validate_element(x)
+    out, off = spec.ctx.one, 0
+    for d, m in spec.factors:
+        dot = sum(a * b for a, b in zip(alpha[off:off + m], x[off:off + m])) % d
+        out, off = out * spec.ctx.circle_subgroup_generator(d) ** dot, off + m
     return out
 
 
@@ -150,20 +155,6 @@ def character_row(spec: GroupSpec, alpha: Sequence[int]) -> ScalarFunction:
     ctx = spec.ctx
     values = tuple(FieldElement(ctx, ctx._circle_pow[k]) for k in spec.exponent_row(alpha))
     return ScalarFunction(spec, values)
-
-
-def character_sum(spec: GroupSpec, alpha: Sequence[int]) -> FieldElement:
-    """sum_x chi_alpha(x), by direct summation.
-
-    Vanishes for alpha != 0 and equals (|G| mod p) * 1 at alpha = 0; this
-    function computes the literal sum so tests can check that fact against
-    the closed form.
-    """
-    ctx = spec.ctx
-    acc = ctx.zero
-    for x in spec.elements():
-        acc = acc + character_value(spec, alpha, x)
-    return acc
 
 
 def _dot(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> FieldElement:
@@ -192,7 +183,7 @@ def evaluation_map_is_bijective(spec: GroupSpec) -> bool:
     if spec.order > MAX_EVALUATION_ORDER:
         raise TooLarge(
             f"group order {spec.order} exceeds enumeration bound {MAX_EVALUATION_ORDER}",
-            witness=spec.order,
+            witness={"order": spec.order, "max_order": MAX_EVALUATION_ORDER},
         )
     # chi_alpha(x) = chi_x(alpha), so the row of x is its evaluation map.
     rows = {tuple(spec.exponent_row(x)) for x in spec.elements()}

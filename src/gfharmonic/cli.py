@@ -296,8 +296,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         witness = exc.witness
         if isinstance(witness, FieldElement):
             witness = element_to_obj(witness)
-        elif isinstance(witness, tuple):
-            witness = list(witness)
         record = {"code": exc.code, "message": str(exc), "witness": witness}
         sys.stderr.write(dumps(record) + "\n")
         return 2

@@ -139,18 +139,6 @@ class GroupSpec:
             [[(c + x) % d * st for x in range(d)] for c, d, st in zip(a, self.dims, self._strides)]
         )
 
-    def factor_dot(self, alpha: Sequence[int], x: Sequence[int]) -> list[int]:
-        """Per-factor dot products: for factor i, sum(alpha_j * x_j) mod d_i
-        over that factor's coordinates.  Symmetric and bilinear."""
-        alpha = self.validate_element(alpha)
-        x = self.validate_element(x)
-        out = []
-        off = 0
-        for d, m in self.factors:
-            out.append(sum(alpha[off + j] * x[off + j] for j in range(m)) % d)
-            off += m
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupSpec):
             return NotImplemented

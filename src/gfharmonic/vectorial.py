@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bent import BentReport, _derivative_report, _spectral_report
-from .characters import Record, ScalarFunction, _dot
+from .bent import BentReport, _derivative_report, _require, _spectral_report
+from .characters import Record, ScalarFunction, _dot, _first_failing
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -73,10 +73,8 @@ class VectorFunction(Record):
         return self.values[self.spec.index_of(x)]
 
     def hypersphere_witness(self) -> GroupElement | None:
-        for i, vec in enumerate(self.values):
-            if not on_hypersphere(vec):
-                return self.spec.element_at(i)
-        return None
+        """First point whose vector has self-product != 1, or None."""
+        return _first_failing(self.spec, map(on_hypersphere, self.values))
 
     @classmethod
     def from_scalar(cls, f: ScalarFunction, dim: int, slot: int = 0) -> "VectorFunction":
@@ -98,6 +96,7 @@ def coordinate_function(f: VectorFunction, e: int) -> ScalarFunction:
 
 
 def _coordinatewise(transform, f: VectorFunction) -> VectorFunction:
+    f.spec._check_work(f.dim * sum(f.spec.dims))  # all l transforms, before the first
     coords = [transform(coordinate_function(f, i)).values for i in range(f.dim)]
     return VectorFunction(f.spec, f.dim, tuple(zip(*coords)))
 
@@ -132,17 +131,9 @@ def md_derivative(f: VectorFunction, alpha: Sequence[int]) -> ScalarFunction:
     return ScalarFunction(f.spec, values)
 
 
-def _require_hypersphere(f: VectorFunction) -> None:
-    witness = f.hypersphere_witness()
-    if witness is not None:
-        raise NotOnHypersphere(
-            f"value at {list(witness)} has self-product != 1", witness=witness
-        )
-
-
 def is_md_bent(f: VectorFunction) -> BentReport:
     """Bentness by definition: norm_l(md_ft(f)(alpha)) == |G| mod p for all alpha."""
-    _require_hypersphere(f)
+    _require(f.hypersphere_witness(), NotOnHypersphere, "self-product")
     return _spectral_report(f.spec, tuple(norm_l(vec) for vec in md_ft(f).values))
 
 
@@ -150,5 +141,5 @@ def is_md_bent_derivative(f: VectorFunction) -> BentReport:
     """Bentness by the derivative criterion: sum_x <f(alpha+x), f(x)> = 0
     for every nonzero alpha.  Norm table reported via ft of the
     autocorrelation, independent of the spectral route."""
-    _require_hypersphere(f)
+    _require(f.hypersphere_witness(), NotOnHypersphere, "self-product")
     return _derivative_report(vector_convolve(f, f))

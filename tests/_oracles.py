@@ -115,13 +115,34 @@ def naive_inverse_ft_at(F, x):
     return acc * spec.ctx.from_int(spec.inv_order_mod_p)
 
 
+def factor_dot(spec, alpha, x):
+    """Per-factor dot products: for factor i, sum(alpha_j * x_j) mod d_i over
+    that factor's coordinates.  Symmetric and bilinear."""
+    alpha, x = spec.validate_element(alpha), spec.validate_element(x)
+    out = []
+    off = 0
+    for d, m in spec.factors:
+        out.append(sum(alpha[off + j] * x[off + j] for j in range(m)) % d)
+        off += m
+    return out
+
+
+def character_sum(spec, alpha):
+    """sum_x chi_alpha(x), by direct summation of FieldElement products, so
+    tests can check the closed form: zero for alpha != 0, |G| mod p at 0."""
+    acc = spec.ctx.zero
+    for x in spec.elements():
+        acc = acc + character_value_naive(spec, alpha, x)
+    return acc
+
+
 def naive_classical_ft_at(ef, alpha):
     """classical_ft(ef)(alpha) as a product of per-factor complex roots of unity."""
     spec = ef.spec
     acc = 0j
     for x, e in zip(spec.elements(), ef.exponents):
         v = cmath.exp(2j * math.pi * e / ef.m)
-        for (d, _), dot in zip(spec.factors, spec.factor_dot(alpha, x)):
+        for (d, _), dot in zip(spec.factors, factor_dot(spec, alpha, x)):
             v *= cmath.exp(2j * math.pi * dot / d)
         acc += v
     return acc

