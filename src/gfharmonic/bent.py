@@ -169,7 +169,9 @@ MAX_CANDIDATES = 1_000_000
 # The search kernel holds fewer than |G| translation rows of |G| entries.  With
 # d >= 2 the d^|G| tables exceed any feasible budget long before |G| = 64, so
 # only d = 1 (a single table) reaches larger groups; the bound keeps the rows
-# of any search to at most 2^16 entries.
+# of any search to at most 2^16 entries.  It also keeps d <= 256 when |G| >= 2,
+# so that every entry of a table but the first fits a byte: d | p^n + 1 <= 257,
+# and d = 257 (over GF(2^16)) leaves only Z_1 factors, since Z_257 is too large.
 MAX_SEARCH_ORDER = 256
 
 
@@ -257,18 +259,15 @@ class _SearchKernel(_CountKernel):
         self.rows = list(_direction_rows(spec))
         # ranges[i] lists the values point i takes in a normalized table.
         self.ranges = [range(1)] + [range(d)] * (spec.order - 1)
-        hom_parts = []
+        homs = []
         for dj, stride in zip(spec.dims, spec._strides):
             g = math.gcd(d, dj)
             if g > 1:
                 self.ranges[stride] = range(d // g)
-            hom_parts.append([[k * (d // g) * x for x in range(dj)] for k in range(g)])
+            homs.append([[k * (d // g) * x for x in range(dj)] for k in range(g)])
         self.normalized = math.prod(map(len, self.ranges))
-        self.shifts = [
-            tuple((c + h) % d for h in _outer_sum(parts))
-            for c in range(d)
-            for parts in itertools.product(*hom_parts)
-        ]
+        # Each h past point 0 (h(0) = 0), a byte per point (see MAX_SEARCH_ORDER).
+        self.shifts = [bytes(h % d for h in _outer_sum(p)[1:]) for p in itertools.product(*homs)]
 
     def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The normalized tables that start with prefix and pass the verdict."""
@@ -276,13 +275,20 @@ class _SearchKernel(_CountKernel):
         return [e for e in tables if self.holds(e, self.rows)]
 
     def expand(self, normalized: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Every shift of the given normalized tables, in mixed-radix order."""
-        mod_d = tuple(range(self.d)) * 2  # a + b < 2d for a, b in Z_d
-        return sorted(
-            tuple(map(mod_d.__getitem__, map(operator.add, e, s)))
-            for e in normalized
-            for s in self.shifts
-        )
+        """Every shift of the given normalized tables, in mixed-radix order.
+        Point 0 of e + c + h is c; the rest is bytes: e + h mod d, looked up
+        point by point, then c added by one translate.  memcmp sorts the bytes
+        of each c in mixed-radix order."""
+        d = self.d
+        ring = bytes(range(min(d, 256))) * (256 // d + 2)  # ring[s + v] = (s + v) % d, v < d
+        adds = [ring[s : s + d] for s in range(d)]  # adds[s][v] = (v + s) % d
+        adders = [list(map(adds.__getitem__, h)) for h in self.shifts]
+        tails = [bytes(map(operator.getitem, row, e[1:])) for e in normalized for row in adders]
+        return [
+            (c, *t)
+            for c in range(d)
+            for t in sorted(map(bytes.translate, tails, itertools.repeat(ring[c : c + 256])))
+        ]
 
 
 def _search(

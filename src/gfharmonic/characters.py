@@ -87,7 +87,7 @@ class ScalarFunction(Record):
                 f"table has {len(self.values)} entries, group has {self.spec.order}"
             )
         for v in self.values:
-            if v.ctx != self.spec.ctx:
+            if v.ctx is not self.spec.ctx and v.ctx != self.spec.ctx:
                 raise SpecMismatch("table value lies outside the spec's field")
 
     def at(self, x: Sequence[int]) -> FieldElement:

@@ -142,7 +142,8 @@ class FieldElement:
         return self.code == 0
 
     def _check_field(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or self.ctx != other.ctx:
+        ctx = self.ctx
+        if not isinstance(other, FieldElement) or (other.ctx is not ctx and other.ctx != ctx):
             raise SpecMismatch("operands belong to different fields", witness=other)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
@@ -197,7 +198,7 @@ class FieldElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.code == other.code
+        return (self.ctx is other.ctx or self.ctx == other.ctx) and self.code == other.code
 
     def __hash__(self) -> int:
         return hash((self.ctx.p, self.ctx.n, self.ctx.modulus, self.code))

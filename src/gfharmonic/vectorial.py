@@ -66,7 +66,7 @@ class VectorFunction(Record):
                     f"vector of length {len(vec)} in a dimension-{self.dim} table"
                 )
             for v in vec:
-                if v.ctx != self.spec.ctx:
+                if v.ctx is not self.spec.ctx and v.ctx != self.spec.ctx:
                     raise SpecMismatch("vector entry lies outside the spec's field")
 
     def at(self, x: Sequence[int]) -> FieldVector:

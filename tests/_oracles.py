@@ -11,13 +11,15 @@ and float_classical_bent, the former floating-point classical verdict on
 classical_ft, which shares no code with the exact difference counts.
 count_route_is_bent counts exponent differences (difference_counts) as the
 search kernel does, but direction by direction, unpacked, uncached and in
-FieldElement arithmetic.
+FieldElement arithmetic.  naive_expand expands normalized tables by their
+orbits as tuples, with every shift c + h listed over the group's elements.
 """
 
 import cmath
 import functools
 import itertools
 import math
+import operator
 
 from gfharmonic import (
     ScalarFunction,
@@ -300,6 +302,29 @@ def naive_search(spec, d):
         for e in all_exponent_tables(spec, d)
         if is_bent_spectral(ScalarFunction.from_exponents(spec, d, e)).is_bent
     ]
+
+
+def orbit_shifts(spec, d):
+    """Every shift c + h of e -> e + c + h as a table over G: c a constant,
+    h(x) = sum_j k_j * (d / gcd(d, d_j)) * x_j for k_j < gcd(d, d_j)."""
+    steps = [d // math.gcd(d, dj) for dj in spec.dims]
+    homs = [
+        [sum(map(operator.mul, ks, map(operator.mul, steps, x))) for x in spec.elements()]
+        for ks in itertools.product(*(range(math.gcd(d, dj)) for dj in spec.dims))
+    ]
+    return [tuple((c + v) % d for v in h) for c in range(d) for h in homs]
+
+
+def naive_expand(spec, d, normalized):
+    """Every shift of the given normalized tables, in mixed-radix order, built
+    and sorted as tuples."""
+    shifts = orbit_shifts(spec, d)
+    mod_d = tuple(range(d)) * 2  # a + b < 2d for a, b in Z_d
+    return sorted(
+        tuple(map(mod_d.__getitem__, map(operator.add, e, s)))
+        for e in normalized
+        for s in shifts
+    )
 
 
 @functools.cache

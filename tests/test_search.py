@@ -4,7 +4,9 @@ search_bent tests one normalized table per orbit of e -> e + c + h (a
 constant plus a homomorphism G -> Z_d) and expands the bent ones.  These
 tests compare it with naive_search, which decides every one of the d^|G|
 tables by the spectral definition, on small groups over GF(4) to GF(81),
-one of them with a non-default modulus.
+one of them with a non-default modulus, and on the trivial group over
+GF(2^16), whose d = 257 does not fit a byte.  The orbit expansion is also
+compared with naive_expand, which builds and sorts every table as a tuple.
 """
 
 import functools
@@ -12,6 +14,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +31,13 @@ from gfharmonic import (
 )
 from gfharmonic.bent import _field_verdict, _SearchKernel
 from gfharmonic.classical import _classical_verdict
-from _oracles import count_route_is_bent, float_classical_bent, naive_search
+from _oracles import (
+    count_route_is_bent,
+    float_classical_bent,
+    naive_expand,
+    naive_search,
+    orbit_shifts,
+)
 
 # (p, n, modulus or None for the default): GF(4), GF(9), GF(9) mod
 # x^2 + 2x + 2, GF(16), GF(25), GF(49) and GF(81)
@@ -81,17 +90,23 @@ CASE_EXAMPLES = [
     ((3, 1, (2, 2, 1)), ((2, 1), (4, 1)), 2),  # non-default modulus
     ((7, 1, None), ((4, 1),), 8),  # GF(49)
     ((3, 2, None), ((5, 1),), 2),  # GF(81), gcd(2, 5) = 1
+    ((2, 8, None), ((1, 1),), 257),  # GF(2^16): d = 257 is past a byte, so |G| = 1
 ]
 
 
-def _with_examples(test):
-    for case in CASE_EXAMPLES:
-        test = example(case)(test)
-    return test
+def _with_examples(*rest):
+    """Every case of CASE_EXAMPLES as an explicit example, followed by rest."""
+
+    def decorate(test):
+        for case in CASE_EXAMPLES:
+            test = example(case, *rest)(test)
+        return test
+
+    return decorate
 
 
 @settings(max_examples=40, deadline=None)
-@_with_examples
+@_with_examples()
 @given(search_cases())
 def test_search_matches_full_space_oracle(case):
     field, factors, d = case
@@ -103,7 +118,7 @@ def test_search_matches_full_space_oracle(case):
 
 
 @settings(max_examples=40, deadline=None)
-@_with_examples
+@_with_examples()
 @given(search_cases())
 def test_normalized_tables_and_shifts_partition_the_space(case):
     field, factors, d = case
@@ -111,10 +126,25 @@ def test_normalized_tables_and_shifts_partition_the_space(case):
     kernel = _field_kernel(spec, d)
     normalized = list(itertools.product(*kernel.ranges))
     shift_count = d * math.prod(math.gcd(d, dj) for dj in spec.dims)
-    assert len(kernel.shifts) == shift_count
+    # the kernel keeps the homomorphism shifts; the d constants act in expand
+    assert d * len(kernel.shifts) == shift_count == len(set(orbit_shifts(spec, d)))
     assert kernel.normalized == len(normalized) == d**spec.order // shift_count
     assert all(e[0] == 0 for e in normalized)
     assert kernel.expand(normalized) == list(itertools.product(range(d), repeat=spec.order))
+
+
+@settings(max_examples=40, deadline=None)
+@_with_examples(random.Random(0))
+@given(search_cases(), st.randoms(use_true_random=False))
+def test_expand_matches_the_tuple_expansion(case, rng):
+    """expand, on any subset of the normalized tables in any order, against
+    the expansion that builds and sorts every table as a tuple."""
+    field, factors, d = case
+    spec = _spec(field, factors)
+    kernel = _field_kernel(spec, d)
+    normalized = list(itertools.product(*kernel.ranges))
+    subset = rng.sample(normalized, rng.randint(0, len(normalized)))
+    assert kernel.expand(subset) == naive_expand(spec, d, subset)
 
 
 def test_product_construction_is_a_lower_bound():
@@ -210,6 +240,10 @@ PINNED = [
     (
         (131, 1, None), ((2, 1),), 132, 264,
         "8d5768bf8e82f82742987da7bc1d10466f91ca39f3b5e49972186dac17738f6c",
+    ),
+    (  # taken with the tuple expansion: (0,) ... (256,), as Z_257 is too large
+        (2, 8, None), ((1, 1),), 257, 257,
+        "875fce1bc7d997f5738983f4277f199b5953c09c97562124af7d1479f975d769",
     ),
 ]
 
