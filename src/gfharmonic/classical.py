@@ -22,6 +22,7 @@ from typing import Callable
 from .bent import _CountKernel, _direction_rows, is_bent_spectral
 from .characters import Record, ScalarFunction
 from .errors import InvalidOrder, SpecMismatch
+from .field import _divmod_monic
 from .group import GroupSpec
 
 
@@ -74,18 +75,6 @@ def classical_ft(ef: ExponentFunction) -> list[complex]:
             acc += v * zs[k]
         out.append(acc)
     return out
-
-
-def _divmod_monic(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic b in Z[x], low degree first."""
-    r = list(a)
-    k = len(b) - 1
-    q = [0] * (len(a) - k)
-    for i in range(len(a) - 1, k - 1, -1):
-        c = q[i - k] = r[i]
-        for j, bj in enumerate(b):
-            r[i - k + j] -= c * bj
-    return q, r[:k]
 
 
 @functools.cache

@@ -151,13 +151,13 @@ def _cmd_compare(args) -> int:
         classical = [ef.exponents] if is_classical_bent(ef) else []
     elif args.exhaustive and args.group:
         if args.m is None:
-            raise HarmonicError("--m is required with --exhaustive")
+            raise MalformedInput("--m is required with --exhaustive")
         spec, m = group_from_file_obj(read_json(args.group)), args.m
         # The search's driver with the classical verdict, which checks m | s first.
         result = _search(spec, m, _classical_verdict(spec, m), MAX_CANDIDATES, jobs=1)
         checked, classical = result.candidates, result.tables
     else:
-        raise HarmonicError(
+        raise MalformedInput(
             "compare needs either --in FILE or --group FILE --m M --exhaustive"
         )
     # comparison_check on each classically bent table, in mixed-radix order

@@ -9,14 +9,16 @@ circle of order p^n + 1.
 Elements are coefficient vectors over GF(p) in the power basis of a fixed
 monic irreducible modulus polynomial.  Fields here are deliberately
 desk-scale (q at most MAX_Q = 65536), so construction builds full discrete
-log / antilog tables once and every product afterwards is O(1).  A context
+log / antilog tables once and every product afterwards is O(1).  The same
+pass packs every power of g into one int, a lane per coefficient, so the
+sum kernels add elements as ints; _reducer decodes such a sum.  A context
 is immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -73,21 +75,24 @@ def _digits(code: int, p: int, width: int) -> tuple[int, ...]:
     return tuple([code // p**i % p for i in range(width)])
 
 
-def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Remainder of a modulo b over GF(p); b must have a nonzero lead."""
-    a = [c % p for c in a]
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
+def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b in Z[x], low degree first;
+    a has at least deg b coefficients, and so has the remainder."""
+    r = list(a)
+    k = len(b) - 1
+    q = [0] * (len(a) - k)
+    for i in range(len(a) - 1, k - 1, -1):
+        c = q[i - k] = r[i]
         if c:
-            k = c * inv_lead % p
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - k * b[j]) % p
-    del a[db:]
-    while len(a) < db:
-        a.append(0)
-    return a
+            for j, bj in enumerate(b):
+                r[i - k + j] -= c * bj
+    return q, r[:k]
+
+
+def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Remainder of a modulo the monic b over GF(p): division by a monic
+    polynomial commutes with reduction mod p."""
+    return [c % p for c in _divmod_monic(a, b)[1]]
 
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
@@ -309,6 +314,8 @@ class FieldContext:
         lane = (self.circle_order * (p - 1)).bit_length()
         bits = self._bits = -(-lane * w // 30) * 30 // w
         ones = self._ones = sum(1 << i * bits for i in range(w))
+        # A sum of a reduced element and _chunk more packed terms fits every lane.
+        self._chunk = ((1 << bits) - 1) // (p - 1) - 1
         # A lane below 2p is at least p iff adding 2^top - p to it sets bit top.
         top, over = bits - 1, ((1 << bits - 1) - p) * ones
 
@@ -389,6 +396,19 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, n={self.n}, modulus={list(self.modulus)})"
+
+
+def _reducer(ctx: FieldContext) -> Callable[[int], int]:
+    """Code of a packed sum whose lanes have not overflowed: each lane
+    reduced mod p."""
+    p, bits = ctx.p, ctx._bits
+    if p == 2:
+        # A lane's parity is its low bit; the halves of the code are looked up.
+        ones, half, shift, n = ctx._ones, ctx._half, ctx.n * bits, ctx.n
+        low = (1 << shift) - 1
+        return lambda x: half[(x := x & ones) & low] | half[x >> shift] << n
+    places, mask = [(i * bits, w) for i, w in enumerate(ctx._pw)], (1 << bits) - 1
+    return lambda x: sum((x >> sh & mask) % p * w for sh, w in places)
 
 
 def make_context(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:

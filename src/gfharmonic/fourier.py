@@ -5,8 +5,8 @@ ft(f)(alpha) = sum_x f(x) chi_alpha(x).  Applying ft twice yields
 inverse of |G| mod p.
 
 Sums over G take one of two routes, both over the packed elements of
-FieldContext._terms: one int per element, a lane per GF(p) coefficient, so a
-sum of packed elements is one int sum, reduced mod p lane by lane once.
+FieldContext._terms, whose format field.py owns: a sum of packed elements is
+one int sum, decoded by field._reducer once.
 The transform is separable, since chi_alpha(x) is a product of one factor
 per coordinate: it runs a length-d transform along each coordinate of
 G = prod Z_(d_j), |G| * sum_j d_j terms in all instead of |G|^2.
@@ -18,25 +18,12 @@ read from translation rows, reducing every lane before it can overflow.
 from __future__ import annotations
 
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .characters import ScalarFunction, inner_product
 from .errors import SpecMismatch
-from .field import FieldContext, FieldElement
+from .field import FieldElement, _reducer
 from .group import GroupSpec
-
-
-def _reducer(ctx: FieldContext) -> Callable[[int], int]:
-    """Code of a packed sum whose lanes have not overflowed: each lane
-    reduced mod p."""
-    p, bits = ctx.p, ctx._bits
-    if p == 2:
-        # A lane's parity is its low bit; the halves of the code are looked up.
-        ones, half, shift, n = ctx._ones, ctx._half, ctx.n * bits, ctx.n
-        low = (1 << shift) - 1
-        return lambda x: half[(x := x & ones) & low] | half[x >> shift] << n
-    places, mask = [(i * bits, w) for i, w in enumerate(ctx._pw)], (1 << bits) - 1
-    return lambda x: sum((x >> sh & mask) % p * w for sh, w in places)
 
 
 def _transform(f: ScalarFunction, sign: int, scale_mod_p: int) -> ScalarFunction:
@@ -80,9 +67,7 @@ def _correlate(
     """alpha -> sum_x sum_i F_i(alpha + x) * H_i(x), for tables (F_i, H_i) on spec."""
     ctx = spec.ctx
     spec._check_work(len(pairs) * spec.order)
-    terms, log, code_of = ctx._terms, ctx._log, _reducer(ctx)
-    # A lane holds the reduced partial sum carried in and chunk more terms.
-    chunk = ((1 << ctx._bits) - 1) // (ctx.p - 1) - 1
+    terms, log, code_of, chunk = ctx._terms, ctx._log, _reducer(ctx), ctx._chunk
     # Per pair: the logs of F by index, and the (index, log) of H's nonzero entries.
     logs = [
         ([log[v.code] for v in F], [(x, log[v.code]) for x, v in enumerate(H) if v.code])

@@ -39,6 +39,14 @@ def poly_mul(a, b, p):
     return out
 
 
+def int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def poly_rem(a, modulus, p):
     """Remainder of a modulo a monic modulus over GF(p), padded to its degree."""
     a = list(a)

@@ -12,7 +12,8 @@ from gfharmonic import (
     inner_product,
     make_group,
 )
-from gfharmonic.characters import MAX_EVALUATION_ORDER, character_value_naive
+from gfharmonic.characters import character_value_naive
+from gfharmonic.group import MAX_WORK
 
 from _oracles import character_sum
 
@@ -134,7 +135,11 @@ class TestEvaluationMap:
         big = make_group(gf16, [(5, 6)])
         with pytest.raises(TooLarge) as info:
             evaluation_map_is_bijective(big)
-        assert info.value.witness == {"order": 5**6, "max_order": MAX_EVALUATION_ORDER}
+        assert info.value.witness == {"work": 5**12, "max_work": MAX_WORK}
+
+    def test_group_past_a_thousand_elements(self, gf4):
+        # |G| = 2187, |G|^2 exponents within MAX_WORK, one row held at a time.
+        assert evaluation_map_is_bijective(make_group(gf4, [(3, 7)]))
 
 
 class TestScalarFunction:

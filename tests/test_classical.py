@@ -20,7 +20,7 @@ from gfharmonic import (
 )
 from gfharmonic import bent, classical
 from gfharmonic.classical import _classical_verdict, _cyclotomic
-from _oracles import all_exponent_tables, difference_counts, float_classical_bent
+from _oracles import all_exponent_tables, difference_counts, float_classical_bent, int_poly_mul
 
 
 class TestClassicalTransform:
@@ -123,14 +123,6 @@ class TestComparison:
         assert is_classical_bent(ef)
         assert comparison_check(ef)
         assert is_bent_spectral(embed(ef)).is_bent
-
-
-def int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 class TestDifferenceCounts:

@@ -20,9 +20,11 @@ from gfharmonic import (
 from gfharmonic import field
 from gfharmonic.cli import main
 from _oracles import (
+    int_poly_mul,
     irreducible_by_factor_enumeration,
     multiplicative_order,
     poly_mul,
+    poly_rem,
     poly_trim,
     schoolbook_powers,
 )
@@ -357,3 +359,29 @@ def test_gf9_field_axioms(a, b, c):
     assert (x * y) * z == x * (y * z)
     assert x + (y + z) == (x + y) + z
     assert x - x == ctx.zero
+
+
+@st.composite
+def monic_division(draw):
+    """(a, b, p): a monic b of degree 1..6 over GF(p) and a of degree >= deg b
+    with coefficients of either sign and past p, as the unreduced products of
+    the field and the difference counts of the classical test have."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    deg = draw(st.integers(1, 6))
+    b = draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg)) + [1]
+    coeff = st.integers(-3 * p * p, 3 * p * p)
+    a = draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 9))
+    return a, b, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_division())
+def test_monic_division(case):
+    # The one division: over GF(p) it agrees with schoolbook reduction, and
+    # over Z its quotient and remainder rebuild a.
+    a, b, p = case
+    assert field._poly_rem(a, b, p) == poly_rem(a, b, p)
+    quotient, rem = field._divmod_monic(a, b)
+    assert len(rem) == len(b) - 1
+    back = int_poly_mul(quotient, b)
+    assert [x + y for x, y in zip(back, rem + [0] * len(back))] == a
