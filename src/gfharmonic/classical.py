@@ -1,15 +1,16 @@
 """Bridge to the classical complex-valued notion of bentness.
 
-A table of m-th roots of unity on G (m dividing the circle order) can be
+A table of m-th roots of unity on G (m dividing the circle order s) can be
 read two ways: as a complex-valued function, via zeta_m = exp(2*pi*i/m),
 or as a circle-valued function in the field, via the order-m circle
 generator u_m.  The classical verdict is exact: the autocorrelation at a is
 c_a(zeta_m), where c_a counts the differences e(a + x) - e(x) mod m, so the
 table is classically bent iff Phi_m divides every c_a with a != 0 in Z[x];
-the search's count kernel counts them.  Only classical_ft is complex-valued;
-the embedding into the field is exact.  Being bent on the complex side
-implies being bent on the field side, and comparison_check flags any
-observed counterexample to that implication.
+the search's count kernel counts them.  classical_ft runs the field
+transform's separable pass exactly, in Z[x]/(x^s - 1), and rounds once, when
+it evaluates the lane counts at zeta_s.  The embedding into the field is
+exact.  Being bent on the complex side implies being bent on the field side,
+and comparison_check flags any observed counterexample to that implication.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
+from operator import lshift, mul
 from typing import Callable
 
 from .bent import _CountKernel, _direction_rows, is_bent_spectral
@@ -55,26 +58,45 @@ def _check_root_order(spec: GroupSpec, m: int) -> None:
         )
 
 
-def _roots_of_unity(t: int) -> list[complex]:
-    return [cmath.exp(2j * math.pi * k / t) for k in range(t)]
+# The lane widths in bits, least first, and their memoryview formats.
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I"}
+
+
+def _lane_ft(ef: ExponentFunction) -> tuple[list[int], int]:
+    """The transform in Z[x]/(x^s - 1), s the circle order: each value is
+    sum_k c_k x^k, where c_k counts the x with e(x) s/m + (alpha . x) = k
+    mod s, packed as s lanes of b bits with x = 2^b; returns the values and b.
+
+    A lane never exceeds |G| < 2^b - 1, so the packed ints are exact mod
+    2^(s b) - 1, and a twiddle x^k is a shift by k b reduced mod it."""
+    spec = ef.spec
+    s = spec.ctx.circle_order
+    spec._check_work(sum(spec.dims) * s)
+    bits = next(b for b in _LANE_FORMATS if spec.order < (1 << b) - 1)
+    ring, step = (1 << s * bits) - 1, s // ef.m
+    values = [1 << bits * (e * step) for e in ef.exponents]
+    for d, c, lines in spec._axes():
+        shifts = [[bits * (c * a * t % s) for t in range(d)] for a in range(d)]
+        for line in lines:
+            xs = values[line]
+            values[line] = [sum(map(lshift, xs, row)) % ring for row in shifts]
+    return values, bits
 
 
 def classical_ft(ef: ExponentFunction) -> list[complex]:
     """Complex Fourier transform of x -> zeta_m^e(x), using the complex
-    characters that match the field characters exponent-for-exponent."""
-    spec = ef.spec
-    spec._check_work(spec.order)
-    s = spec.ctx.circle_order
-    zs = _roots_of_unity(s)
-    zm = _roots_of_unity(ef.m)
-    values = [zm[e] for e in ef.exponents]
-    out = []
-    for alpha in spec.elements():
-        acc = 0j
-        for v, k in zip(values, spec.exponent_row(alpha)):
-            acc += v * zs[k]
-        out.append(acc)
-    return out
+    characters that match the field characters exponent-for-exponent: the
+    exact lane counts of _lane_ft, evaluated at zeta_s once per value."""
+    values, bits = _lane_ft(ef)
+    s = ef.spec.ctx.circle_order
+    size, fmt = s * bits // 8, _LANE_FORMATS[bits]
+    zs = [cmath.exp(2j * math.pi * k / s) for k in range(s)]
+    if sys.byteorder == "big":
+        zs.reverse()  # the native bytes list the top lane first
+    return [
+        sum(map(mul, memoryview(v.to_bytes(size, sys.byteorder)).cast(fmt), zs))
+        for v in values
+    ]
 
 
 @functools.cache

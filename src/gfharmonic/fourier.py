@@ -28,26 +28,24 @@ from .group import GroupSpec
 
 def _transform(f: ScalarFunction, sign: int, scale_mod_p: int) -> ScalarFunction:
     spec, ctx = f.spec, f.spec.ctx
-    n, q1 = spec.order, ctx.q - 1
+    q1 = ctx.q - 1
     spec._check_work(sum(spec.dims))
     terms, log, code_of = ctx._terms, ctx._log, _reducer(ctx)
     # The scale, a nonzero element of GF(p), multiplies the first pass.
     shift = log[scale_mod_p]
     codes = [v.code for v in f.values]
-    for d, st, c in zip(spec.dims, spec._strides, spec.coord_steps):
+    for d, c, lines in spec._axes():
         # Along this axis chi_alpha(x) has the factor u^(c a t) = g^(k a t),
         # where a and t are the coordinates of alpha and x.
         k = sign * ctx._step * c
         rows = [[(k * a * t + shift) % q1 for t in range(d)] for a in range(d)]
         shift = 0
         logs = [log[x] for x in codes]
-        for block in range(0, n, d * st):
-            for first in range(block, block + st):
-                line = slice(first, first + d * st, st)  # the x with x_j = 0, 1, ..
-                x_logs = logs[line]
-                codes[line] = [
-                    code_of(sum(map(terms.__getitem__, map(add, x_logs, row)))) for row in rows
-                ]
+        for line in lines:
+            x_logs = logs[line]
+            codes[line] = [
+                code_of(sum(map(terms.__getitem__, map(add, x_logs, row)))) for row in rows
+            ]
     return ScalarFunction(spec, tuple(FieldElement(ctx, x) for x in codes))
 
 

@@ -27,8 +27,9 @@ GroupElement = tuple[int, ...]
 MAX_LOG2_ORDER = 24
 
 # The most terms one call may sum, checked before any row or table is built:
-# |G| * sum d_j for the transform, |G|^2 per table pair for the routes that sum
-# over G for every element.  Admits Z_17^3 (4913 elements) on every route.
+# |G| * sum d_j for the transform (times s lanes for the classical one), |G|^2
+# per table pair for the routes that sum over G for every element.  Admits
+# Z_17^3 (4913 elements) on every route.
 MAX_WORK = 1 << 25
 
 
@@ -78,6 +79,14 @@ class GroupSpec:
         # Exponent step of the circle generator per coordinate: a coordinate
         # with modulus d contributes multiples of s/d to character exponents.
         self.coord_steps = tuple(s // d for d in self.dims)
+
+    def _axes(self) -> Iterator[tuple[int, int, Iterator[slice]]]:
+        """For each coordinate: its modulus d, its circle-exponent step s/d,
+        and the slices of the canonical order that pick each line along it,
+        the x with x_j = 0, 1, .. and every other coordinate fixed."""
+        for d, st, c in zip(self.dims, self._strides, self.coord_steps):
+            blocks = range(0, self.order, d * st)
+            yield d, c, (slice(i, i + d * st, st) for b in blocks for i in range(b, b + st))
 
     def _check_work(self, per_element: int) -> None:
         """Raise TooLarge before a route sums |G| * per_element > MAX_WORK terms."""

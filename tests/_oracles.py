@@ -7,8 +7,10 @@ per-factor exponentiation route, and convolutions and autocorrelations by
 double sums of FieldElement products over G x G.  The exceptions are
 naive_search, which tests every table with is_bent_spectral: the transform
 route, which shares no code with the search kernel's derivative counting;
-and float_classical_bent, the former floating-point classical verdict on
-classical_ft, which shares no code with the exact difference counts.
+and float_classical_bent and exact_classical_bent, the classical verdicts
+on the transform side, which read the lane counts of classical._lane_ft
+(in floating point through classical_ft, and exactly through Phi_s) and
+share no code with the exact difference counts.
 count_route_is_bent counts exponent differences (difference_counts) as the
 search kernel does, but direction by direction, unpacked, uncached and in
 FieldElement arithmetic.  naive_expand expands normalized tables by their
@@ -29,6 +31,8 @@ from gfharmonic import (
     is_bent_spectral,
 )
 from gfharmonic.characters import character_value_naive
+from gfharmonic.classical import _cyclotomic, _lane_ft
+from gfharmonic.field import _divmod_monic
 
 
 def poly_mul(a, b, p):
@@ -163,6 +167,38 @@ def float_classical_bent(ef):
     |G| within 1e-6 * |G|."""
     order = ef.spec.order
     return all(abs(abs(v) ** 2 - order) <= 1e-6 * order for v in classical_ft(ef))
+
+
+def naive_lane_counts(ef, alpha):
+    """c with c[k] = #{x : e(x) * s/m + exponent_row(alpha)[x] = k mod s}:
+    classical_ft(ef)(alpha) = sum_k c[k] zeta_s^k, counted one x at a time."""
+    s = ef.spec.ctx.circle_order
+    counts = [0] * s
+    for e, k in zip(ef.exponents, ef.spec.exponent_row(alpha)):
+        counts[(e * (s // ef.m) + k) % s] += 1
+    return counts
+
+
+def lane_counts(ef):
+    """The lanes of every value of classical._lane_ft, read by shift and mask."""
+    values, bits = _lane_ft(ef)
+    s, mask = ef.spec.ctx.circle_order, (1 << bits) - 1
+    return [[v >> bits * k & mask for k in range(s)] for v in values]
+
+
+def exact_classical_bent(ef):
+    """Classical bentness on the transform side, in integers: with W(x) the
+    lane counts at alpha, |W(zeta_s)|^2 = |G| iff Phi_s divides
+    W(x) W(x^-1) - |G| folded mod x^s - 1, at every alpha."""
+    s, order = ef.spec.ctx.circle_order, ef.spec.order
+    phi = _cyclotomic(s)
+    for w in lane_counts(ef):
+        norm = [-order] + [0] * (s - 1)
+        for i, c in enumerate(int_poly_mul(w, [w[-k % s] for k in range(s)])):
+            norm[i % s] += c
+        if any(_divmod_monic(norm, phi)[1]):
+            return False
+    return True
 
 
 # The double sums below are the library's former implementations, kept as

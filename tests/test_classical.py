@@ -20,7 +20,13 @@ from gfharmonic import (
 )
 from gfharmonic import bent, classical
 from gfharmonic.classical import _classical_verdict, _cyclotomic
-from _oracles import all_exponent_tables, difference_counts, float_classical_bent, int_poly_mul
+from _oracles import (
+    all_exponent_tables,
+    difference_counts,
+    exact_classical_bent,
+    float_classical_bent,
+    int_poly_mul,
+)
 
 
 class TestClassicalTransform:
@@ -223,8 +229,9 @@ class TestExactVerdict:
 
 
 class TestFloatAgreement:
-    """The exact verdict against the former floating-point one, table by
-    table."""
+    """The exact verdict on the difference counts against two on the
+    transform side, table by table: the former floating-point one, and
+    Phi_s dividing |W|^2 - |G| on the exact lane counts."""
 
     @pytest.mark.parametrize(
         "p, n, factors, m",
@@ -241,7 +248,7 @@ class TestFloatAgreement:
         spec = make_group(make_context(p, n), factors)
         for e in all_exponent_tables(spec, m):
             ef = ExponentFunction(spec, m, e)
-            assert is_classical_bent(ef) == float_classical_bent(ef), e
+            assert is_classical_bent(ef) == float_classical_bent(ef) == exact_classical_bent(ef), e
 
     @pytest.mark.parametrize(
         "p, n, factors, m",
@@ -261,7 +268,7 @@ class TestFloatAgreement:
         sample += [tuple(rng.randrange(m) for _ in range(spec.order)) for _ in range(300)]
         for e in sample:
             ef = ExponentFunction(spec, m, e)
-            assert is_classical_bent(ef) == float_classical_bent(ef), e
+            assert is_classical_bent(ef) == float_classical_bent(ef) == exact_classical_bent(ef), e
 
 
 class TestCensus:

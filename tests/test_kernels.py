@@ -5,7 +5,9 @@ of FieldContext._terms: the separable transform, one pass per coordinate,
 and the correlation sums (convolution, the scalar and vectorial
 autocorrelations), fed by GroupSpec.translate_row.  These tests compare each
 with the FieldElement double sums kept in tests/_oracles.py, over fields
-from GF(4) to GF(1024), two of them with a non-default modulus.
+from GF(4) to GF(1024), two of them with a non-default modulus.  The
+classical transform runs the same pass over lane counts in Z[x]/(x^s - 1);
+its lanes are compared exactly with a one-by-one count.
 """
 
 import functools
@@ -48,6 +50,7 @@ from gfharmonic import (
 )
 from gfharmonic.group import MAX_WORK
 from _oracles import (
+    lane_counts,
     naive_autocorrelation,
     naive_classical_ft_at,
     naive_convolve,
@@ -55,6 +58,7 @@ from _oracles import (
     naive_ft,
     naive_ft_at,
     naive_inverse_ft_at,
+    naive_lane_counts,
     naive_md_autocorrelation,
     naive_md_derivative,
     naive_md_ft,
@@ -241,27 +245,47 @@ class TestPastTheOldCacheCutoff:
     def test_classical_ft_rows(self, z17sq):
         rng = random.Random(18)
         ef = ExponentFunction(z17sq, 17, tuple(rng.randrange(17) for _ in range(z17sq.order)))
-        spectrum = classical_ft(ef)
+        spectrum, lanes = classical_ft(ef), lane_counts(ef)
         tol = 1e-9 * z17sq.order
         for idx in self._rows(z17sq, rng):
-            want = naive_classical_ft_at(ef, z17sq.element_at(idx))
-            assert abs(spectrum[idx] - want) <= tol
+            point = z17sq.element_at(idx)
+            assert lanes[idx] == naive_lane_counts(ef, point)
+            assert abs(spectrum[idx] - naive_classical_ft_at(ef, point)) <= tol
 
 
 class TestThousandsOfElements:
     """Sampled rows of the transforms on groups of 625 and 4913 elements,
-    against the per-factor character route."""
+    against the per-factor character route, and the classical lane counts
+    against their one-by-one count."""
 
-    @pytest.mark.parametrize("p, n, factors", [(2, 2, [(5, 4)]), (2, 4, [(17, 3)])])
+    sizes = pytest.mark.parametrize("p, n, factors", [(2, 2, [(5, 4)]), (2, 4, [(17, 3)])])
+
+    @staticmethod
+    def _rows(spec, rng):
+        return [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(2)]
+
+    @sizes
     def test_ft_and_inverse_rows(self, p, n, factors):
         spec = make_group(make_context(p, n), factors)
         rng = random.Random(spec.order)
         f = random_function(spec, rng)
         F, f_back = ft(f), inverse_ft(f)
-        for idx in [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(2)]:
+        for idx in self._rows(spec, rng):
             point = spec.element_at(idx)
             assert F.values[idx] == naive_ft_at(f, point)
             assert f_back.values[idx] == naive_inverse_ft_at(f, point)
+
+    @sizes
+    def test_classical_ft_rows(self, p, n, factors):
+        spec = make_group(make_context(p, n), factors)
+        rng = random.Random(spec.order)
+        s = spec.ctx.circle_order
+        ef = ExponentFunction(spec, s, tuple(rng.randrange(s) for _ in range(spec.order)))
+        spectrum, lanes = classical_ft(ef), lane_counts(ef)
+        for idx in self._rows(spec, rng):
+            point = spec.element_at(idx)
+            assert lanes[idx] == naive_lane_counts(ef, point)
+            assert abs(spectrum[idx] - naive_classical_ft_at(ef, point)) <= 1e-9 * spec.order
 
 
 class TestLongCorrelationSums:
@@ -302,8 +326,8 @@ class TestOraclesIgnoreThePackedTable:
 class TestWorkBound:
     """Every route refuses more than MAX_WORK terms before it builds a row:
     Z_257^2 has 66049 elements, so the transform would sum 66049 * 514 terms
-    (twice that for the two coordinates of a vector table) and the quadratic
-    routes 66049^2."""
+    (twice that for the two coordinates of a vector table, and 257 lane terms
+    for each in the classical transform) and the quadratic routes 66049^2."""
 
     @pytest.fixture(scope="class")
     def z257sq(self):
@@ -328,7 +352,7 @@ class TestWorkBound:
             (lambda: vector_convolve(vf, vf), 2 * order**2),
             (lambda: md_ft(vf), 2 * order * 514),
             (lambda: md_inverse_ft(vf), 2 * order * 514),
-            (lambda: classical_ft(ef), order**2),
+            (lambda: classical_ft(ef), order * 514 * 257),
             (lambda: is_classical_bent(ef), order**2),
             # The output table on Z_257^2, which ft would refuse.
             (lambda: mm_construct(ScalarFunction.constant(z257, z257.ctx.one)), order * 514),
