@@ -27,7 +27,7 @@ from .errors import (
     NotQuadraticResidue,
     TooLarge,
 )
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, _minimal_polynomial, _poly_rem
 from .fourier import _correlate, ft
 from .group import GroupElement, GroupSpec, _outer_sum, make_group
 
@@ -201,25 +201,25 @@ def _direction_rows(spec: GroupSpec) -> Iterator[operator.itemgetter]:
     return (operator.itemgetter(*spec.translate_row(a)) for a in spec.directions_up_to_sign())
 
 
-def _vanishes(cols: list[tuple[int, ...]], p: int, counts: list[int]) -> bool:
-    return not any(sum(map(operator.mul, counts, col)) % p for col in cols)
+def _mu_divides(mu: list[int], p: int, counts: list[int]) -> bool:
+    return not any(_poly_rem(counts, mu, p))
 
 
 def _field_verdict(ctx: FieldContext, d: int) -> Callable[[list[int]], bool]:
-    """Whether sum_j c[j] u_d^j = 0 in GF(q), for counts c; checks that d | s."""
-    ud = ctx.circle_subgroup_generator(d)
-    return functools.partial(_vanishes, list(zip(*((ud**j).coeffs for j in range(d)))), ctx.p)
+    """Whether the minimal polynomial of u_d over GF(p) divides counts mod p; checks d | s."""
+    mu = _minimal_polynomial(ctx.circle_subgroup_generator(d))
+    return functools.partial(_mu_divides, mu, ctx.p)
 
 
 class _CountKernel:
     """A verdict on the counts c_a[j] = #{x : e[a+x] - e[x] = j mod d} of
-    tables e: G -> Z_d, whose autocorrelation at a is sum_j c_a[j] w^j for w
-    of order d.  `verdict` (picklable: pool workers receive the kernel)
-    decides whether that vanishes: at u_d for the field (`_field_verdict`),
-    at every primitive d-th root of unity classically.  Both hold at w iff
-    at 1/w, and c_{-a}[j] = c_a[-j mod d], so one row of each pair {a, -a}
-    is counted.  A row's counts are summed at C level into one int, a lane
-    of |G|.bit_length() bits per class; each distinct sum is decided once.
+    tables e: G -> Z_d, whose autocorrelation at a is c_a(w), w of order d.
+    `verdict` (picklable: pool workers receive the kernel) decides whether a
+    monic divisor divides c_a: mu_d, the minimal polynomial of u_d, over GF(p)
+    for the field (`_field_verdict`), Phi_d over Z classically.  Both vanish
+    at 1/w with w (1/u_d = u_d^(p^n) is a conjugate), and c_{-a}(w) = c_a(1/w),
+    so one row of each pair {a, -a} is counted.  A row's counts are summed at
+    C level into one int, |G|.bit_length() bits a class; each sum is decided once.
     """
 
     def __init__(self, order: int, d: int, verdict: Callable[[list[int]], bool]):

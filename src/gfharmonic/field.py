@@ -411,6 +411,18 @@ def _reducer(ctx: FieldContext) -> Callable[[int], int]:
     return lambda x: sum((x >> sh & mask) % p * w for sh, w in places)
 
 
+def _minimal_polynomial(x: FieldElement) -> list[int]:
+    """The minimal polynomial of x != 0 over GF(p), as codes (each in GF(p)),
+    low degree first: the product of t - r over the conjugates r = x^(p^i)."""
+    ctx = x.ctx
+    q, log, terms, code_of = ctx.q, ctx._log, ctx._terms, _reducer(ctx)
+    minus = log[x.code] + (q - 1) // 2 * (ctx.p > 2)  # -1 = g^((q - 1) / 2) for odd p
+    mu = [1]  # times t + y, for each conjugate y of -x: two packed products
+    for k in {minus * ctx.p**i % (q - 1) for i in range(ctx.width)}:
+        mu = [code_of(terms[log[a]] + terms[log[b] + k]) for a, b in zip([0] + mu, mu + [0])]
+    return mu
+
+
 def make_context(p: int, n: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
     """Construct and validate a GF(p^(2n)) context.
 

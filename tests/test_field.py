@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from gfharmonic import (
     make_context,
 )
 from gfharmonic import field
+from gfharmonic.bent import _field_verdict
+from gfharmonic.classical import _cyclotomic
 from gfharmonic.cli import main
 from _oracles import (
     int_poly_mul,
@@ -385,3 +389,80 @@ def test_monic_division(case):
     assert len(rem) == len(b) - 1
     back = int_poly_mul(quotient, b)
     assert [x + y for x, y in zip(back, rem + [0] * len(back))] == a
+
+
+# Every field the library builds: p prime and p^(2n) <= MAX_Q.
+ALL_FIELDS = [
+    (p, n)
+    for p in range(2, 257)
+    if all(p % k for k in range(2, p))
+    for n in range(1, 9)
+    if p ** (2 * n) <= field.MAX_Q
+]
+FIELD_IDS = [f"GF({p}^{2 * n})" for p, n in ALL_FIELDS]
+
+
+@functools.cache
+def _context(p, n):
+    return make_context(p, n)
+
+
+def _circle_divisors(ctx):
+    return [d for d in range(1, ctx.circle_order + 1) if ctx.circle_order % d == 0]
+
+
+def _at(ctx, poly, x):
+    """poly(x) in GF(q), by FieldElement Horner evaluation."""
+    acc = ctx.zero
+    for c in reversed(poly):
+        acc = acc * x + ctx.from_int(c)
+    return acc
+
+
+class TestMinimalPolynomial:
+    """mu_d, the minimal polynomial of u_d over GF(p), on every field and every
+    d | p^n + 1, against the field's own arithmetic and against Phi_d."""
+
+    def test_every_field_is_listed(self):
+        assert len(ALL_FIELDS) == 70
+
+    @pytest.mark.parametrize("p, n", ALL_FIELDS, ids=FIELD_IDS)
+    def test_mu_is_the_minimal_polynomial_and_divides_phi(self, p, n):
+        ctx = _context(p, n)
+        for d in _circle_divisors(ctx):
+            ud = ctx.circle_subgroup_generator(d)
+            mu = field._minimal_polynomial(ud)
+            # deg mu = ord_d(p), the least k >= 1 with d | p^k - 1
+            order = next(k for k in itertools.count(1) if (p**k - 1) % d == 0)
+            assert len(mu) - 1 == order and mu[-1] == 1, d
+            assert all(0 <= c < p for c in mu), d
+            assert _at(ctx, mu, ud).is_zero(), d
+            # Phi_d mod p is a multiple of mu_d: classical bentness implies field bentness
+            assert not any(field._poly_rem(_cyclotomic(d), mu, p)), d
+
+    @pytest.mark.parametrize(
+        "p, n, d, degree, phi_degree",
+        [(2, 4, 17, 8, 16), (5, 2, 13, 4, 12), (2, 8, 257, 16, 256), (3, 1, 4, 2, 2)],
+    )
+    def test_degrees_where_phi_splits_and_where_not(self, p, n, d, degree, phi_degree):
+        # Phi_d mod p splits into phi(d) / ord_d(p) factors, one of them mu_d.
+        mu = field._minimal_polynomial(_context(p, n).circle_subgroup_generator(d))
+        assert (len(mu) - 1, len(_cyclotomic(d)) - 1) == (degree, phi_degree)
+
+    @pytest.mark.parametrize("p, n", ALL_FIELDS, ids=FIELD_IDS)
+    def test_verdict_matches_the_field_sum(self, p, n):
+        """_field_verdict(ctx, d)(c) against sum_j c[j] u_d^j == 0, the route
+        of count_route_is_bent, on random counts and on multiples of mu_d with
+        each coefficient lifted by a random multiple of p."""
+        ctx = _context(p, n)
+        rng = random.Random(p * 100 + n)
+        for d in _circle_divisors(ctx):
+            ud = ctx.circle_subgroup_generator(d)
+            mu = field._minimal_polynomial(ud)
+            verdict = _field_verdict(ctx, d)
+            for _ in range(4):  # 2184 of each over the 546 (field, d) pairs
+                quotient = [rng.randrange(p) for _ in range(d - len(mu) + 1)]
+                multiple = [c + p * rng.randrange(4) for c in poly_mul(quotient, mu, p)]
+                counts = [rng.randrange(3 * p) for _ in range(d)]
+                assert verdict(multiple) and _at(ctx, multiple, ud).is_zero(), (d, multiple)
+                assert verdict(counts) == _at(ctx, counts, ud).is_zero(), (d, counts)

@@ -30,7 +30,8 @@ from gfharmonic import (
     search_bent,
 )
 from gfharmonic.bent import _field_verdict, _SearchKernel
-from gfharmonic.classical import _classical_verdict
+from gfharmonic.classical import _classical_verdict, _cyclotomic
+from gfharmonic.field import _minimal_polynomial
 from _oracles import (
     count_route_is_bent,
     float_classical_bent,
@@ -212,6 +213,27 @@ def test_verdicts_stay_within_the_composition_bound(field, factors, d):
     for packed in kernel.verdicts:
         assert packed >> (kernel.lane_bits * d) == 0
         assert sum(packed >> (kernel.lane_bits * j) & mask for j in range(d)) == spec.order
+
+
+# (p, ns, factors, d, count): the same group and d over GF(p^(2n)) for each n.
+ACROSS_N = [
+    (2, (1, 3, 5), ((3, 2),), 3, 2916),
+    (2, (2, 6), ((5, 1),), 5, 100),
+    (3, (1, 3), ((2, 1), (4, 1)), 4, 1408),
+    (5, (1, 3), ((6, 1),), 6, 432),
+]
+
+
+@pytest.mark.parametrize("p, ns, factors, d, count", ACROSS_N)
+def test_bent_set_does_not_depend_on_n(p, ns, factors, d, count):
+    """The field verdict divides the counts by mu_d, which depends on p, d
+    and the root u_d alone.  In these rows Phi_d stays irreducible mod p, so
+    mu_d is Phi_d mod p for every n, and the bent tables are the same."""
+    specs = [_spec((p, n, None), factors) for n in ns]
+    mus = {tuple(_minimal_polynomial(spec.ctx.circle_subgroup_generator(d))) for spec in specs}
+    tables = {search_bent(spec, d).tables for spec in specs}
+    assert mus == {tuple(c % p for c in _cyclotomic(d))}
+    assert len(tables) == 1 and len(tables.pop()) == count
 
 
 # sha256 of repr(search_bent(spec, d).tables), taken with the kernel that
