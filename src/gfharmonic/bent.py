@@ -11,12 +11,11 @@ tables.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 import os
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .characters import Record, ScalarFunction
 from .errors import (
@@ -201,29 +200,24 @@ def _direction_rows(spec: GroupSpec) -> Iterator[operator.itemgetter]:
     return (operator.itemgetter(*spec.translate_row(a)) for a in spec.directions_up_to_sign())
 
 
-def _mu_divides(mu: list[int], p: int, counts: list[int]) -> bool:
-    return not any(_poly_rem(counts, mu, p))
-
-
-def _field_verdict(ctx: FieldContext, d: int) -> Callable[[list[int]], bool]:
-    """Whether the minimal polynomial of u_d over GF(p) divides counts mod p; checks d | s."""
-    mu = _minimal_polynomial(ctx.circle_subgroup_generator(d))
-    return functools.partial(_mu_divides, mu, ctx.p)
+def _field_verdict(ctx: FieldContext, d: int) -> tuple[list[int], int]:
+    """(mu_d, p): the minimal polynomial of u_d, dividing counts over GF(p); checks d | s."""
+    return _minimal_polynomial(ctx.circle_subgroup_generator(d)), ctx.p
 
 
 class _CountKernel:
     """A verdict on the counts c_a[j] = #{x : e[a+x] - e[x] = j mod d} of
     tables e: G -> Z_d, whose autocorrelation at a is c_a(w), w of order d.
-    `verdict` (picklable: pool workers receive the kernel) decides whether a
-    monic divisor divides c_a: mu_d, the minimal polynomial of u_d, over GF(p)
-    for the field (`_field_verdict`), Phi_d over Z classically.  Both vanish
+    `verdict` is (divisor, p): c_a passes when the monic divisor divides it
+    over GF(p), or over Z when p is 0: (mu_d, p), mu_d the minimal polynomial
+    of u_d, for the field (`_field_verdict`), (Phi_d, 0) classically.  Both vanish
     at 1/w with w (1/u_d = u_d^(p^n) is a conjugate), and c_{-a}(w) = c_a(1/w),
     so one row of each pair {a, -a} is counted.  A row's counts are summed at
     C level into one int, |G|.bit_length() bits a class; each sum is decided once.
     """
 
-    def __init__(self, order: int, d: int, verdict: Callable[[list[int]], bool]):
-        self.d, self.verdict = d, verdict
+    def __init__(self, order: int, d: int, verdict: tuple[Sequence[int], int]):
+        self.d, (self.divisor, self.p) = d, verdict
         # lanes[e[a+x] - e[x]] counts one in the lane of that difference mod d.
         self.lane_bits = order.bit_length()
         self.lanes = [1 << (self.lane_bits * j) for j in range(d)]
@@ -238,7 +232,7 @@ class _CountKernel:
             if ok is None:
                 mask = (1 << self.lane_bits) - 1
                 counts = [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
-                ok = verdicts[packed] = self.verdict(counts)
+                ok = verdicts[packed] = not any(_poly_rem(counts, self.divisor, self.p))
             if not ok:
                 return False
         return True
@@ -254,7 +248,7 @@ class _SearchKernel(_CountKernel):
     normalized table: e[0] = 0 and e[g_j] < d / gcd(d, d_j) at each g_j.
     """
 
-    def __init__(self, spec: GroupSpec, d: int, verdict: Callable[[list[int]], bool]):
+    def __init__(self, spec: GroupSpec, d: int, verdict: tuple[Sequence[int], int]):
         super().__init__(spec.order, d, verdict)
         self.rows = list(_direction_rows(spec))
         # ranges[i] lists the values point i takes in a normalized table.
@@ -292,7 +286,7 @@ class _SearchKernel(_CountKernel):
 
 
 def _search(
-    spec: GroupSpec, d: int, verdict: Callable[[list[int]], bool], budget: int, jobs: int
+    spec: GroupSpec, d: int, verdict: tuple[Sequence[int], int], budget: int, jobs: int
 ) -> SearchResult:
     """Every table G -> Z_d whose difference counts pass verdict.  |G| is
     bounded first (so d^|G|, d | p^n + 1 <= 257, has at most 617 digits), then

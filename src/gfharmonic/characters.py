@@ -116,10 +116,6 @@ class ScalarFunction(Record):
         ctx.circle_subgroup_generator(d)  # validates d | s
         s = ctx.circle_order
         step = s // d
-        if len(exponents) != spec.order:
-            raise SpecMismatch(
-                f"exponent table has {len(exponents)} entries, group has {spec.order}"
-            )
         values = tuple(
             FieldElement(ctx, ctx._circle_pow[step * (int(e) % d) % s]) for e in exponents
         )

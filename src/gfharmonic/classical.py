@@ -20,7 +20,6 @@ import functools
 import math
 import sys
 from operator import lshift, mul
-from typing import Callable
 
 from .bent import _CountKernel, _direction_rows, is_bent_spectral
 from .characters import Record, ScalarFunction
@@ -120,14 +119,10 @@ def is_classical_bent(ef: ExponentFunction) -> bool:
     return kernel.holds(ef.exponents, _direction_rows(spec))
 
 
-def _phi_divides(phi: tuple[int, ...], counts: list[int]) -> bool:
-    return not any(_divmod_monic(counts, phi)[1])
-
-
-def _classical_verdict(spec: GroupSpec, m: int) -> Callable[[list[int]], bool]:
-    """Whether Phi_m divides counts c in Z[x], with no field arithmetic; checks m | s."""
+def _classical_verdict(spec: GroupSpec, m: int) -> tuple[tuple[int, ...], int]:
+    """(Phi_m, 0): Phi_m dividing the counts in Z[x], with no field arithmetic; checks m | s."""
     _check_root_order(spec, m)
-    return functools.partial(_phi_divides, _cyclotomic(m))
+    return _cyclotomic(m), 0
 
 
 def embed(ef: ExponentFunction) -> ScalarFunction:

@@ -292,14 +292,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except HarmonicError as exc:
-        witness = exc.witness
+    except (HarmonicError, OSError) as exc:
+        harmonic = isinstance(exc, HarmonicError)
+        code, witness = (exc.code, exc.witness) if harmonic else ("io-error", None)
         if isinstance(witness, FieldElement):
             witness = element_to_obj(witness)
-        record = {"code": exc.code, "message": str(exc), "witness": witness}
-        sys.stderr.write(dumps(record) + "\n")
-        return 2
-    except OSError as exc:
-        record = {"code": "io-error", "message": str(exc), "witness": None}
+        record = {"code": code, "message": str(exc), "witness": witness}
         sys.stderr.write(dumps(record) + "\n")
         return 2

@@ -90,9 +90,10 @@ def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
 
 
 def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic b over GF(p): division by a monic
-    polynomial commutes with reduction mod p."""
-    return [c % p for c in _divmod_monic(a, b)[1]]
+    """Remainder of a modulo the monic b over GF(p), or over Z when p is 0:
+    division by a monic polynomial commutes with reduction mod p."""
+    r = _divmod_monic(a, b)[1]
+    return [c % p for c in r] if p else r
 
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:

@@ -386,6 +386,7 @@ def test_monic_division(case):
     a, b, p = case
     assert field._poly_rem(a, b, p) == poly_rem(a, b, p)
     quotient, rem = field._divmod_monic(a, b)
+    assert field._poly_rem(a, b, 0) == rem
     assert len(rem) == len(b) - 1
     back = int_poly_mul(quotient, b)
     assert [x + y for x, y in zip(back, rem + [0] * len(back))] == a
@@ -451,9 +452,9 @@ class TestMinimalPolynomial:
 
     @pytest.mark.parametrize("p, n", ALL_FIELDS, ids=FIELD_IDS)
     def test_verdict_matches_the_field_sum(self, p, n):
-        """_field_verdict(ctx, d)(c) against sum_j c[j] u_d^j == 0, the route
-        of count_route_is_bent, on random counts and on multiples of mu_d with
-        each coefficient lifted by a random multiple of p."""
+        """(mu_d, p) = _field_verdict(ctx, d) dividing c, against the route of
+        count_route_is_bent, sum_j c[j] u_d^j == 0, on random counts and on
+        multiples of mu_d with each coefficient lifted by a random multiple of p."""
         ctx = _context(p, n)
         rng = random.Random(p * 100 + n)
         for d in _circle_divisors(ctx):
@@ -464,5 +465,7 @@ class TestMinimalPolynomial:
                 quotient = [rng.randrange(p) for _ in range(d - len(mu) + 1)]
                 multiple = [c + p * rng.randrange(4) for c in poly_mul(quotient, mu, p)]
                 counts = [rng.randrange(3 * p) for _ in range(d)]
-                assert verdict(multiple) and _at(ctx, multiple, ud).is_zero(), (d, multiple)
-                assert verdict(counts) == _at(ctx, counts, ud).is_zero(), (d, counts)
+                assert not any(field._poly_rem(multiple, *verdict)), (d, multiple)
+                assert _at(ctx, multiple, ud).is_zero(), (d, multiple)
+                zero = _at(ctx, counts, ud).is_zero()
+                assert (not any(field._poly_rem(counts, *verdict))) == zero, (d, counts)

@@ -29,7 +29,14 @@ from gfharmonic import (
     mm_construct,
     search_bent,
 )
-from gfharmonic.bent import _field_verdict, _SearchKernel
+from gfharmonic.bent import (
+    MAX_CANDIDATES,
+    _CountKernel,
+    _direction_rows,
+    _field_verdict,
+    _search,
+    _SearchKernel,
+)
 from gfharmonic.classical import _classical_verdict, _cyclotomic
 from gfharmonic.field import _minimal_polynomial
 from _oracles import (
@@ -38,6 +45,7 @@ from _oracles import (
     naive_expand,
     naive_search,
     orbit_shifts,
+    poly_mul,
 )
 
 # (p, n, modulus or None for the default): GF(4), GF(9), GF(9) mod
@@ -234,6 +242,62 @@ def test_bent_set_does_not_depend_on_n(p, ns, factors, d, count):
     tables = {search_bent(spec, d).tables for spec in specs}
     assert mus == {tuple(c % p for c in _cyclotomic(d))}
     assert len(tables) == 1 and len(tables.pop()) == count
+
+
+def _galois_factors(ctx, d):
+    """(k, mu_k) for one unit k mod d per Frobenius orbit {k p^i}, mu_k the
+    minimal polynomial of u_d^k: one irreducible factor of Phi_d mod p each."""
+    ud, seen, out = ctx.circle_subgroup_generator(d), set(), []
+    for k in range(1, d):
+        if math.gcd(k, d) == 1 and k not in seen:
+            seen.update(k * ctx.p**i % d for i in range(d))
+            out.append((k, _minimal_polynomial(ud**k)))
+    product = functools.reduce(lambda a, b: poly_mul(a, b, ctx.p), (mu for _, mu in out))
+    assert product == [c % ctx.p for c in _cyclotomic(d)]
+    return out
+
+
+# (factors, count): Phi_7 is three quadratics mod 41, so GF(41^2) with d = 7
+# has three field verdicts (mu_k, 41), each passing `count` tables.
+GALOIS_SEARCH = [(((6, 1),), 84), (((2, 1), (3, 1)), 84)]
+
+
+@pytest.mark.parametrize("factors, count", GALOIS_SEARCH)
+def test_conjugate_verdicts_pass_unit_multiples_of_the_bent_set(factors, count):
+    """The counts of k e at u_d are those of e at u_d^k, so (mu_k, p) passes
+    exactly the tables k^-1 e, e bent: three distinct sets here."""
+    spec = _spec((41, 1, None), factors)
+    bent = search_bent(spec, 7).tables
+    found = []
+    for k, mu in _galois_factors(spec.ctx, 7):
+        tables = set(_search(spec, 7, (mu, 41), MAX_CANDIDATES, 1).tables)
+        assert tables == {tuple(pow(k, -1, 7) * x % 7 for x in e) for e in bent}, k
+        found.append(frozenset(tables))
+    assert len(set(found)) == 3 and {len(t) for t in found} == {count}
+
+
+# (p, n, d): Phi_13 is three quartics mod 5, Phi_17 two octics mod 2.
+GALOIS_SAMPLED = [(5, 2, 13), (2, 4, 17)]
+
+
+@pytest.mark.parametrize("p, n, d", GALOIS_SAMPLED)
+def test_conjugate_verdicts_decide_unit_multiples(p, n, d):
+    """(mu_k, p) on e against the field verdict (mu_1, p) on k e, on Z_d,
+    over random tables and the quadratic tables x -> a x^2 + b x, which are
+    bent and so pass every conjugate verdict."""
+    spec = _spec((p, n, None), ((d, 1),))
+    rng = random.Random(d)
+    quadratic = [
+        tuple((a * x * x + b * x) % d for x in range(d)) for a in (1, 2, 3) for b in (0, 1, 2)
+    ]
+    tables = [tuple(rng.randrange(d) for _ in range(d)) for _ in range(200)] + quadratic
+    field = _CountKernel(d, d, _field_verdict(spec.ctx, d))
+    for k, mu in _galois_factors(spec.ctx, d):
+        conjugate = _CountKernel(d, d, (mu, p))
+        for e in tables:
+            expected = field.holds([k * x % d for x in e], _direction_rows(spec))
+            assert conjugate.holds(e, _direction_rows(spec)) == expected, (k, e)
+        assert all(conjugate.holds(e, _direction_rows(spec)) for e in quadratic), k
 
 
 # sha256 of repr(search_bent(spec, d).tables), taken with the kernel that
