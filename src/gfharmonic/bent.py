@@ -154,12 +154,12 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
 # Measured on a 2-vCPU VM with Python 3.11, on Z_4^2 over GF(9) with d = 2: a
 # cold `gfharmonic search --jobs 2` process takes a median 11 ms (quartiles
 # 4-21 ms, two sets of 30 pairs) longer than `--jobs 1` to import the process
-# pool and start two workers that receive the kernel.  Per-direction count
-# lists decided a normalized table in 2.7-3.2 us there (also Z_3^2 with d = 3);
-# the packed kernel is about 2 and 3 times as fast (the two timed alternately),
-# so a worker pays for its start-up at about 11 ms / 1.3 us ~ 8500 tables, and
-# the nearest power of two is 8192.  BLOCK stays 4096 while no benchmark
-# workload starts a pool, since no benchmark could then show what a change does.
+# pool and start two workers that receive the kernel.  The kernel decides a
+# normalized table there in 2.3 us (a warm `run(())`: the median over five
+# processes of the best of seven; 3.0 us when each table was decided alone),
+# and in 1.5 us on Z_3^2 with d = 3.  So a worker pays for its start-up at
+# about 11 ms / 2.3 us ~ 4800 tables, and the nearest power of two is 4096.
+# No benchmark workload starts a pool yet, so no benchmark shows the choice.
 BLOCK = 4096
 
 # The default budget of a search, and of `compare --exhaustive`, in tables.
@@ -230,12 +230,17 @@ class _CountKernel:
             packed = sum(map(lane, map(operator.sub, row(e), e)))
             ok = verdicts.get(packed)
             if ok is None:
-                mask = (1 << self.lane_bits) - 1
-                counts = [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
-                ok = verdicts[packed] = not any(_poly_rem(counts, self.divisor, self.p))
+                ok = self._decide(packed)
             if not ok:
                 return False
         return True
+
+    def _decide(self, packed: int) -> bool:
+        """The verdict on one packed count vector, decided and cached."""
+        mask = (1 << self.lane_bits) - 1
+        counts = [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
+        ok = self.verdicts[packed] = not any(_poly_rem(counts, self.divisor, self.p))
+        return ok
 
 
 class _SearchKernel(_CountKernel):
@@ -246,11 +251,15 @@ class _SearchKernel(_CountKernel):
     each coordinate generator g_j is a multiple of d / gcd(d, d_j).  These
     d * prod gcd(d, d_j) shifts act freely, and each orbit holds exactly one
     normalized table: e[0] = 0 and e[g_j] < d / gcd(d, d_j) at each g_j.
+
+    The tables that differ only at the last point z = |G| - 1 are decided
+    together.  A row a reads e[z] in two terms, x = z and x = z - a, so its
+    packed counts for e[z] = v are the row sum with e[z] = 0 plus two lane
+    vectors indexed by v, looked up by e[a + z] and by e[z - a].
     """
 
     def __init__(self, spec: GroupSpec, d: int, verdict: tuple[Sequence[int], int]):
         super().__init__(spec.order, d, verdict)
-        self.rows = list(_direction_rows(spec))
         # ranges[i] lists the values point i takes in a normalized table.
         self.ranges = [range(1)] + [range(d)] * (spec.order - 1)
         homs = []
@@ -262,11 +271,44 @@ class _SearchKernel(_CountKernel):
         self.normalized = math.prod(map(len, self.ranges))
         # Each h past point 0 (h(0) = 0), a byte per point (see MAX_SEARCH_ORDER).
         self.shifts = [bytes(h % d for h in _outer_sum(p)[1:]) for p in itertools.product(*homs)]
+        # Each row with the indices of a + z and z - a, where it reads e[z].
+        z, lanes = spec.order - 1, self.lanes
+        self.rows, self.ends = [], []
+        for a in spec.directions_up_to_sign():
+            row = spec.translate_row(a)
+            self.rows.append(operator.itemgetter(*row))
+            self.ends.append((row[z], row.index(z)))
+        # into[k][v] moves the term e[a + z] - e[z] from k - 0 to k - v, and
+        # out_of[k][v] the term e[z] - e[z - a] from 0 - k to v - k.
+        self.into = [[lanes[k - v] - lanes[k] for v in self.ranges[z]] for k in range(d)]
+        self.out_of = [[lanes[v - k] - lanes[-k] for v in self.ranges[z]] for k in range(d)]
 
     def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The normalized tables that start with prefix and pass the verdict."""
-        tables = (prefix + suffix for suffix in itertools.product(*self.ranges[len(prefix):]))
-        return [e for e in tables if self.holds(e, self.rows)]
+        z = len(self.ranges) - 1
+        if len(prefix) > z:
+            return [prefix] if self.holds(prefix, self.rows) else []
+        lane, get, found = self.lanes.__getitem__, self.verdicts.get, []
+        rows, into, out_of = list(zip(self.rows, self.ends)), self.into, self.out_of
+        # Every table that starts with prefix and has e[z] = 0.
+        heads = itertools.product(*([v] for v in prefix), *self.ranges[len(prefix) : z], range(1))
+        for e in heads:
+            values = self.ranges[z]
+            for row, (i, j) in rows:
+                base = sum(map(lane, map(operator.sub, row(e), e)))
+                moved_in, moved_out, kept = into[e[i]], out_of[e[j]], []
+                for v in values:
+                    packed = base + moved_in[v] + moved_out[v]
+                    ok = get(packed)
+                    if ok is None:
+                        ok = self._decide(packed)
+                    if ok:
+                        kept.append(v)
+                values = kept
+                if not values:
+                    break
+            found.extend(e[:z] + (v,) for v in values)
+        return found
 
     def expand(self, normalized: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Every shift of the given normalized tables, in mixed-radix order.

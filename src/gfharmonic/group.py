@@ -122,7 +122,9 @@ class GroupSpec:
 
     def directions_up_to_sign(self) -> Iterator[GroupElement]:
         """The first-listed element of each pair {a, -a} with a != 0, in canonical order."""
-        return (a for i, a in enumerate(self.elements()) if i and self.index_of(self.neg(a)) >= i)
+        parts = [[-x % d * st for x in range(d)] for d, st in zip(self.dims, self._strides)]
+        neg = _outer_sum(parts)  # neg[i] is the index of -a, a the i-th element
+        return (a for i, a in enumerate(self.elements()) if i and neg[i] >= i)
 
     def index_of(self, x: Sequence[int]) -> int:
         x = self.validate_element(x)

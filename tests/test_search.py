@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import math
 import os
+import pickle
 import random
 
 import pytest
@@ -103,11 +104,11 @@ CASE_EXAMPLES = [
 ]
 
 
-def _with_examples(*rest):
-    """Every case of CASE_EXAMPLES as an explicit example, followed by rest."""
+def _with_examples(*rest, cases=CASE_EXAMPLES):
+    """Every case of cases as an explicit example, followed by rest."""
 
     def decorate(test):
-        for case in CASE_EXAMPLES:
+        for case in cases:
             test = example(case, *rest)(test)
         return test
 
@@ -154,6 +155,35 @@ def test_expand_matches_the_tuple_expansion(case, rng):
     normalized = list(itertools.product(*kernel.ranges))
     subset = rng.sample(normalized, rng.randint(0, len(normalized)))
     assert kernel.expand(subset) == naive_expand(spec, d, subset)
+
+
+# Cases for run(prefix) beyond CASE_EXAMPLES: (field, factors, d).
+PREFIX_EXAMPLES = [
+    ((3, 1, None), ((2, 1),), 2),  # Z_2: the last point is a generator, one value
+    ((3, 1, None), ((2, 1),), 4),  # Z_2 with two values at that generator
+    ((3, 1, None), ((2, 1), (1, 1)), 4),  # Z_2 x Z_1: a generator last, then Z_1
+    ((3, 1, None), ((2, 3),), 2),  # Z_2^3: 2a = 0 for every direction
+    ((3, 1, None), ((4, 2),), 2),  # Z_4^2: 8192 normalized tables, some 2a = 0
+    ((5, 1, None), ((3, 1), (2, 1)), 3),  # d prime to the last factor
+]
+
+
+@settings(max_examples=40, deadline=None)
+@_with_examples(cases=CASE_EXAMPLES + PREFIX_EXAMPLES)
+@given(search_cases())
+def test_run_matches_the_holds_filter_of_each_prefix(case):
+    """run(prefix), which decides the values of the last point together, on
+    a kernel that went through pickle as a pool worker's does, against
+    holds on every normalized table that starts with prefix, depth 0 to 2."""
+    field, factors, d = case
+    spec = _spec(field, factors)
+    reference = _field_kernel(spec, d)
+    normalized = itertools.product(*reference.ranges)
+    passing = [e for e in normalized if reference.holds(e, reference.rows)]
+    run = pickle.loads(pickle.dumps(_field_kernel(spec, d).run))
+    for depth in range(min(2, spec.order) + 1):
+        for prefix in itertools.product(*reference.ranges[:depth]):
+            assert run(prefix) == [e for e in passing if e[:depth] == prefix], prefix
 
 
 def test_product_construction_is_a_lower_bound():
