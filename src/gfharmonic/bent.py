@@ -310,21 +310,26 @@ class _SearchKernel(_CountKernel):
             found.extend(e[:z] + (v,) for v in values)
         return found
 
-    def expand(self, normalized: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Every shift of the given normalized tables, in mixed-radix order.
-        Point 0 of e + c + h is c; the rest is bytes: e + h mod d, looked up
-        point by point, then c added by one translate.  memcmp sorts the bytes
-        of each c in mixed-radix order."""
-        d = self.d
+    def expand(self, normalized: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Every shift of the given normalized tables, in mixed-radix order, with
+        no Python step per table.  Point 0 of e + c + h is c, the other w = |G| - 1
+        bytes: one translate per h adds h to a point's column, which fills every
+        w-th byte of a buffer of rows; one translate per c adds c, and the rows are
+        sorted (memcmp order is mixed-radix order), joined and cut into columns."""
+        d, w, n = self.d, len(self.ranges) - 1, len(normalized) * len(self.shifts)
         ring = bytes(range(min(d, 256))) * (256 // d + 2)  # ring[s + v] = (s + v) % d, v < d
-        adds = [ring[s : s + d] for s in range(d)]  # adds[s][v] = (v + s) % d
-        adders = [list(map(adds.__getitem__, h)) for h in self.shifts]
-        tails = [bytes(map(operator.getitem, row, e[1:])) for e in normalized for row in adders]
-        return [
-            (c, *t)
-            for c in range(d)
-            for t in sorted(map(bytes.translate, tails, itertools.repeat(ring[c : c + 256])))
-        ]
+        adds = [ring[s : s + 256] for s in range(d)]  # the translate tables of + s
+        columns, buf = list(map(bytes, zip(*normalized)))[1:], bytearray(n * w)
+        for i, (column, hs) in enumerate(zip(columns, zip(*self.shifts))):
+            buf[i::w] = b"".join(map(column.translate, map(adds.__getitem__, hs)))
+        tails = bytes(buf)  # bytes, not bytearray: their slices sort twice as fast
+        # Each row's slice, by count and not range, so that w = 0 gives n empty rows.
+        rows = list(map(slice, itertools.islice(itertools.count(0, w), n), itertools.count(w, w)))
+        found: list[tuple[int, ...]] = []
+        for c in range(d):
+            block = b"".join(sorted(map(tails.translate(adds[c]).__getitem__, rows)))
+            found.extend(zip(itertools.repeat(c, n), *(block[i::w] for i in range(w))))
+        return found
 
 
 def _search(

@@ -101,6 +101,8 @@ CASE_EXAMPLES = [
     ((7, 1, None), ((4, 1),), 8),  # GF(49)
     ((3, 2, None), ((5, 1),), 2),  # GF(81), gcd(2, 5) = 1
     ((2, 8, None), ((1, 1),), 257),  # GF(2^16): d = 257 is past a byte, so |G| = 1
+    ((2, 1, None), ((1, 1),), 3),  # |G| = 1 with d < 257: rows of no bytes
+    ((3, 1, None), ((2, 3),), 2),  # Z_2^3, 2a = 0: no bent table, so nothing to expand
 ]
 
 
@@ -162,7 +164,6 @@ PREFIX_EXAMPLES = [
     ((3, 1, None), ((2, 1),), 2),  # Z_2: the last point is a generator, one value
     ((3, 1, None), ((2, 1),), 4),  # Z_2 with two values at that generator
     ((3, 1, None), ((2, 1), (1, 1)), 4),  # Z_2 x Z_1: a generator last, then Z_1
-    ((3, 1, None), ((2, 3),), 2),  # Z_2^3: 2a = 0 for every direction
     ((3, 1, None), ((4, 2),), 2),  # Z_4^2: 8192 normalized tables, some 2a = 0
     ((5, 1, None), ((3, 1), (2, 1)), 3),  # d prime to the last factor
 ]
