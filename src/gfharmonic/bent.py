@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Sequence
 
 from .characters import Record, ScalarFunction
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .field import FieldContext, FieldElement, _minimal_polynomial, _poly_rem
 from .fourier import _correlate, ft
-from .group import GroupElement, GroupSpec, _outer_sum, make_group
+from .group import _LANE_FORMATS, GroupElement, GroupSpec, _outer_sum, _pack_lanes, make_group
 
 
 class BentReport(Record):
@@ -194,15 +194,13 @@ class SearchResult(Record):
         return len(self.tables)
 
 
-def _direction_rows(spec: GroupSpec) -> Iterator[operator.itemgetter]:
-    """Getters of e[a + x] for every x, one per pair {a, -a} of directions,
-    each built when it is reached.  |G| >= 2 here, so each returns a tuple."""
-    return (operator.itemgetter(*spec.translate_row(a)) for a in spec.directions_up_to_sign())
-
-
 def _field_verdict(ctx: FieldContext, d: int) -> tuple[list[int], int]:
     """(mu_d, p): the minimal polynomial of u_d, dividing counts over GF(p); checks d | s."""
     return _minimal_polynomial(ctx.circle_subgroup_generator(d)), ctx.p
+
+
+# Each byte as a bytes object: bytes.count finds one faster than an int.
+_BYTES = [bytes((j,)) for j in range(256)]
 
 
 class _CountKernel:
@@ -212,34 +210,48 @@ class _CountKernel:
     over GF(p), or over Z when p is 0: (mu_d, p), mu_d the minimal polynomial
     of u_d, for the field (`_field_verdict`), (Phi_d, 0) classically.  Both vanish
     at 1/w with w (1/u_d = u_d^(p^n) is a conjugate), and c_{-a}(w) = c_a(1/w),
-    so one row of each pair {a, -a} is counted.  A row's counts are summed at
-    C level into one int, |G|.bit_length() bits a class; each sum is decided once.
+    so one row of each pair {a, -a} is counted.  `passes` counts a row over
+    the lanes of one int, each residue by one `bytes.count`; each count vector
+    is decided once.
     """
 
-    def __init__(self, order: int, d: int, verdict: tuple[Sequence[int], int]):
+    def __init__(self, d: int, verdict: tuple[Sequence[int], int]):
         self.d, (self.divisor, self.p) = d, verdict
-        # lanes[e[a+x] - e[x]] counts one in the lane of that difference mod d.
-        self.lane_bits = order.bit_length()
-        self.lanes = [1 << (self.lane_bits * j) for j in range(d)]
-        self.verdicts: dict[int, bool] = {}
+        self.verdicts: dict[Hashable, bool] = {}
 
-    def holds(self, e: Sequence[int], rows: Iterable[operator.itemgetter]) -> bool:
-        """Whether the verdict holds along every row; stops at the first that fails."""
-        lane, verdicts = self.lanes.__getitem__, self.verdicts
-        for row in rows:
-            packed = sum(map(lane, map(operator.sub, row(e), e)))
-            ok = verdicts.get(packed)
+    def passes(self, spec: GroupSpec, e: Sequence[int]) -> bool:
+        """Whether the verdict holds along every row of e; stops at the first
+        that fails.  e is held as one int of |G| lanes, each wide enough for
+        2d - 1, and each row is a translate of that int (`GroupSpec._translates`).
+        A row's lanes e[a+x] - e[x] + d lie in [1, 2d - 1]; adding 2^(b-1) - d
+        to a lane of b bits sets its top bit iff it is at least d, and there d
+        is taken off.  Each residue is then counted over the lanes' low bytes."""
+        d = self.d
+        bits = next(b for b in _LANE_FORMATS if 2 * d <= 1 << b)
+        step, top = bits // 8, bits - 1
+        size = spec.order * step
+        ones = int.from_bytes((1).to_bytes(step, "little") * spec.order, "little")
+        table = _pack_lanes(e, bits)
+        base, carry = d * ones - table, ((1 << top) - d) * ones
+        residues, verdicts = _BYTES[:d], self.verdicts
+        for row in spec._translates(table, bits):
+            row += base
+            row -= (row + carry >> top & ones) * d
+            data = row.to_bytes(size, "little")
+            counts = tuple(map(data[::step].count, residues))
+            if d > 256:  # d = 257: residue 256, counted as 0 by its low byte
+                over = data[1::2].count(1)
+                counts = (counts[0] - over, *counts[1:], over)
+            ok = verdicts.get(counts)
             if ok is None:
-                ok = self._decide(packed)
+                ok = self._decide(counts, counts)
             if not ok:
                 return False
         return True
 
-    def _decide(self, packed: int) -> bool:
-        """The verdict on one packed count vector, decided and cached."""
-        mask = (1 << self.lane_bits) - 1
-        counts = [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
-        ok = self.verdicts[packed] = not any(_poly_rem(counts, self.divisor, self.p))
+    def _decide(self, key: Hashable, counts: Sequence[int]) -> bool:
+        """The verdict on one count vector, decided and cached under key."""
+        ok = self.verdicts[key] = not any(_poly_rem(counts, self.divisor, self.p))
         return ok
 
 
@@ -259,7 +271,10 @@ class _SearchKernel(_CountKernel):
     """
 
     def __init__(self, spec: GroupSpec, d: int, verdict: tuple[Sequence[int], int]):
-        super().__init__(spec.order, d, verdict)
+        super().__init__(d, verdict)
+        # lanes[e[a+x] - e[x]] counts one in the lane of that difference mod d.
+        self.lane_bits = spec.order.bit_length()
+        self.lanes = [1 << (self.lane_bits * j) for j in range(d)]
         # ranges[i] lists the values point i takes in a normalized table.
         self.ranges = [range(1)] + [range(d)] * (spec.order - 1)
         homs = []
@@ -286,14 +301,15 @@ class _SearchKernel(_CountKernel):
     def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The normalized tables that start with prefix and pass the verdict."""
         z = len(self.ranges) - 1
-        if len(prefix) > z:
-            return [prefix] if self.holds(prefix, self.rows) else []
         lane, get, found = self.lanes.__getitem__, self.verdicts.get, []
         rows, into, out_of = list(zip(self.rows, self.ends)), self.into, self.out_of
-        # Every table that starts with prefix and has e[z] = 0.
-        heads = itertools.product(*([v] for v in prefix), *self.ranges[len(prefix) : z], range(1))
+        # Every table that starts with prefix and has e[z] = 0, and the values
+        # of e[z] to try: prefix[z] alone when prefix is a whole table.
+        fixed = [[v] for v in prefix[:z]]
+        heads = itertools.product(*fixed, *self.ranges[len(prefix) : z], range(1))
+        last = self.ranges[z] if len(prefix) <= z else prefix[z:]
         for e in heads:
-            values = self.ranges[z]
+            values = last
             for row, (i, j) in rows:
                 base = sum(map(lane, map(operator.sub, row(e), e)))
                 moved_in, moved_out, kept = into[e[i]], out_of[e[j]], []
@@ -301,7 +317,7 @@ class _SearchKernel(_CountKernel):
                     packed = base + moved_in[v] + moved_out[v]
                     ok = get(packed)
                     if ok is None:
-                        ok = self._decide(packed)
+                        ok = self._decide(packed, self._unpack(packed))
                     if ok:
                         kept.append(v)
                 values = kept
@@ -309,6 +325,11 @@ class _SearchKernel(_CountKernel):
                     break
             found.extend(e[:z] + (v,) for v in values)
         return found
+
+    def _unpack(self, packed: int) -> list[int]:
+        """The d counts of a packed row sum, |G|.bit_length() bits each."""
+        mask = (1 << self.lane_bits) - 1
+        return [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
 
     def expand(self, normalized: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Every shift of the given normalized tables, in mixed-radix order, with

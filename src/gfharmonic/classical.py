@@ -5,12 +5,15 @@ read two ways: as a complex-valued function, via zeta_m = exp(2*pi*i/m),
 or as a circle-valued function in the field, via the order-m circle
 generator u_m.  The classical verdict is exact: the autocorrelation at a is
 c_a(zeta_m), where c_a counts the differences e(a + x) - e(x) mod m, so the
-table is classically bent iff Phi_m divides every c_a with a != 0 in Z[x];
-the search's count kernel counts them.  classical_ft runs the field
-transform's separable pass exactly, in Z[x]/(x^s - 1), and rounds once, when
-it evaluates the lane counts at zeta_s.  The embedding into the field is
-exact.  Being bent on the complex side implies being bent on the field side,
-and comparison_check flags any observed counterexample to that implication.
+table is classically bent iff Phi_m divides every c_a with a != 0 in Z[x].
+The count kernel counts them: the search's kernel for `compare
+--exhaustive`, and for one table `_CountKernel.passes`, which holds the
+table as one int of byte lanes and counts each row, a rotation of that int,
+with `bytes.count`.  classical_ft runs the field transform's separable pass
+exactly, in Z[x]/(x^s - 1), and rounds once, when it evaluates the lane
+counts at zeta_s.  The embedding into the field is exact.  Being bent on the
+complex side implies being bent on the field side, and comparison_check
+flags any observed counterexample to that implication.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import math
 import sys
 from operator import lshift, mul
 
-from .bent import _CountKernel, _direction_rows, is_bent_spectral
+from .bent import _CountKernel, is_bent_spectral
 from .characters import Record, ScalarFunction
 from .errors import InvalidOrder, SpecMismatch
 from .field import _divmod_monic
-from .group import GroupSpec
+from .group import _LANE_FORMATS, GroupSpec
 
 
 class ExponentFunction(Record):
@@ -55,10 +58,6 @@ def _check_root_order(spec: GroupSpec, m: int) -> None:
             f"root order {m} does not divide the circle order {s}",
             witness=m,
         )
-
-
-# The lane widths in bits, least first, and their memoryview formats.
-_LANE_FORMATS = {8: "B", 16: "H", 32: "I"}
 
 
 def _lane_ft(ef: ExponentFunction) -> tuple[list[int], int]:
@@ -115,8 +114,7 @@ def is_classical_bent(ef: ExponentFunction) -> bool:
     integers, stopping at the first failing direction."""
     spec = ef.spec
     spec._check_work(spec.order)
-    kernel = _CountKernel(spec.order, ef.m, _classical_verdict(spec, ef.m))
-    return kernel.holds(ef.exponents, _direction_rows(spec))
+    return _CountKernel(ef.m, _classical_verdict(spec, ef.m)).passes(spec, ef.exponents)
 
 
 def _classical_verdict(spec: GroupSpec, m: int) -> tuple[tuple[int, ...], int]:

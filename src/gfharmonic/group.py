@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from typing import Iterator, Sequence
 
 from .errors import InadmissibleFactor, ShapeMismatch, TooLarge
@@ -31,6 +33,17 @@ MAX_LOG2_ORDER = 24
 # per table pair for the routes that sum over G for every element.  Admits
 # Z_17^3 (4913 elements) on every route.
 MAX_WORK = 1 << 25
+
+# The lane widths in bits, least first, and their array and memoryview formats.
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I"}
+
+
+def _pack_lanes(values: Sequence[int], bits: int) -> int:
+    """One int of lanes of `bits` bits, lane i holding values[i] (least first)."""
+    lanes = array(_LANE_FORMATS[bits], values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
 
 
 def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:
@@ -79,6 +92,9 @@ class GroupSpec:
         # Exponent step of the circle generator per coordinate: a coordinate
         # with modulus d contributes multiples of s/d to character exponents.
         self.coord_steps = tuple(s // d for d in self.dims)
+        # (bits, j, r) -> the shifts and masks of _translates that add r to
+        # coordinate j, each built when first needed.
+        self._rotations: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
 
     def _axes(self) -> Iterator[tuple[int, int, Iterator[slice]]]:
         """For each coordinate: its modulus d, its circle-exponent step s/d,
@@ -87,6 +103,32 @@ class GroupSpec:
         for d, st, c in zip(self.dims, self._strides, self.coord_steps):
             blocks = range(0, self.order, d * st)
             yield d, c, (slice(i, i + d * st, st) for b in blocks for i in range(b, b + st))
+
+    def _translates(self, table: int, bits: int) -> Iterator[int]:
+        """table translated by each a of directions_up_to_sign, in that order:
+        table holds |G| lanes of `bits` bits (`_pack_lanes`), lane i at the
+        i-th element, and lane x of each result is lane a + x of table.  Adding
+        r to coordinate j rotates each line along it, d lanes a stride apart:
+        a lane comes down r strides, or up d - r where that would leave the
+        line, so one rotation is two shifts under two masks."""
+        rotations = self._rotations
+        for a in self.directions_up_to_sign():
+            t = table
+            for j, r in enumerate(a):
+                if r:
+                    down, low, up, high = rotations.get((bits, j, r)) or self._rotation(bits, j, r)
+                    t = t >> down & low | t << up & high
+            yield t
+
+    def _rotation(self, bits: int, j: int, r: int) -> tuple[int, int, int, int]:
+        """The shifts and masks of _translates that add r to coordinate j, kept."""
+        d, st = self.dims[j], self._strides[j]
+        step = bits // 8 * st  # the bytes of one stride
+        line = b"\xff" * step * (d - r) + bytes(step * r)  # the lanes that come down
+        low = int.from_bytes(line * (self.order // (d * st)), "little")
+        high = low ^ ((1 << bits * self.order) - 1)
+        rotation = self._rotations[bits, j, r] = (bits * st * r, low, bits * st * (d - r), high)
+        return rotation
 
     def _check_work(self, per_element: int) -> None:
         """Raise TooLarge before a route sums |G| * per_element > MAX_WORK terms."""

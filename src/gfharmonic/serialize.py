@@ -158,14 +158,6 @@ def scalar_function_from_obj(obj: Any) -> ScalarFunction:
 # -- exponent functions ------------------------------------------------------------
 
 
-def exponent_function_to_obj(ef: ExponentFunction) -> dict:
-    return {
-        **group_file_to_obj(ef.spec),
-        "m": ef.m,
-        "exponents": list(ef.exponents),
-    }
-
-
 def exponent_function_from_obj(obj: Any) -> ExponentFunction:
     from .classical import ExponentFunction
 

@@ -33,6 +33,7 @@ from gfharmonic import (
 from gfharmonic.characters import character_value_naive
 from gfharmonic.classical import _cyclotomic, _lane_ft
 from gfharmonic.field import _divmod_monic
+from gfharmonic.serialize import group_file_to_obj
 
 
 def poly_mul(a, b, p):
@@ -331,6 +332,12 @@ def random_vector_function(spec, dim, rng):
             tuple(rng.choice(els) for _ in range(dim)) for _ in range(spec.order)
         ),
     )
+
+
+def exponent_function_to_obj(ef):
+    """The JSON object of an exponent table, as serialize reads it: the
+    library writes none, so the tests write their own inputs."""
+    return {**group_file_to_obj(ef.spec), "m": ef.m, "exponents": list(ef.exponents)}
 
 
 def all_exponent_tables(spec, d):

@@ -13,6 +13,7 @@ from gfharmonic import (
     BudgetExceeded,
     NotBent,
     NotCircleValued,
+    NotQuadraticResidue,
     ScalarFunction,
     TooLarge,
     autocorrelation,
@@ -179,6 +180,14 @@ class TestDual:
         # |G| = 8 = 2 (mod 3) is not a square, but the bent check comes first.
         with pytest.raises(NotBent):
             dual_bent(ScalarFunction.constant(z2z4, gf9.one))
+
+    def test_bent_table_without_a_square_root_of_the_order(self, z2z4):
+        # A one-point table, bent over GF(9); |G| = 8 = 2 (mod 3) has no square root.
+        f = ScalarFunction.from_exponents(z2z4, 4, (0,) * 7 + (1,))
+        assert is_bent_spectral(f).is_bent
+        with pytest.raises(NotQuadraticResidue) as info:
+            dual_bent(f)
+        assert info.value.witness == 2
 
     def test_one_transform(self, monkeypatch, z3):
         calls = []

@@ -212,20 +212,62 @@ class TestExactVerdict:
 
     def test_stops_at_the_first_failing_direction(self, monkeypatch, z5sq):
         rows = []
-        translate_row = GroupSpec.translate_row
+        translates = GroupSpec._translates
 
-        def counting(spec, a):
-            rows.append(a)
-            return translate_row(spec, a)
+        def counting(spec, table, bits):
+            for row in translates(spec, table, bits):
+                rows.append(row)
+                yield row
 
-        monkeypatch.setattr(GroupSpec, "translate_row", counting)
+        monkeypatch.setattr(GroupSpec, "_translates", counting)
         assert not is_classical_bent(ExponentFunction(z5sq, 5, (0,) * 25))
         assert len(rows) == 1
         rows.clear()
-        # x * y on Z_5^2 is bent: one row per pair {a, -a} is built, 12 in all
+        # x * y on Z_5^2 is bent: one row per pair {a, -a} is counted, 12 in all
         xy = [x * y % 5 for x in range(5) for y in range(5)]
         assert is_classical_bent(ExponentFunction(z5sq, 5, xy))
         assert len(rows) == 12
+
+
+class TestLaneWidths:
+    """The count kernel holds a table as one int of lanes, each wide enough
+    for 2m - 1: a byte up to m = 128, two bytes past it, and at m = 257 one
+    residue, 256, has a high byte.  Each width is checked against the exact
+    transform-side verdict, on a bent table e, on -e, which is bent too, and
+    on a one-point change of e, which is not.  e vanishes at 0, and the
+    change sets the next point to m - 1, as -e does where e is x^2: so the
+    first row counted holds the largest difference, 2m - 1, in a lane."""
+
+    # (p, n, factors, m, the bent table at x)
+    BENT = [
+        # m = 128, the last one-byte lane
+        (127, 1, [(2, 4)], 128, lambda x: 64 * (x[0] * x[1] + x[2] * x[3])),
+        # m = 129, the first two-byte lane
+        (2, 7, [(129, 1)], 129, lambda x: x[0] ** 2),
+        # m = 257, the largest
+        (2, 8, [(257, 1)], 257, lambda x: x[0] ** 2),
+        # the product-construction table
+        (2, 4, [(17, 2)], 17, lambda x: x[0] * x[1] + x[1] ** 2),
+    ]
+
+    @pytest.mark.parametrize("p, n, factors, m, bent", BENT)
+    def test_bent_table_and_a_one_point_change(self, p, n, factors, m, bent):
+        spec = make_group(make_context(p, n), factors)
+        e = [bent(x) % m for x in spec.elements()]
+        assert e[0] == 0 and e[1] != m - 1
+        negated = [-v % m for v in e]
+        changed = [0, m - 1] + e[2:]
+        for table, expected in [(e, True), (negated, True), (changed, False)]:
+            ef = ExponentFunction(spec, m, table)
+            assert is_classical_bent(ef) == exact_classical_bent(ef) == expected
+
+    @pytest.mark.parametrize("p, n, factors, m", [(2, 4, [(17, 2)], 17), (2, 2, [(5, 3)], 5)])
+    def test_random_tables(self, p, n, factors, m):
+        spec = make_group(make_context(p, n), factors)
+        rng = random.Random(f"{factors} {m}")
+        for _ in range(200):
+            ef = ExponentFunction(spec, m, [rng.randrange(m) for _ in range(spec.order)])
+            assert is_classical_bent(ef) == exact_classical_bent(ef), ef.exponents
 
 
 class TestFloatAgreement:

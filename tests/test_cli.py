@@ -28,11 +28,11 @@ from gfharmonic.cli import main
 from gfharmonic.serialize import (
     dumps,
     element_to_obj,
-    exponent_function_to_obj,
     group_file_to_obj,
     scalar_function_to_obj,
     vector_function_to_obj,
 )
+from _oracles import exponent_function_to_obj
 
 
 def run(capsys, *argv):
@@ -231,6 +231,15 @@ class TestBentCommands:
         code, _, err = run(capsys, "dual", "--in", flat_file)
         assert code == 2
         assert json.loads(err)["code"] == "not-bent"
+
+    def test_dual_without_a_square_root_of_the_order(self, capsys, tmp_path, z2z4):
+        # bent over GF(9), but |G| = 8 = 2 (mod 3) is not a square
+        f = ScalarFunction.from_exponents(z2z4, 4, (0,) * 7 + (1,))
+        path = write(tmp_path, "f.json", scalar_function_to_obj(f))
+        code, out, err = run(capsys, "dual", "--in", path)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert (record["code"], record["witness"]) == ("not-quadratic-residue", 2)
 
     @pytest.mark.parametrize(
         "argv",

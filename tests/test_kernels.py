@@ -339,6 +339,9 @@ class TestWorkBound:
 
         monkeypatch.setattr(GroupSpec, "exponent_row", no_row)
         monkeypatch.setattr(GroupSpec, "translate_row", no_row)
+        # is_classical_bent packs the table into one int of |G| lanes first.
+        monkeypatch.setattr(bent_module, "_pack_lanes", no_row)
+        monkeypatch.setattr(GroupSpec, "_translates", no_row)
         f = ScalarFunction.constant(z257sq, z257sq.ctx.one)
         ef = ExponentFunction(z257sq, 257, (0,) * z257sq.order)
         vf = VectorFunction.from_scalar(f, 2)

@@ -14,7 +14,6 @@ from gfharmonic.serialize import (
     context_to_obj,
     dumps,
     exponent_function_from_obj,
-    exponent_function_to_obj,
     group_file_to_obj,
     group_from_file_obj,
     scalar_function_from_obj,
@@ -22,7 +21,7 @@ from gfharmonic.serialize import (
     vector_function_from_obj,
     vector_function_to_obj,
 )
-from _oracles import random_function, random_vector_function
+from _oracles import exponent_function_to_obj, random_function, random_vector_function
 
 
 class TestContext:
