@@ -6,7 +6,10 @@ sum_x f(alpha + x) conj(f(x)) vanish for every nonzero direction alpha;
 both routes are implemented and kept independent so they can cross-check
 each other.  The module also builds duals, the product-group construction
 f(x, y) = chi_x(y) g(y), and an exhaustive search over subgroup-valued
-tables.
+tables.  The spectral test and the dual run on codes: the transform
+kernel (fourier._transform), the norm codes (field._norms) and the
+comparison with |G| mod p, whose code is itself; a FieldElement is built
+only for each value returned.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .errors import (
     NotQuadraticResidue,
     TooLarge,
 )
-from .field import FieldContext, FieldElement, _minimal_polynomial, _poly_rem
-from .fourier import _correlate, ft
+from .field import FieldContext, FieldElement, _minimal_polynomial, _norms, _poly_rem
+from .fourier import _correlate, _scalar, _transform, ft
 from .group import _LANE_FORMATS, GroupElement, GroupSpec, _outer_sum, _pack_lanes, make_group
 
 
@@ -50,16 +53,18 @@ def _require(witness: GroupElement | None, error: type[HarmonicError], what: str
 def is_bent_spectral(f: ScalarFunction) -> BentReport:
     """Bentness by definition: norm(ft(f)(alpha)) == |G| mod p for all alpha."""
     _require(f.circle_witness(), NotCircleValued, "norm")
-    return _spectral_report(f.spec, tuple(v.norm() for v in ft(f).values))
+    spec = f.spec
+    spectrum = _transform(spec, [v.code for v in f.values], 1, 1)
+    return _spectral_report(spec, _norms(spec.ctx, spectrum))
 
 
-def _spectral_report(spec: GroupSpec, norms: tuple[FieldElement, ...]) -> BentReport:
-    """The spectral verdict from a norm table: every norm must be |G| mod p."""
-    target = spec.ctx.from_int(spec.order_mod_p)
-    failing = tuple(
-        spec.element_at(i) for i, v in enumerate(norms) if v != target
-    )
-    return BentReport(not failing, norms, failing)
+def _spectral_report(spec: GroupSpec, norms: Sequence[int]) -> BentReport:
+    """The spectral verdict from the codes of a norm table: every norm must
+    be |G| mod p, whose code is itself."""
+    ctx = spec.ctx
+    fails = map(spec.order_mod_p.__ne__, norms)
+    failing = tuple(itertools.compress(spec.elements(), fails))
+    return BentReport(not failing, tuple([FieldElement(ctx, v) for v in norms]), failing)
 
 
 def derivative(f: ScalarFunction, alpha: Sequence[int]) -> ScalarFunction:
@@ -90,11 +95,9 @@ def _derivative_report(ac: ScalarFunction) -> BentReport:
     """The derivative verdict from an autocorrelation table, with ft(ac) as
     the norm table."""
     spec = ac.spec
-    zero = spec.ctx.zero
     # index 0 is the identity element in canonical order; its direction is exempt
-    failing = tuple(
-        spec.element_at(i) for i, v in enumerate(ac.values) if i and v != zero
-    )
+    directions = itertools.islice(spec.elements(), 1, None)
+    failing = tuple(itertools.compress(directions, [v.code for v in ac.values[1:]]))
     return BentReport(not failing, ft(ac).values, failing)
 
 
@@ -119,8 +122,8 @@ def dual_bent(f: ScalarFunction) -> ScalarFunction:
     p = ctx.p
     c = spec.order_mod_p
     _require(f.circle_witness(), NotCircleValued, "norm")
-    spectrum = ft(f).values
-    report = _spectral_report(spec, tuple(v.norm() for v in spectrum))
+    spectrum = _transform(spec, [v.code for v in f.values], 1, 1)
+    report = _spectral_report(spec, _norms(ctx, spectrum))
     if not report.is_bent:
         raise NotBent(
             f"dual requires a bent input; fails at {len(report.failing_points)} points",
@@ -130,10 +133,10 @@ def dual_bent(f: ScalarFunction) -> ScalarFunction:
         raise NotQuadraticResidue(
             f"|G| mod p = {c} is not a square modulo {p}", witness=c
         )
-    root = _sqrt_mod_prime(c, p)
-    scale = ctx.from_int(pow(root, -1, p))
-    values = tuple(scale * v for v in spectrum)
-    return ScalarFunction(spec, values)
+    # The scale 1 / sqrt(c) multiplies by adding its log; bent spectra have no zero.
+    exp, log, q1 = ctx._exp, ctx._log, ctx.q - 1
+    shift = log[pow(_sqrt_mod_prime(c, p), -1, p)]
+    return _scalar(spec, [exp[(log[x] + shift) % q1] for x in spectrum])
 
 
 def mm_construct(g: ScalarFunction) -> ScalarFunction:
@@ -143,11 +146,14 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
     spec = g.spec
     spec2 = make_group(spec.ctx, spec.factors + spec.factors)
     spec2._check_work(sum(spec2.dims))  # an output table that ft would refuse
-    circle = spec.ctx.circle()
-    values = tuple(
-        circle[k] * v for x in spec.elements() for k, v in zip(spec.exponent_row(x), g.values)
-    )
-    return ScalarFunction(spec2, values)
+    # chi_x(y) g(y) = g^(step k + log g(y)), for chi_x(y) = u^k and u = g^step.
+    ctx = spec.ctx
+    exp, step, q1 = ctx._exp, ctx._step, ctx.q - 1
+    logs = [ctx._log[v.code] for v in g.values]
+    codes = [
+        exp[(step * k + b) % q1] for x in spec.elements() for k, b in zip(spec.exponent_row(x), logs)
+    ]
+    return _scalar(spec2, codes)
 
 
 # A search starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.

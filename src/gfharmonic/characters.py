@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import SpecMismatch
-from .field import FieldElement
+from .field import FieldElement, _norms
 from .group import GroupElement, GroupSpec
 
 
@@ -66,10 +66,10 @@ class Record:
         return type(self), self._fields()
 
 
-def _first_failing(spec: GroupSpec, oks: Iterable[bool]) -> GroupElement | None:
-    """The first point whose flag in oks is false, or None."""
-    for i, ok in enumerate(oks):
-        if not ok:
+def _first_failing(spec: GroupSpec, norms: Iterable[int]) -> GroupElement | None:
+    """The first point whose norm code is not 1, or None."""
+    for i, c in enumerate(norms):
+        if c != 1:
             return spec.element_at(i)
     return None
 
@@ -95,7 +95,7 @@ class ScalarFunction(Record):
 
     def circle_witness(self) -> GroupElement | None:
         """First point whose value has norm != 1, or None if circle-valued."""
-        return _first_failing(self.spec, map(FieldElement.in_circle, self.values))
+        return _first_failing(self.spec, _norms(self.spec.ctx, [v.code for v in self.values]))
 
     @classmethod
     def constant(cls, spec: GroupSpec, value: FieldElement) -> "ScalarFunction":

@@ -11,8 +11,9 @@ monic irreducible modulus polynomial.  Fields here are deliberately
 desk-scale (q at most MAX_Q = 65536), so construction builds full discrete
 log / antilog tables once and every product afterwards is O(1).  The same
 pass packs every power of g into one int, a lane per coefficient, so the
-sum kernels add elements as ints; _reducer decodes such a sum.  A context
-is immutable after construction and safe to share across workers.
+sum kernels add elements as ints; _reducer decodes such a sum.  The
+verdicts take norms on codes, with no element object, through _norms.  A
+context is immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -410,6 +411,12 @@ def _reducer(ctx: FieldContext) -> Callable[[int], int]:
         return lambda x: half[(x := x & ones) & low] | half[x >> shift] << n
     places, mask = [(i * bits, w) for i, w in enumerate(ctx._pw)], (1 << bits) - 1
     return lambda x: sum((x >> sh & mask) % p * w for sh, w in places)
+
+
+def _norms(ctx: FieldContext, codes: Iterable[int]) -> list[int]:
+    """The codes of norm(x) = x^(p^n + 1) for the codes x, by their logs; 0 stays 0."""
+    exp, log, e, q1 = ctx._exp, ctx._log, ctx.sqrt_q + 1, ctx.q - 1
+    return [c and exp[log[c] * e % q1] for c in codes]
 
 
 def _minimal_polynomial(x: FieldElement) -> list[int]:

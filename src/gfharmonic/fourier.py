@@ -9,7 +9,10 @@ FieldContext._terms, whose format field.py owns: a sum of packed elements is
 one int sum, decoded by field._reducer once.
 The transform is separable, since chi_alpha(x) is a product of one factor
 per coordinate: it runs a length-d transform along each coordinate of
-G = prod Z_(d_j), |G| * sum_j d_j terms in all instead of |G|^2.
+G = prod Z_(d_j), |G| * sum_j d_j terms in all instead of |G|^2.  Its
+kernel, _transform, takes and returns codes: ft and inverse_ft wrap it, and
+the spectral verdicts and the vector transforms call it directly, so only
+the values a caller gets back become FieldElements.
 Convolution and the autocorrelations behind the derivative bent criteria
 never transform: they sum the |G| terms F(alpha + x) H(x) for each alpha,
 read from translation rows, reducing every lane before it can overflow.
@@ -26,14 +29,16 @@ from .field import FieldElement, _reducer
 from .group import GroupSpec
 
 
-def _transform(f: ScalarFunction, sign: int, scale_mod_p: int) -> ScalarFunction:
-    spec, ctx = f.spec, f.spec.ctx
+def _transform(spec: GroupSpec, codes: Sequence[int], sign: int, scale_mod_p: int) -> list[int]:
+    """The transform kernel, on codes in canonical order: alpha ->
+    scale * sum_x f(x) chi_alpha(x)^sign, for the codes of f."""
+    ctx = spec.ctx
     q1 = ctx.q - 1
     spec._check_work(sum(spec.dims))
     terms, log, code_of = ctx._terms, ctx._log, _reducer(ctx)
     # The scale, a nonzero element of GF(p), multiplies the first pass.
     shift = log[scale_mod_p]
-    codes = [v.code for v in f.values]
+    codes = list(codes)
     for d, c, lines in spec._axes():
         # Along this axis chi_alpha(x) has the factor u^(c a t) = g^(k a t),
         # where a and t are the coordinates of alpha and x.
@@ -46,17 +51,25 @@ def _transform(f: ScalarFunction, sign: int, scale_mod_p: int) -> ScalarFunction
             codes[line] = [
                 code_of(sum(map(terms.__getitem__, map(add, x_logs, row)))) for row in rows
             ]
-    return ScalarFunction(spec, tuple(FieldElement(ctx, x) for x in codes))
+    return codes
 
 
 def ft(f: ScalarFunction) -> ScalarFunction:
     """Fourier transform: alpha -> sum_x f(x) chi_alpha(x)."""
-    return _transform(f, 1, 1)
+    spec = f.spec
+    return _scalar(spec, _transform(spec, [v.code for v in f.values], 1, 1))
 
 
 def inverse_ft(F: ScalarFunction) -> ScalarFunction:
     """Inverse transform: x -> (|G| mod p)^-1 sum_alpha F(alpha) conj(chi_alpha(x))."""
-    return _transform(F, -1, F.spec.inv_order_mod_p)
+    spec = F.spec
+    return _scalar(spec, _transform(spec, [v.code for v in F.values], -1, spec.inv_order_mod_p))
+
+
+def _scalar(spec: GroupSpec, codes: Sequence[int]) -> ScalarFunction:
+    """The table of the given codes, in canonical order."""
+    ctx = spec.ctx
+    return ScalarFunction(spec, tuple([FieldElement(ctx, x) for x in codes]))
 
 
 def _correlate(
@@ -78,8 +91,8 @@ def _correlate(
         code = 0
         for i in range(0, len(summands), chunk):
             code = code_of(terms[log[code]] + sum(summands[i:i + chunk]))
-        out.append(FieldElement(ctx, code))
-    return ScalarFunction(spec, tuple(out))
+        out.append(code)
+    return _scalar(spec, out)
 
 
 def convolve(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:

@@ -95,6 +95,7 @@ class GroupSpec:
         # (bits, j, r) -> the shifts and masks of _translates that add r to
         # coordinate j, each built when first needed.
         self._rotations: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
+        self._directions: tuple[GroupElement, ...] | None = None
 
     def _axes(self) -> Iterator[tuple[int, int, Iterator[slice]]]:
         """For each coordinate: its modulus d, its circle-exponent step s/d,
@@ -163,10 +164,14 @@ class GroupSpec:
         return itertools.product(*(range(d) for d in self.dims))
 
     def directions_up_to_sign(self) -> Iterator[GroupElement]:
-        """The first-listed element of each pair {a, -a} with a != 0, in canonical order."""
-        parts = [[-x % d * st for x in range(d)] for d, st in zip(self.dims, self._strides)]
-        neg = _outer_sum(parts)  # neg[i] is the index of -a, a the i-th element
-        return (a for i, a in enumerate(self.elements()) if i and neg[i] >= i)
+        """The first-listed element of each pair {a, -a} with a != 0, in canonical
+        order; listed on first use and kept."""
+        if self._directions is None:
+            parts = [[-x % d * st for x in range(d)] for d, st in zip(self.dims, self._strides)]
+            neg = _outer_sum(parts)  # neg[i] is the index of -a, a the i-th element
+            first = [i and j >= i for i, j in enumerate(neg)]
+            self._directions = tuple(itertools.compress(self.elements(), first))
+        return iter(self._directions)
 
     def index_of(self, x: Sequence[int]) -> int:
         x = self.validate_element(x)

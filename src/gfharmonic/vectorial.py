@@ -7,7 +7,11 @@ dot product is only a pairing).  The transform sends alpha to
 sum_x chi_alpha(x) f(x) and works coordinatewise like the scalar one; the
 derivative in direction alpha is the scalar table
 x -> <f(alpha + x), f(x)>, and bentness asks every transformed vector to
-have self-product |G| mod p.
+have self-product |G| mod p.  The transforms run the scalar kernel
+(fourier._transform) on each coordinate's codes, and the spectral test and
+the hypersphere check sum the coordinate norms (field._norms) as packed
+terms, reduced every ctx._chunk terms (_norm_l_codes); norm_l and
+hermitian_dot stay on FieldElement arithmetic.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .errors import (
     NotOnHypersphere,
     SpecMismatch,
 )
-from .field import FieldElement
-from .fourier import _correlate, ft, inverse_ft
+from .field import FieldContext, FieldElement, _norms, _reducer
+from .fourier import _correlate, _transform
 from .group import GroupElement, GroupSpec
 
 FieldVector = tuple[FieldElement, ...]
@@ -74,7 +78,8 @@ class VectorFunction(Record):
 
     def hypersphere_witness(self) -> GroupElement | None:
         """First point whose vector has self-product != 1, or None."""
-        return _first_failing(self.spec, map(on_hypersphere, self.values))
+        columns = [[v.code for v in column] for column in zip(*self.values)]
+        return _first_failing(self.spec, _norm_l_codes(self.spec.ctx, columns))
 
     @classmethod
     def from_scalar(cls, f: ScalarFunction, dim: int, slot: int = 0) -> "VectorFunction":
@@ -95,20 +100,42 @@ def coordinate_function(f: VectorFunction, e: int) -> ScalarFunction:
     return ScalarFunction(f.spec, tuple(vec[e] for vec in f.values))
 
 
-def _coordinatewise(transform, f: VectorFunction) -> VectorFunction:
+def _norm_l_codes(ctx: FieldContext, columns: Sequence[Sequence[int]]) -> list[int]:
+    """norm_l at each point of a table given by its coordinate columns of
+    codes: the coordinate norms summed as packed terms, reduced every
+    ctx._chunk terms so that no lane overflows."""
+    terms, log, code_of, chunk = ctx._terms, ctx._log, _reducer(ctx), ctx._chunk
+    packed = [[terms[log[c]] for c in _norms(ctx, column)] for column in columns]
+    out = [0] * len(columns[0])
+    for i in range(0, len(packed), chunk):
+        out = [code_of(terms[log[c]] + sum(xs)) for c, xs in zip(out, zip(*packed[i:i + chunk]))]
+    return out
+
+
+def _coordinatewise(f: VectorFunction, sign: int, scale_mod_p: int) -> list[list[int]]:
+    """The transform kernel on each coordinate column of f, as codes."""
     f.spec._check_work(f.dim * sum(f.spec.dims))  # all l transforms, before the first
-    coords = [transform(coordinate_function(f, i)).values for i in range(f.dim)]
-    return VectorFunction(f.spec, f.dim, tuple(zip(*coords)))
+    return [
+        _transform(f.spec, [v.code for v in column], sign, scale_mod_p)
+        for column in zip(*f.values)
+    ]
+
+
+def _vectors(spec: GroupSpec, columns: list[list[int]]) -> VectorFunction:
+    """The vector table of the given coordinate columns of codes."""
+    ctx = spec.ctx
+    values = tuple([tuple([FieldElement(ctx, x) for x in vec]) for vec in zip(*columns)])
+    return VectorFunction(spec, len(columns), values)
 
 
 def md_ft(f: VectorFunction) -> VectorFunction:
     """alpha -> sum_x chi_alpha(x) f(x): the coordinate transforms, stacked."""
-    return _coordinatewise(ft, f)
+    return _vectors(f.spec, _coordinatewise(f, 1, 1))
 
 
 def md_inverse_ft(F: VectorFunction) -> VectorFunction:
     """x -> (|G| mod p)^-1 sum_alpha conj(chi_alpha(x)) F(alpha), coordinatewise."""
-    return _coordinatewise(inverse_ft, F)
+    return _vectors(F.spec, _coordinatewise(F, -1, F.spec.inv_order_mod_p))
 
 
 def vector_convolve(f: VectorFunction, g: VectorFunction) -> ScalarFunction:
@@ -134,7 +161,7 @@ def md_derivative(f: VectorFunction, alpha: Sequence[int]) -> ScalarFunction:
 def is_md_bent(f: VectorFunction) -> BentReport:
     """Bentness by definition: norm_l(md_ft(f)(alpha)) == |G| mod p for all alpha."""
     _require(f.hypersphere_witness(), NotOnHypersphere, "self-product")
-    return _spectral_report(f.spec, tuple(norm_l(vec) for vec in md_ft(f).values))
+    return _spectral_report(f.spec, _norm_l_codes(f.spec.ctx, _coordinatewise(f, 1, 1)))
 
 
 def is_md_bent_derivative(f: VectorFunction) -> BentReport:

@@ -191,15 +191,16 @@ class TestDual:
 
     def test_one_transform(self, monkeypatch, z3):
         calls = []
+        transform = bent._transform
 
-        def counting_ft(f):
-            calls.append(f)
-            return ft(f)
+        def counting_transform(spec, codes, sign, scale_mod_p):
+            calls.append((spec, list(codes), sign, scale_mod_p))
+            return transform(spec, codes, sign, scale_mod_p)
 
-        monkeypatch.setattr(bent, "ft", counting_ft)
+        monkeypatch.setattr(bent, "_transform", counting_transform)
         f = ScalarFunction.from_exponents(z3, 3, [0, 1, 1])
         assert dual_bent(f).values == ft(f).values  # the scale is 1 in characteristic 2
-        assert calls == [f]
+        assert calls == [(z3, [v.code for v in f.values], 1, 1)]
 
     def test_square_root_selection(self):
         assert _sqrt_mod_prime(4, 5) == 2  # the smaller of {2, 3}

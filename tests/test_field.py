@@ -203,6 +203,14 @@ class TestNorm:
         for x in gf16.elements():
             assert x.norm().is_zero() == x.is_zero()
 
+    # GF(4), GF(9), GF(25), GF(3^4), GF(2^8) and GF(2^16)
+    @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 4), (2, 8)])
+    def test_norm_codes_match_the_element_norm(self, p, n):
+        ctx = make_context(p, n)
+        want = [x.norm().code for x in ctx.elements()]
+        assert want[0] == 0
+        assert field._norms(ctx, range(ctx.q)) == want
+
 
 class TestCircle:
     def test_gf4_circle_is_all_nonzero_elements(self, gf4):

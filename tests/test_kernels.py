@@ -19,11 +19,14 @@ from hypothesis import strategies as st
 
 import gfharmonic.bent as bent_module
 from gfharmonic import (
+    BentReport,
     ExponentFunction,
     FieldElement,
     GroupSpec,
+    NotBent,
     NotCircleValued,
     NotOnHypersphere,
+    NotQuadraticResidue,
     ScalarFunction,
     TooLarge,
     VectorFunction,
@@ -46,6 +49,8 @@ from gfharmonic import (
     md_ft,
     md_inverse_ft,
     mm_construct,
+    norm_l,
+    search_bent,
     vector_convolve,
 )
 from gfharmonic.group import MAX_WORK
@@ -64,6 +69,7 @@ from _oracles import (
     naive_md_ft,
     naive_md_inverse_ft,
     naive_vector_convolve,
+    random_circle_function,
     random_function,
 )
 
@@ -304,6 +310,132 @@ class TestLongCorrelationSums:
         top = ScalarFunction.constant(spec, spec.ctx.element([p - 1] * spec.ctx.width))
         one = ScalarFunction.constant(spec, spec.ctx.one)
         assert convolve(top, one) == naive_convolve(top, one)
+
+
+class TestLongNormSums:
+    """The spectral verdicts sum the coordinate norms of a vector as packed
+    terms, reduced every ctx._chunk terms.  Over GF(2^16) a lane holds 9
+    bits and a chunk 510 terms, so a vector of 1024 circle values carries
+    past its first lane unless it is reduced in chunks.  Every figure is
+    compared with norm_l, which sums FieldElement products."""
+
+    DIM = 1024
+
+    @pytest.fixture(scope="class")
+    def z1(self):
+        return make_group(make_context(2, 8), [(1, 1)])
+
+    def test_dimension_past_one_lane(self, z1):
+        ctx, dim = z1.ctx, self.DIM
+        assert dim > ctx._chunk == 510
+        rng = random.Random(16)
+        circle, els = ctx.circle(), list(ctx.elements())
+        vectors = [
+            # 1023 norms of one and a zero: on the sphere, with 1023 in lane 0
+            tuple(rng.choice(circle) for _ in range(dim - 1)) + (ctx.zero,),
+            tuple(rng.choice(circle) for _ in range(dim)),  # self-product 1024 = 0
+            tuple(rng.choice(els) for _ in range(dim)),
+            tuple(rng.choice(els) for _ in range(dim - 1)) + (ctx.one,),
+        ]
+        assert norm_l(vectors[0]) == ctx.one
+        for vec in vectors:
+            f = VectorFunction(z1, dim, (vec,))
+            want = norm_l(vec)
+            assert (f.hypersphere_witness() is None) == (want == ctx.one)
+            if want == ctx.one:
+                report = is_md_bent(f)
+                assert report.spectrum_norms == tuple(map(norm_l, naive_md_ft(f).values))
+                assert report.spectrum_norms == (ctx.one,) and report.is_bent
+            else:
+                with pytest.raises(NotOnHypersphere):
+                    is_md_bent(f)
+
+
+def _naive_report(spec, norms):
+    """The spectral verdict on a FieldElement norm table: each norm against
+    |G| mod p, the failing points in canonical order."""
+    target = spec.ctx.from_int(spec.order)
+    failing = tuple(a for a, v in zip(spec.elements(), norms) if v != target)
+    return BentReport(not failing, tuple(norms), failing)
+
+
+def _naive_norm_l(vec):
+    return functools.reduce(FieldElement.__add__, (x.norm() for x in vec))
+
+
+class TestCodeReports:
+    """The spectral verdicts decide on codes; their reports equal a route of
+    the double-sum oracles and FieldElement.norm, on seeded random tables
+    and on bent ones from the search, over GF(4), GF(9) and GF(25)."""
+
+    # (p, n, factors, d of the bent tables)
+    GROUPS = [
+        (2, 1, [(3, 1)], 3),
+        (2, 1, [(3, 2)], 3),
+        (3, 1, [(4, 1)], 4),
+        (3, 1, [(2, 1), (4, 1)], 4),  # |G| = 2 mod 3, no square root
+        (5, 1, [(6, 1)], 6),
+        (5, 1, [(3, 2)], 3),  # |G| = 4 mod 5, the dual scales by 1/2
+    ]
+
+    @staticmethod
+    def tables(spec, d, rng):
+        """Six random circle tables, and up to six bent ones found by the search."""
+        bent = search_bent(spec, d).tables
+        picks = rng.sample(bent, min(6, len(bent)))
+        return [random_circle_function(spec, rng) for _ in range(6)] + [
+            ScalarFunction.from_exponents(spec, d, e) for e in picks
+        ]
+
+    @pytest.mark.parametrize("p, n, factors, d", GROUPS)
+    def test_scalar_reports(self, p, n, factors, d):
+        spec = make_group(make_context(p, n), factors)
+        ctx, c = spec.ctx, spec.order_mod_p
+        rng = random.Random(p * 100 + spec.order)
+        seen = set()
+        for f in self.tables(spec, d, rng):
+            spectrum = naive_ft(f).values
+            want = _naive_report(spec, [v.norm() for v in spectrum])
+            assert is_bent_spectral(f) == want
+            seen.add(want.is_bent)
+            if not want.is_bent:
+                with pytest.raises(NotBent) as info:
+                    dual_bent(f)
+                assert info.value.witness == want.failing_points[0]
+                assert f"fails at {len(want.failing_points)} points" in str(info.value)
+            elif p > 2 and pow(c, (p - 1) // 2, p) != 1:
+                with pytest.raises(NotQuadraticResidue):
+                    dual_bent(f)
+            else:
+                scale = ctx.from_int(pow(bent_module._sqrt_mod_prime(c, p), -1, p))
+                assert dual_bent(f).values == tuple(scale * v for v in spectrum)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("p, n, factors, d", GROUPS)
+    def test_vector_reports(self, p, n, factors, d):
+        spec = make_group(make_context(p, n), factors)
+        ctx = spec.ctx
+        rng = random.Random(p * 100 + spec.order)
+        els = list(ctx.elements())
+        by_norm = {}
+        for x in els:
+            by_norm.setdefault(x.norm(), []).append(x)
+        seen = set()
+        for f in self.tables(spec, d, rng):
+            # (a f, b f) with norm(a) + norm(b) = 1 is md-bent iff f is bent.
+            a = rng.choice(els)
+            b = rng.choice(by_norm[ctx.one - a.norm()])
+            vf = VectorFunction(spec, 2, tuple((a * v, b * v) for v in f.values))
+            # and a table with a random vector of the sphere at each point
+            rows = []
+            for _ in range(spec.order):
+                x = rng.choice(els)
+                rows.append((x, rng.choice(by_norm[ctx.one - x.norm()]), ctx.zero))
+            for g in (vf, VectorFunction(spec, 3, tuple(rows))):
+                want = _naive_report(spec, list(map(_naive_norm_l, naive_md_ft(g).values)))
+                assert is_md_bent(g) == want
+                seen.add(want.is_bent)
+        assert seen == {True, False}
 
 
 class TestOraclesIgnoreThePackedTable:
