@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 import os
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from .characters import Record, ScalarFunction
 from .errors import (
@@ -209,61 +209,46 @@ def _field_verdict(ctx: FieldContext, d: int) -> tuple[list[int], int]:
 _BYTES = [bytes((j,)) for j in range(256)]
 
 
-class _CountKernel:
-    """A verdict on the counts c_a[j] = #{x : e[a+x] - e[x] = j mod d} of
-    tables e: G -> Z_d, whose autocorrelation at a is c_a(w), w of order d.
-    `verdict` is (divisor, p): c_a passes when the monic divisor divides it
-    over GF(p), or over Z when p is 0: (mu_d, p), mu_d the minimal polynomial
-    of u_d, for the field (`_field_verdict`), (Phi_d, 0) classically.  Both vanish
-    at 1/w with w (1/u_d = u_d^(p^n) is a conjugate), and c_{-a}(w) = c_a(1/w),
-    so one row of each pair {a, -a} is counted.  `passes` counts a row over
-    the lanes of one int, each residue by one `bytes.count`; each count vector
-    is decided once.
-    """
+def _passes(spec: GroupSpec, e: Sequence[int], d: int, verdict: tuple[Sequence[int], int]) -> bool:
+    """Whether verdict holds along every row of e: G -> Z_d; stops at the first
+    that fails.  Row a counts c_a[j] = #{x : e[a+x] - e[x] = j mod d}, and c_a(w),
+    w of order d, is the autocorrelation at a.  verdict is (divisor, p): c_a
+    passes when the monic divisor divides it over GF(p), or over Z when p is 0:
+    (mu_d, p) for the field (`_field_verdict`), (Phi_d, 0) classically.  Both
+    vanish at 1/w with w (1/u_d = u_d^(p^n) is a conjugate), and
+    c_{-a}(w) = c_a(1/w), so one row of each pair {a, -a} is counted.
 
-    def __init__(self, d: int, verdict: tuple[Sequence[int], int]):
-        self.d, (self.divisor, self.p) = d, verdict
-        self.verdicts: dict[Hashable, bool] = {}
-
-    def passes(self, spec: GroupSpec, e: Sequence[int]) -> bool:
-        """Whether the verdict holds along every row of e; stops at the first
-        that fails.  e is held as one int of |G| lanes, each wide enough for
-        2d - 1, and each row is a translate of that int (`GroupSpec._translates`).
-        A row's lanes e[a+x] - e[x] + d lie in [1, 2d - 1]; adding 2^(b-1) - d
-        to a lane of b bits sets its top bit iff it is at least d, and there d
-        is taken off.  Each residue is then counted over the lanes' low bytes."""
-        d = self.d
-        bits = next(b for b in _LANE_FORMATS if 2 * d <= 1 << b)
-        step, top = bits // 8, bits - 1
-        size = spec.order * step
-        ones = int.from_bytes((1).to_bytes(step, "little") * spec.order, "little")
-        table = _pack_lanes(e, bits)
-        base, carry = d * ones - table, ((1 << top) - d) * ones
-        residues, verdicts = _BYTES[:d], self.verdicts
-        for row in spec._translates(table, bits):
-            row += base
-            row -= (row + carry >> top & ones) * d
-            data = row.to_bytes(size, "little")
-            counts = tuple(map(data[::step].count, residues))
-            if d > 256:  # d = 257: residue 256, counted as 0 by its low byte
-                over = data[1::2].count(1)
-                counts = (counts[0] - over, *counts[1:], over)
-            ok = verdicts.get(counts)
-            if ok is None:
-                ok = self._decide(counts, counts)
-            if not ok:
-                return False
-        return True
-
-    def _decide(self, key: Hashable, counts: Sequence[int]) -> bool:
-        """The verdict on one count vector, decided and cached under key."""
-        ok = self.verdicts[key] = not any(_poly_rem(counts, self.divisor, self.p))
-        return ok
+    e is held as one int of |G| lanes of b bits, 2d <= 2^b, and each row is a
+    translate of that int (`GroupSpec._translates`).  A row's lanes
+    e[a+x] - e[x] + d lie in [1, 2d - 1]; adding 2^(b-1) - d sets a lane's top
+    bit iff it is at least d, and there d is taken off.  One `bytes.count` over
+    the low bytes counts each residue, and each count vector is decided once."""
+    bits = next(b for b in _LANE_FORMATS if 2 * d <= 1 << b)
+    step, top = bits // 8, bits - 1
+    size = spec.order * step
+    ones = int.from_bytes((1).to_bytes(step, "little") * spec.order, "little")
+    table = _pack_lanes(e, bits)
+    base, carry = d * ones - table, ((1 << top) - d) * ones
+    residues, verdicts = _BYTES[:d], {}
+    for row in spec._translates(table, bits):
+        row += base
+        row -= (row + carry >> top & ones) * d
+        data = row.to_bytes(size, "little")
+        counts = tuple(map(data[::step].count, residues))
+        if d > 256:  # d = 257: residue 256, counted as 0 by its low byte
+            over = data[1::2].count(1)
+            counts = (counts[0] - over, *counts[1:], over)
+        ok = verdicts.get(counts)
+        if ok is None:
+            ok = verdicts[counts] = not any(_poly_rem(counts, *verdict))
+        if not ok:
+            return False
+    return True
 
 
-class _SearchKernel(_CountKernel):
-    """The count kernel, with every row built once, over one normalized table
-    per orbit of e -> e + c + h, for a constant c and a homomorphism
+class _SearchKernel:
+    """The verdict of `_passes`, with every row built once, over one normalized
+    table per orbit of e -> e + c + h, for a constant c and a homomorphism
     h: G -> Z_d.  At a, e + c + h has the differences of e plus h(a), which
     multiplies c_a by x^h(a) mod x^d - 1 and keeps either verdict.  h_j at
     each coordinate generator g_j is a multiple of d / gcd(d, d_j).  These
@@ -273,11 +258,13 @@ class _SearchKernel(_CountKernel):
     The tables that differ only at the last point z = |G| - 1 are decided
     together.  A row a reads e[z] in two terms, x = z and x = z - a, so its
     packed counts for e[z] = v are the row sum with e[z] = 0 plus two lane
-    vectors indexed by v, looked up by e[a + z] and by e[z - a].
+    vectors indexed by v, looked up by e[a + z] and by e[z - a].  Each packed
+    count vector is decided once, in `verdicts`.
     """
 
     def __init__(self, spec: GroupSpec, d: int, verdict: tuple[Sequence[int], int]):
-        super().__init__(d, verdict)
+        self.d, self.verdict = d, verdict
+        self.verdicts: dict[int, bool] = {}
         # lanes[e[a+x] - e[x]] counts one in the lane of that difference mod d.
         self.lane_bits = spec.order.bit_length()
         self.lanes = [1 << (self.lane_bits * j) for j in range(d)]
@@ -305,17 +292,14 @@ class _SearchKernel(_CountKernel):
         self.out_of = [[lanes[v - k] - lanes[-k] for v in self.ranges[z]] for k in range(d)]
 
     def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The normalized tables that start with prefix and pass the verdict."""
+        """The normalized tables that start with prefix, a proper one, and pass the verdict."""
         z = len(self.ranges) - 1
-        lane, get, found = self.lanes.__getitem__, self.verdicts.get, []
+        lane, get, verdicts, found = self.lanes.__getitem__, self.verdicts.get, self.verdicts, []
         rows, into, out_of = list(zip(self.rows, self.ends)), self.into, self.out_of
-        # Every table that starts with prefix and has e[z] = 0, and the values
-        # of e[z] to try: prefix[z] alone when prefix is a whole table.
-        fixed = [[v] for v in prefix[:z]]
-        heads = itertools.product(*fixed, *self.ranges[len(prefix) : z], range(1))
-        last = self.ranges[z] if len(prefix) <= z else prefix[z:]
+        # Every table that starts with prefix and has e[z] = 0.
+        heads = itertools.product(*([v] for v in prefix), *self.ranges[len(prefix) : z], range(1))
         for e in heads:
-            values = last
+            values = self.ranges[z]
             for row, (i, j) in rows:
                 base = sum(map(lane, map(operator.sub, row(e), e)))
                 moved_in, moved_out, kept = into[e[i]], out_of[e[j]], []
@@ -323,7 +307,8 @@ class _SearchKernel(_CountKernel):
                     packed = base + moved_in[v] + moved_out[v]
                     ok = get(packed)
                     if ok is None:
-                        ok = self._decide(packed, self._unpack(packed))
+                        counts = self._unpack(packed)
+                        ok = verdicts[packed] = not any(_poly_rem(counts, *self.verdict))
                     if ok:
                         kept.append(v)
                 values = kept
@@ -383,6 +368,8 @@ def _search(
     # Imported here so that only a search big enough for workers loads the pool.
     from concurrent.futures import ProcessPoolExecutor
 
+    # Each prefix is shorter than a table, as run needs: workers <= normalized // BLOCK,
+    # and the first |G| - 1 ranges hold normalized / d >= normalized // 256 tables.
     depth, blocks = 0, 1
     while blocks < workers:
         blocks *= len(kernel.ranges[depth])

@@ -6,10 +6,10 @@ or as a circle-valued function in the field, via the order-m circle
 generator u_m.  The classical verdict is exact: the autocorrelation at a is
 c_a(zeta_m), where c_a counts the differences e(a + x) - e(x) mod m, so the
 table is classically bent iff Phi_m divides every c_a with a != 0 in Z[x].
-The count kernel counts them: the search's kernel for `compare
---exhaustive`, and for one table `_CountKernel.passes`, which holds the
-table as one int of byte lanes and counts each row, a rotation of that int,
-with `bytes.count`.  classical_ft runs the field transform's separable pass
+Two count routes divide them: the search's kernel for `compare
+--exhaustive`, and for one table `bent._passes`, which holds the table as
+one int of byte lanes and counts each row, a rotation of that int, with
+`bytes.count`.  classical_ft runs the field transform's separable pass
 exactly, in Z[x]/(x^s - 1), and rounds once, when it evaluates the lane
 counts at zeta_s.  The embedding into the field is exact.  Being bent on the
 complex side implies being bent on the field side, and comparison_check
@@ -24,7 +24,7 @@ import math
 import sys
 from operator import lshift, mul
 
-from .bent import _CountKernel, is_bent_spectral
+from .bent import _passes, is_bent_spectral
 from .characters import Record, ScalarFunction
 from .errors import InvalidOrder, SpecMismatch
 from .field import _divmod_monic
@@ -114,7 +114,7 @@ def is_classical_bent(ef: ExponentFunction) -> bool:
     integers, stopping at the first failing direction."""
     spec = ef.spec
     spec._check_work(spec.order)
-    return _CountKernel(ef.m, _classical_verdict(spec, ef.m)).passes(spec, ef.exponents)
+    return _passes(spec, ef.exponents, ef.m, _classical_verdict(spec, ef.m))
 
 
 def _classical_verdict(spec: GroupSpec, m: int) -> tuple[tuple[int, ...], int]:

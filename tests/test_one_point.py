@@ -7,6 +7,9 @@ N^2 - N t + t at alpha = 0, so f is field bent iff w + 1/w = 2 - N.  For
 |G| > 4 no such table is classically bent, since |w - 1|^2 <= 4 there.
 Shifting the exponents by c + h keeps the criterion, so a group with W
 valid w has |G| * W * d * prod gcd(d, d_j) such exponent tables G -> Z_d.
+On Z_3^2 over GF(4) the other field-only tables are one-point changes of
+rank-1 quadratic tables, and on groups no search reaches the one-point
+tables still show field bentness strictly weaker than classical bentness.
 """
 
 import itertools
@@ -15,9 +18,12 @@ import math
 import pytest
 
 from gfharmonic import (
+    ExponentFunction,
     ScalarFunction,
+    embed,
     is_bent_autocorr,
     is_bent_spectral,
+    is_classical_bent,
     make_context,
     make_group,
     search_bent,
@@ -98,3 +104,56 @@ def test_one_point_tables_are_the_field_only_tables(p, n, factors, d, count):
     assert classical <= field
     assert field - classical == one_point
     assert len(one_point) == formula == count
+
+
+def _one_point_changes(tables, d):
+    """Every table h + t delta_x0 with h in tables, x0 in G and 0 < t < d."""
+    return {
+        h[:x0] + ((h[x0] + t) % d,) + h[x0 + 1 :]
+        for h in tables
+        for x0 in range(len(h))
+        for t in range(1, d)
+    }
+
+
+def test_rank_one_changes_are_the_other_field_only_tables():
+    """On Z_3^2 over GF(4) with d = 3, the field-only tables that are not
+    one-point tables are exactly the field-bent one-point changes of the
+    rank-1 tables h = c (a . x)^2 + b . x + k, one a per line through 0."""
+    spec = make_group(make_context(2, 1), [(3, 2)])
+    lines = [(1, 0), (0, 1), (1, 1), (1, 2)]
+    rank_one = {
+        tuple((c * (a0 * x + a1 * y) ** 2 + s) % 3 for (x, y), s in zip(spec.elements(), shift))
+        for a0, a1 in lines
+        for c in (1, 2)
+        for shift in orbit_shifts(spec, 3)
+    }
+    changes = _one_point_changes(rank_one, 3)
+    field = set(search_bent(spec, 3).tables)
+    classical = set(_search(spec, 3, _classical_verdict(spec, 3), MAX_CANDIDATES, 1).tables)
+    affine_changes = _one_point_changes(orbit_shifts(spec, 3), 3)
+    assert (len(rank_one), len(changes)) == (216, 3888)
+    assert not changes & classical
+    assert field - classical - affine_changes == changes & field
+    counts = [len(field), len(classical), len(affine_changes & field), len(changes & field)]
+    assert counts == [2916, 486, 486, 1944]
+
+
+# (p, n, factors, m, k): u_m^k meets the criterion, so e = k delta_x0 is field
+# bent on these groups of 729 to 2187 elements, and not classically bent.
+AT_SCALE = [
+    (2, 1, ((3, 7),), 3, 1),
+    (2, 1, ((3, 6),), 3, 1),
+    (3, 1, ((2, 10),), 2, 1),
+    (3, 1, ((4, 5),), 4, 2),
+    (5, 1, ((6, 4),), 6, 1),
+]
+
+
+@pytest.mark.parametrize("p, n, factors, m, k", AT_SCALE)
+def test_one_point_tables_are_field_only_at_scale(p, n, factors, m, k):
+    spec = make_group(make_context(p, n), factors)
+    for x0 in (0, spec.order // 3):
+        ef = ExponentFunction(spec, m, [k * (x == x0) for x in range(spec.order)])
+        assert is_bent_spectral(embed(ef)).is_bent, x0
+        assert not is_classical_bent(ef), x0

@@ -32,8 +32,8 @@ from gfharmonic import (
 )
 from gfharmonic.bent import (
     MAX_CANDIDATES,
-    _CountKernel,
     _field_verdict,
+    _passes,
     _search,
     _SearchKernel,
 )
@@ -174,15 +174,16 @@ PREFIX_EXAMPLES = [
 def test_run_matches_the_rotation_route_on_each_prefix(case):
     """run(prefix), which decides the values of the last point together, on
     a kernel that went through pickle as a pool worker's does, against
-    passes, which counts the rows of one table by lane rotations, on every
-    normalized table that starts with prefix, depth 0 to 2."""
+    _passes, which counts the rows of one table by lane rotations, on every
+    normalized table that starts with prefix, depth 0 to 2 and below |G|:
+    run takes proper prefixes only, as the pool sends."""
     field, factors, d = case
     spec = _spec(field, factors)
     ranges = _field_kernel(spec, d).ranges
-    reference = _CountKernel(d, _field_verdict(spec.ctx, d))
-    passing = [e for e in itertools.product(*ranges) if reference.passes(spec, e)]
+    verdict = _field_verdict(spec.ctx, d)
+    passing = [e for e in itertools.product(*ranges) if _passes(spec, e, d, verdict)]
     run = pickle.loads(pickle.dumps(_field_kernel(spec, d).run))
-    for depth in range(min(2, spec.order) + 1):
+    for depth in range(min(2, spec.order - 1) + 1):
         for prefix in itertools.product(*ranges[:depth]):
             assert run(prefix) == [e for e in passing if e[:depth] == prefix], prefix
 
@@ -217,7 +218,7 @@ CENSUS = [
 @pytest.mark.parametrize("field, factors, d", CENSUS)
 def test_kernel_matches_the_count_and_spectral_routes(field, factors, d):
     """Every normalized table: the kernel, which checks one direction of each
-    pair {a, -a} on packed counts with cached verdicts, and passes, which
+    pair {a, -a} on packed counts with cached verdicts, and _passes, which
     counts the same rows by lane rotations, against the count route over
     every direction and against the spectral definition; with the classical
     verdict, against the floating-point classical transform."""
@@ -226,10 +227,10 @@ def test_kernel_matches_the_count_and_spectral_routes(field, factors, d):
     classical = _SearchKernel(spec, d, _classical_verdict(spec, d))
     field_bent = set(kernel.run(()))
     classical_bent = set(classical.run(()))
-    rotated = _CountKernel(d, _field_verdict(spec.ctx, d))
+    verdict = _field_verdict(spec.ctx, d)
     for e in itertools.product(*kernel.ranges):
         expected = count_route_is_bent(spec, d, e)
-        assert (e in field_bent) == rotated.passes(spec, e) == expected, e
+        assert (e in field_bent) == _passes(spec, e, d, verdict) == expected, e
         assert is_bent_spectral(ScalarFunction.from_exponents(spec, d, e)).is_bent == expected, e
         ef = ExponentFunction(spec, d, e)
         assert (e in classical_bent) == float_classical_bent(ef), e
@@ -326,13 +327,12 @@ def test_conjugate_verdicts_decide_unit_multiples(p, n, d):
         tuple((a * x * x + b * x) % d for x in range(d)) for a in (1, 2, 3) for b in (0, 1, 2)
     ]
     tables = [tuple(rng.randrange(d) for _ in range(d)) for _ in range(200)] + quadratic
-    field = _CountKernel(d, _field_verdict(spec.ctx, d))
+    field = _field_verdict(spec.ctx, d)
     for k, mu in _galois_factors(spec.ctx, d):
-        conjugate = _CountKernel(d, (mu, p))
         for e in tables:
-            expected = field.passes(spec, [k * x % d for x in e])
-            assert conjugate.passes(spec, e) == expected, (k, e)
-        assert all(conjugate.passes(spec, e) for e in quadratic), k
+            expected = _passes(spec, [k * x % d for x in e], d, field)
+            assert _passes(spec, e, d, (mu, p)) == expected, (k, e)
+        assert all(_passes(spec, e, d, (mu, p)) for e in quadratic), k
 
 
 # sha256 of repr(search_bent(spec, d).tables), taken with the kernel that
