@@ -29,7 +29,7 @@ from .errors import (
     NotQuadraticResidue,
     TooLarge,
 )
-from .field import FieldContext, FieldElement, _minimal_polynomial, _norms, _poly_rem
+from .field import FieldContext, FieldElement, _minimal_polynomial, _norm_sums, _poly_rem
 from .fourier import _correlate, _scalar, _transform, ft
 from .group import _LANE_FORMATS, GroupElement, GroupSpec, _outer_sum, _pack_lanes, make_group
 
@@ -53,18 +53,18 @@ def _require(witness: GroupElement | None, error: type[HarmonicError], what: str
 def is_bent_spectral(f: ScalarFunction) -> BentReport:
     """Bentness by definition: norm(ft(f)(alpha)) == |G| mod p for all alpha."""
     _require(f.circle_witness(), NotCircleValued, "norm")
-    spec = f.spec
-    spectrum = _transform(spec, [v.code for v in f.values], 1, 1)
-    return _spectral_report(spec, _norms(spec.ctx, spectrum))
+    return _spectral(f.spec, f._columns())[1]
 
 
-def _spectral_report(spec: GroupSpec, norms: Sequence[int]) -> BentReport:
-    """The spectral verdict from the codes of a norm table: every norm must
-    be |G| mod p, whose code is itself."""
+def _spectral(spec: GroupSpec, columns: list[list[int]]) -> tuple[list[list[int]], BentReport]:
+    """The transforms of the coordinate columns of codes of a table, and the
+    spectral verdict on them: every norm sum must be |G| mod p, whose code is
+    itself."""
     ctx = spec.ctx
-    fails = map(spec.order_mod_p.__ne__, norms)
-    failing = tuple(itertools.compress(spec.elements(), fails))
-    return BentReport(not failing, tuple([FieldElement(ctx, v) for v in norms]), failing)
+    spectra = _transform(spec, columns, 1, 1)
+    norms = _norm_sums(ctx, spectra)
+    failing = tuple(itertools.compress(spec.elements(), map(spec.order_mod_p.__ne__, norms)))
+    return spectra, BentReport(not failing, tuple([FieldElement(ctx, v) for v in norms]), failing)
 
 
 def derivative(f: ScalarFunction, alpha: Sequence[int]) -> ScalarFunction:
@@ -76,7 +76,8 @@ def derivative(f: ScalarFunction, alpha: Sequence[int]) -> ScalarFunction:
 
 def autocorrelation(f: ScalarFunction) -> ScalarFunction:
     """alpha -> sum_x f(alpha + x) * conj(f(x))."""
-    return _correlate(f.spec, [(f.values, tuple(v.conjugate() for v in f.values))])
+    codes = f._columns()[0]
+    return _correlate(f.spec, [(codes, codes)], f.spec.ctx.sqrt_q)
 
 
 def is_bent_autocorr(f: ScalarFunction) -> BentReport:
@@ -122,8 +123,7 @@ def dual_bent(f: ScalarFunction) -> ScalarFunction:
     p = ctx.p
     c = spec.order_mod_p
     _require(f.circle_witness(), NotCircleValued, "norm")
-    spectrum = _transform(spec, [v.code for v in f.values], 1, 1)
-    report = _spectral_report(spec, _norms(ctx, spectrum))
+    (spectrum,), report = _spectral(spec, f._columns())
     if not report.is_bent:
         raise NotBent(
             f"dual requires a bent input; fails at {len(report.failing_points)} points",

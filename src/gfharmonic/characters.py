@@ -10,10 +10,10 @@ exponentiates in the field per factor is kept for cross-checking.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import SpecMismatch
-from .field import FieldElement, _norms
+from .field import FieldElement, _norm_sums
 from .group import GroupElement, GroupSpec
 
 
@@ -66,9 +66,9 @@ class Record:
         return type(self), self._fields()
 
 
-def _first_failing(spec: GroupSpec, norms: Iterable[int]) -> GroupElement | None:
-    """The first point whose norm code is not 1, or None."""
-    for i, c in enumerate(norms):
+def _first_failing(spec: GroupSpec, columns: Sequence[Sequence[int]]) -> GroupElement | None:
+    """The first point where the columns of codes have a norm sum != 1, or None."""
+    for i, c in enumerate(_norm_sums(spec.ctx, columns)):
         if c != 1:
             return spec.element_at(i)
     return None
@@ -95,7 +95,11 @@ class ScalarFunction(Record):
 
     def circle_witness(self) -> GroupElement | None:
         """First point whose value has norm != 1, or None if circle-valued."""
-        return _first_failing(self.spec, _norms(self.spec.ctx, [v.code for v in self.values]))
+        return _first_failing(self.spec, self._columns())
+
+    def _columns(self) -> list[list[int]]:
+        """The codes of the table as its one coordinate column."""
+        return [[v.code for v in self.values]]
 
     @classmethod
     def constant(cls, spec: GroupSpec, value: FieldElement) -> "ScalarFunction":

@@ -12,8 +12,8 @@ desk-scale (q at most MAX_Q = 65536), so construction builds full discrete
 log / antilog tables once and every product afterwards is O(1).  The same
 pass packs every power of g into one int, a lane per coefficient, so the
 sum kernels add elements as ints; _reducer decodes such a sum.  The
-verdicts take norms on codes, with no element object, through _norms.  A
-context is immutable after construction and safe to share across workers.
+verdicts take norms on codes, with no element object (_norms, _norm_sums).
+A context is immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -417,6 +417,18 @@ def _norms(ctx: FieldContext, codes: Iterable[int]) -> list[int]:
     """The codes of norm(x) = x^(p^n + 1) for the codes x, by their logs; 0 stays 0."""
     exp, log, e, q1 = ctx._exp, ctx._log, ctx.sqrt_q + 1, ctx.q - 1
     return [c and exp[log[c] * e % q1] for c in codes]
+
+
+def _norm_sums(ctx: FieldContext, columns: Sequence[Sequence[int]]) -> list[int]:
+    """The codes of sum_i norm(x_i) at each point of the coordinate columns
+    of codes x_i: the first column's norms by _norms, and the others' added
+    as packed terms, reduced every ctx._chunk terms so that no lane overflows."""
+    out = _norms(ctx, columns[0])
+    for i in range(1, len(columns), ctx._chunk):
+        terms, log, code_of = ctx._terms, ctx._log, _reducer(ctx)
+        packed = [[terms[log[c]] for c in _norms(ctx, col)] for col in columns[i:i + ctx._chunk]]
+        out = [code_of(terms[log[c]] + sum(xs)) for c, xs in zip(out, zip(*packed))]
+    return out
 
 
 def _minimal_polynomial(x: FieldElement) -> list[int]:

@@ -10,12 +10,12 @@ one int sum, decoded by field._reducer once.
 The transform is separable, since chi_alpha(x) is a product of one factor
 per coordinate: it runs a length-d transform along each coordinate of
 G = prod Z_(d_j), |G| * sum_j d_j terms in all instead of |G|^2.  Its
-kernel, _transform, takes and returns codes: ft and inverse_ft wrap it, and
-the spectral verdicts and the vector transforms call it directly, so only
-the values a caller gets back become FieldElements.
-Convolution and the autocorrelations behind the derivative bent criteria
-never transform: they sum the |G| terms F(alpha + x) H(x) for each alpha,
-read from translation rows, reducing every lane before it can overflow.
+kernel, _transform, takes and returns coordinate columns of codes (a scalar
+table is one column), so only the values a caller gets back become
+FieldElements.  Convolution and the autocorrelations behind the derivative
+bent criteria never transform: _correlate sums F(alpha + x) H(x)^power over
+each pair of columns, read from translation rows, reducing every lane
+before it can overflow.
 """
 
 from __future__ import annotations
@@ -29,41 +29,43 @@ from .field import FieldElement, _reducer
 from .group import GroupSpec
 
 
-def _transform(spec: GroupSpec, codes: Sequence[int], sign: int, scale_mod_p: int) -> list[int]:
-    """The transform kernel, on codes in canonical order: alpha ->
-    scale * sum_x f(x) chi_alpha(x)^sign, for the codes of f."""
+def _transform(
+    spec: GroupSpec, columns: Sequence[Sequence[int]], sign: int, scale_mod_p: int
+) -> list[list[int]]:
+    """The transform kernel, on coordinate columns of codes in canonical order:
+    alpha -> scale * sum_x f(x) chi_alpha(x)^sign, for the codes of each column f."""
     ctx = spec.ctx
     q1 = ctx.q - 1
-    spec._check_work(sum(spec.dims))
+    spec._check_work(len(columns) * sum(spec.dims))  # all l transforms, before the first
     terms, log, code_of = ctx._terms, ctx._log, _reducer(ctx)
     # The scale, a nonzero element of GF(p), multiplies the first pass.
     shift = log[scale_mod_p]
-    codes = list(codes)
+    columns = list(map(list, columns))
     for d, c, lines in spec._axes():
         # Along this axis chi_alpha(x) has the factor u^(c a t) = g^(k a t),
         # where a and t are the coordinates of alpha and x.
         k = sign * ctx._step * c
         rows = [[(k * a * t + shift) % q1 for t in range(d)] for a in range(d)]
         shift = 0
-        logs = [log[x] for x in codes]
-        for line in lines:
-            x_logs = logs[line]
-            codes[line] = [
-                code_of(sum(map(terms.__getitem__, map(add, x_logs, row)))) for row in rows
-            ]
-    return codes
+        lines = list(lines)
+        for codes in columns:
+            logs = [log[x] for x in codes]
+            for line in lines:
+                x_logs = logs[line]
+                codes[line] = [
+                    code_of(sum(map(terms.__getitem__, map(add, x_logs, row)))) for row in rows
+                ]
+    return columns
 
 
 def ft(f: ScalarFunction) -> ScalarFunction:
     """Fourier transform: alpha -> sum_x f(x) chi_alpha(x)."""
-    spec = f.spec
-    return _scalar(spec, _transform(spec, [v.code for v in f.values], 1, 1))
+    return _scalar(f.spec, _transform(f.spec, f._columns(), 1, 1)[0])
 
 
 def inverse_ft(F: ScalarFunction) -> ScalarFunction:
     """Inverse transform: x -> (|G| mod p)^-1 sum_alpha F(alpha) conj(chi_alpha(x))."""
-    spec = F.spec
-    return _scalar(spec, _transform(spec, [v.code for v in F.values], -1, spec.inv_order_mod_p))
+    return _scalar(F.spec, _transform(F.spec, F._columns(), -1, F.spec.inv_order_mod_p)[0])
 
 
 def _scalar(spec: GroupSpec, codes: Sequence[int]) -> ScalarFunction:
@@ -73,15 +75,18 @@ def _scalar(spec: GroupSpec, codes: Sequence[int]) -> ScalarFunction:
 
 
 def _correlate(
-    spec: GroupSpec, pairs: Sequence[tuple[Sequence[FieldElement], Sequence[FieldElement]]]
+    spec: GroupSpec, pairs: Sequence[tuple[Sequence[int], Sequence[int]]], power: int
 ) -> ScalarFunction:
-    """alpha -> sum_x sum_i F_i(alpha + x) * H_i(x), for tables (F_i, H_i) on spec."""
+    """alpha -> sum_x sum_i F_i(alpha + x) * H_i(x)^power, for pairs (F_i, H_i)
+    of columns of codes on spec; the power p^n conjugates."""
     ctx = spec.ctx
+    q1 = ctx.q - 1
     spec._check_work(len(pairs) * spec.order)
     terms, log, code_of, chunk = ctx._terms, ctx._log, _reducer(ctx), ctx._chunk
-    # Per pair: the logs of F by index, and the (index, log) of H's nonzero entries.
+    # Per pair: the logs of F by index, and the (index, log of H^power) of H's
+    # nonzero entries: the log of 0, 2(q - 1), would reduce to 0, the log of 1.
     logs = [
-        ([log[v.code] for v in F], [(x, log[v.code]) for x, v in enumerate(H) if v.code])
+        ([log[c] for c in F], [(x, log[c] * power % q1) for x, c in enumerate(H) if c])
         for F, H in pairs
     ]
     out = []
@@ -100,8 +105,8 @@ def convolve(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
     if f.spec != g.spec:
         raise SpecMismatch("functions live on different groups")
     spec = f.spec
-    g_neg = tuple(g.at(spec.neg(y)) for y in spec.elements())
-    return _correlate(spec, [(f.values, g_neg)])
+    g_neg = [g.at(spec.neg(y)).code for y in spec.elements()]
+    return _correlate(spec, [(f._columns()[0], g_neg)], 1)
 
 
 def plancherel_check(f: ScalarFunction, g: ScalarFunction) -> bool:

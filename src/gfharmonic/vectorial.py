@@ -7,18 +7,17 @@ dot product is only a pairing).  The transform sends alpha to
 sum_x chi_alpha(x) f(x) and works coordinatewise like the scalar one; the
 derivative in direction alpha is the scalar table
 x -> <f(alpha + x), f(x)>, and bentness asks every transformed vector to
-have self-product |G| mod p.  The transforms run the scalar kernel
-(fourier._transform) on each coordinate's codes, and the spectral test and
-the hypersphere check sum the coordinate norms (field._norms) as packed
-terms, reduced every ctx._chunk terms (_norm_l_codes); norm_l and
-hermitian_dot stay on FieldElement arithmetic.
+have self-product |G| mod p.  A table reaches the scalar layer's kernels
+as its coordinate columns of codes, a scalar table being one column: the
+transform, the norm sums, the spectral verdict (bent._spectral) and the
+correlation sums.  norm_l and hermitian_dot stay on FieldElement arithmetic.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .bent import BentReport, _derivative_report, _require, _spectral_report
+from .bent import BentReport, _derivative_report, _require, _spectral
 from .characters import Record, ScalarFunction, _dot, _first_failing
 from .errors import (
     DimensionMismatch,
@@ -26,7 +25,7 @@ from .errors import (
     NotOnHypersphere,
     SpecMismatch,
 )
-from .field import FieldContext, FieldElement, _norms, _reducer
+from .field import FieldElement
 from .fourier import _correlate, _transform
 from .group import GroupElement, GroupSpec
 
@@ -78,8 +77,11 @@ class VectorFunction(Record):
 
     def hypersphere_witness(self) -> GroupElement | None:
         """First point whose vector has self-product != 1, or None."""
-        columns = [[v.code for v in column] for column in zip(*self.values)]
-        return _first_failing(self.spec, _norm_l_codes(self.spec.ctx, columns))
+        return _first_failing(self.spec, self._columns())
+
+    def _columns(self) -> list[list[int]]:
+        """The codes of the table, one column per coordinate."""
+        return [[v.code for v in column] for column in zip(*self.values)]
 
     @classmethod
     def from_scalar(cls, f: ScalarFunction, dim: int, slot: int = 0) -> "VectorFunction":
@@ -100,27 +102,6 @@ def coordinate_function(f: VectorFunction, e: int) -> ScalarFunction:
     return ScalarFunction(f.spec, tuple(vec[e] for vec in f.values))
 
 
-def _norm_l_codes(ctx: FieldContext, columns: Sequence[Sequence[int]]) -> list[int]:
-    """norm_l at each point of a table given by its coordinate columns of
-    codes: the coordinate norms summed as packed terms, reduced every
-    ctx._chunk terms so that no lane overflows."""
-    terms, log, code_of, chunk = ctx._terms, ctx._log, _reducer(ctx), ctx._chunk
-    packed = [[terms[log[c]] for c in _norms(ctx, column)] for column in columns]
-    out = [0] * len(columns[0])
-    for i in range(0, len(packed), chunk):
-        out = [code_of(terms[log[c]] + sum(xs)) for c, xs in zip(out, zip(*packed[i:i + chunk]))]
-    return out
-
-
-def _coordinatewise(f: VectorFunction, sign: int, scale_mod_p: int) -> list[list[int]]:
-    """The transform kernel on each coordinate column of f, as codes."""
-    f.spec._check_work(f.dim * sum(f.spec.dims))  # all l transforms, before the first
-    return [
-        _transform(f.spec, [v.code for v in column], sign, scale_mod_p)
-        for column in zip(*f.values)
-    ]
-
-
 def _vectors(spec: GroupSpec, columns: list[list[int]]) -> VectorFunction:
     """The vector table of the given coordinate columns of codes."""
     ctx = spec.ctx
@@ -130,12 +111,12 @@ def _vectors(spec: GroupSpec, columns: list[list[int]]) -> VectorFunction:
 
 def md_ft(f: VectorFunction) -> VectorFunction:
     """alpha -> sum_x chi_alpha(x) f(x): the coordinate transforms, stacked."""
-    return _vectors(f.spec, _coordinatewise(f, 1, 1))
+    return _vectors(f.spec, _transform(f.spec, f._columns(), 1, 1))
 
 
 def md_inverse_ft(F: VectorFunction) -> VectorFunction:
     """x -> (|G| mod p)^-1 sum_alpha conj(chi_alpha(x)) F(alpha), coordinatewise."""
-    return _vectors(F.spec, _coordinatewise(F, -1, F.spec.inv_order_mod_p))
+    return _vectors(F.spec, _transform(F.spec, F._columns(), -1, F.spec.inv_order_mod_p))
 
 
 def vector_convolve(f: VectorFunction, g: VectorFunction) -> ScalarFunction:
@@ -144,11 +125,7 @@ def vector_convolve(f: VectorFunction, g: VectorFunction) -> ScalarFunction:
         raise SpecMismatch("functions live on different groups")
     if f.dim != g.dim:
         raise DimensionMismatch(f"dimensions {f.dim} and {g.dim} differ")
-    pairs = [
-        (tuple(vec[i] for vec in g.values), tuple(vec[i].conjugate() for vec in f.values))
-        for i in range(f.dim)
-    ]
-    return _correlate(f.spec, pairs)
+    return _correlate(f.spec, list(zip(g._columns(), f._columns())), f.spec.ctx.sqrt_q)
 
 
 def md_derivative(f: VectorFunction, alpha: Sequence[int]) -> ScalarFunction:
@@ -161,7 +138,7 @@ def md_derivative(f: VectorFunction, alpha: Sequence[int]) -> ScalarFunction:
 def is_md_bent(f: VectorFunction) -> BentReport:
     """Bentness by definition: norm_l(md_ft(f)(alpha)) == |G| mod p for all alpha."""
     _require(f.hypersphere_witness(), NotOnHypersphere, "self-product")
-    return _spectral_report(f.spec, _norm_l_codes(f.spec.ctx, _coordinatewise(f, 1, 1)))
+    return _spectral(f.spec, f._columns())[1]
 
 
 def is_md_bent_derivative(f: VectorFunction) -> BentReport:

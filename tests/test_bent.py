@@ -30,7 +30,7 @@ from gfharmonic import (
 import gfharmonic
 from gfharmonic import bent, field
 from gfharmonic.bent import _sqrt_mod_prime
-from _oracles import naive_search, random_circle_function
+from _oracles import naive_search, negated_argument, random_circle_function
 
 
 class TestSpectral:
@@ -193,14 +193,14 @@ class TestDual:
         calls = []
         transform = bent._transform
 
-        def counting_transform(spec, codes, sign, scale_mod_p):
-            calls.append((spec, list(codes), sign, scale_mod_p))
-            return transform(spec, codes, sign, scale_mod_p)
+        def counting_transform(spec, columns, sign, scale_mod_p):
+            calls.append((spec, list(columns), sign, scale_mod_p))
+            return transform(spec, columns, sign, scale_mod_p)
 
         monkeypatch.setattr(bent, "_transform", counting_transform)
         f = ScalarFunction.from_exponents(z3, 3, [0, 1, 1])
         assert dual_bent(f).values == ft(f).values  # the scale is 1 in characteristic 2
-        assert calls == [(z3, [v.code for v in f.values], 1, 1)]
+        assert calls == [(z3, [[v.code for v in f.values]], 1, 1)]
 
     def test_square_root_selection(self):
         assert _sqrt_mod_prime(4, 5) == 2  # the smaller of {2, 3}
@@ -229,6 +229,44 @@ class TestDual:
             [1, 0], [1, 0], [1, 0], [1, 0], [6, 0], [0, 1], [1, 0], [0, 6],
             [0, 6], [0, 1], [0, 6], [0, 1], [0, 1], [6, 0], [0, 6], [1, 0],
         ]
+
+
+class TestDualCensus:
+    """Every bent table G -> S_d of the census groups has a regular dual,
+    one with values in S_d again, and dualizing twice gives f(-x) exactly.
+    On Z_2 x Z_4 over GF(9), |G| = 2 (mod 3) is not a square, so every bent
+    table there raises NotQuadraticResidue."""
+
+    # (p, n, factors, d, number of bent tables)
+    CENSUS = [
+        (2, 1, [(3, 1)], 3, 18),
+        (2, 2, [(5, 1)], 5, 100),
+        (3, 1, [(4, 1)], 4, 32),
+        (2, 1, [(3, 2)], 3, 2916),
+        (2, 3, [(3, 2)], 3, 2916),
+        (3, 1, [(2, 4)], 2, 1408),
+        (5, 1, [(6, 1)], 6, 432),
+    ]
+
+    @pytest.mark.parametrize("p, n, factors, d, count", CENSUS)
+    def test_duals_are_regular_and_involutive(self, p, n, factors, d, count):
+        spec = make_group(make_context(p, n), factors)
+        ud = spec.ctx.circle_subgroup_generator(d)
+        roots = {(ud**k).code for k in range(d)}
+        tables = search_bent(spec, d).tables
+        assert len(tables) == count
+        for e in tables:
+            f = ScalarFunction.from_exponents(spec, d, e)
+            dual = dual_bent(f)
+            assert {v.code for v in dual.values} <= roots, e
+            assert dual_bent(dual) == negated_argument(f), e
+
+    def test_no_dual_without_a_square_root_of_the_order(self, z2z4):
+        tables = search_bent(z2z4, 4).tables
+        assert len(tables) == 1408
+        for e in tables:
+            with pytest.raises(NotQuadraticResidue):
+                dual_bent(ScalarFunction.from_exponents(z2z4, 4, e))
 
 
 class TestProductConstruction:

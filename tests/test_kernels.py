@@ -312,6 +312,39 @@ class TestLongCorrelationSums:
         assert convolve(top, one) == naive_convolve(top, one)
 
 
+class TestZeroEntries:
+    """The correlation sums raise each entry of the second table to its power
+    (1, or p^n to conjugate) by its log, and leave the zeros out: the log of
+    0 is the sentinel 2(q - 1), which reduced mod q - 1 would be 0, the log
+    of 1.  Tables with zeros in both arguments, one zero each and an all-zero
+    coordinate column, against the double-sum oracles."""
+
+    @pytest.mark.parametrize(
+        "p, n, factors", [(2, 1, [(3, 2)]), (3, 1, [(2, 1), (4, 1)]), (5, 1, [(6, 1)])]
+    )
+    def test_zeros_in_both_arguments(self, p, n, factors):
+        spec = make_group(make_context(p, n), factors)
+        ctx = spec.ctx
+        rng = random.Random(p)
+        nonzero = list(ctx.elements())[1:]
+
+        def one_zero(x0):
+            values = [rng.choice(nonzero) for _ in range(spec.order)]
+            values[x0] = ctx.zero
+            return ScalarFunction(spec, tuple(values))
+
+        f, g = one_zero(0), one_zero(spec.order // 2)
+        assert autocorrelation(f) == naive_autocorrelation(f)
+        assert autocorrelation(g) == naive_autocorrelation(g)
+        assert convolve(f, g) == naive_convolve(f, g)
+        assert convolve(g, f) == naive_convolve(g, f)
+        h = ScalarFunction(spec, tuple(rng.choice(nonzero) for _ in range(spec.order)))
+        vh = VectorFunction.from_scalar(h, 2)  # no zero but its all-zero second column
+        vg = VectorFunction(spec, 2, tuple(zip(g.values, f.values)))
+        for a, b in [(vh, vg), (vg, vh), (vg, vg), (vh, vh)]:
+            assert vector_convolve(a, b) == naive_vector_convolve(a, b)
+
+
 class TestLongNormSums:
     """The spectral verdicts sum the coordinate norms of a vector as packed
     terms, reduced every ctx._chunk terms.  Over GF(2^16) a lane holds 9

@@ -14,12 +14,14 @@ tables still show field bentness strictly weaker than classical bentness.
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
 from gfharmonic import (
     ExponentFunction,
     ScalarFunction,
+    classical_ft,
     embed,
     is_bent_autocorr,
     is_bent_spectral,
@@ -157,3 +159,30 @@ def test_one_point_tables_are_field_only_at_scale(p, n, factors, m, k):
         ef = ExponentFunction(spec, m, [k * (x == x0) for x in range(spec.order)])
         assert is_bent_spectral(embed(ef)).is_bent, x0
         assert not is_classical_bent(ef), x0
+
+
+# (p, n, factors, d, {the two values of |W|^2: number of field-only tables})
+TWO_VALUED = [
+    (2, 1, ((3, 2),), 3, {(3, 57): 486, (3, 21): 1944}),
+    (3, 1, ((2, 1), (4, 1)), 4, {(2, 50): 512}),
+    (3, 1, ((2, 4),), 2, {(4, 196): 512}),
+    (5, 1, ((6, 1),), 6, {(1, 31): 432}),
+]
+
+
+@pytest.mark.parametrize("p, n, factors, d, pairs", TWO_VALUED)
+def test_field_only_tables_have_two_valued_spectra(p, n, factors, d, pairs):
+    """The classical |W(alpha)|^2 of a field-only table takes exactly two
+    values, both = |G| mod p.  On Z_3^2 the pairs split the tables as the
+    486 one-point tables and the 1944 rank-1 changes above do."""
+    spec = make_group(make_context(p, n), factors)
+    field = set(search_bent(spec, d).tables)
+    classical = set(_search(spec, d, _classical_verdict(spec, d), MAX_CANDIDATES, 1).tables)
+    found = Counter()
+    for e in field - classical:
+        squares = [abs(w) ** 2 for w in classical_ft(ExponentFunction(spec, d, e))]
+        values = sorted({round(x) for x in squares})
+        assert max(abs(x - round(x)) for x in squares) < 1e-6, e
+        assert len(values) == 2 and all((x - spec.order) % p == 0 for x in values), e
+        found[tuple(values)] += 1
+    assert found == pairs
