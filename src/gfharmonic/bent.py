@@ -14,6 +14,7 @@ only for each value returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -161,11 +162,13 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
 # cold `gfharmonic search --jobs 2` process takes a median 11 ms (quartiles
 # 4-21 ms, two sets of 30 pairs) longer than `--jobs 1` to import the process
 # pool and start two workers that receive the kernel.  The kernel decides a
-# normalized table there in 2.3 us (a warm `run(())`: the median over five
+# normalized table there in 2.3 us (a warm `run()`: the median over five
 # processes of the best of seven; 3.0 us when each table was decided alone),
 # and in 1.5 us on Z_3^2 with d = 3.  So a worker pays for its start-up at
 # about 11 ms / 2.3 us ~ 4800 tables, and the nearest power of two is 4096.
 # No benchmark workload starts a pool yet, so no benchmark shows the choice.
+# Any positive BLOCK is correct: the workers split the heads of `run` by stride,
+# so no worker count decides a table twice or leaves one out.
 BLOCK = 4096
 
 # The default budget of a search, and of `compare --exhaustive`, in tables.
@@ -281,33 +284,35 @@ class _SearchKernel:
         self.shifts = [bytes(h % d for h in _outer_sum(p)[1:]) for p in itertools.product(*homs)]
         # Each row with the indices of a + z and z - a, where it reads e[z].
         z, lanes = spec.order - 1, self.lanes
-        self.rows, self.ends = [], []
+        self.rows = []
         for a in spec.directions_up_to_sign():
             row = spec.translate_row(a)
-            self.rows.append(operator.itemgetter(*row))
-            self.ends.append((row[z], row.index(z)))
+            self.rows.append((operator.itemgetter(*row), row[z], row.index(z)))
         # into[k][v] moves the term e[a + z] - e[z] from k - 0 to k - v, and
         # out_of[k][v] the term e[z] - e[z - a] from 0 - k to v - k.
         self.into = [[lanes[k - v] - lanes[k] for v in self.ranges[z]] for k in range(d)]
         self.out_of = [[lanes[v - k] - lanes[-k] for v in self.ranges[z]] for k in range(d)]
 
-    def run(self, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The normalized tables that start with prefix, a proper one, and pass the verdict."""
-        z = len(self.ranges) - 1
+    def run(self, start: int = 0, step: int = 1) -> list[tuple[int, ...]]:
+        """The normalized tables that pass the verdict, from every step-th head
+        from head start.  A head is a normalized table with e[z] = 0, and the
+        heads come in mixed-radix order; so the parts of start = 0, .., step - 1
+        hold every table once, for any step."""
+        z, d, bits = len(self.ranges) - 1, self.d, self.lane_bits
+        mask, offsets = (1 << bits) - 1, range(0, bits * d, bits)
         lane, get, verdicts, found = self.lanes.__getitem__, self.verdicts.get, self.verdicts, []
-        rows, into, out_of = list(zip(self.rows, self.ends)), self.into, self.out_of
-        # Every table that starts with prefix and has e[z] = 0.
-        heads = itertools.product(*([v] for v in prefix), *self.ranges[len(prefix) : z], range(1))
+        rows, into, out_of = self.rows, self.into, self.out_of
+        heads = itertools.islice(itertools.product(*self.ranges[:z], range(1)), start, None, step)
         for e in heads:
             values = self.ranges[z]
-            for row, (i, j) in rows:
+            for row, i, j in rows:
                 base = sum(map(lane, map(operator.sub, row(e), e)))
                 moved_in, moved_out, kept = into[e[i]], out_of[e[j]], []
                 for v in values:
                     packed = base + moved_in[v] + moved_out[v]
                     ok = get(packed)
                     if ok is None:
-                        counts = self._unpack(packed)
+                        counts = [packed >> k & mask for k in offsets]
                         ok = verdicts[packed] = not any(_poly_rem(counts, *self.verdict))
                     if ok:
                         kept.append(v)
@@ -316,11 +321,6 @@ class _SearchKernel:
                     break
             found.extend(e[:z] + (v,) for v in values)
         return found
-
-    def _unpack(self, packed: int) -> list[int]:
-        """The d counts of a packed row sum, |G|.bit_length() bits each."""
-        mask = (1 << self.lane_bits) - 1
-        return [packed >> (self.lane_bits * j) & mask for j in range(self.d)]
 
     def expand(self, normalized: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Every shift of the given normalized tables, in mixed-radix order, with
@@ -363,21 +363,15 @@ def _search(
     kernel = _SearchKernel(spec, d, verdict)
     workers = min(jobs, os.cpu_count() or 1, kernel.normalized // BLOCK)
     if workers <= 1:
-        return SearchResult(d, total, tuple(kernel.expand(kernel.run(()))))
+        found = kernel.run()
+    else:
+        # Imported here so that only a search big enough for workers loads the pool.
+        from concurrent.futures import ProcessPoolExecutor
 
-    # Imported here so that only a search big enough for workers loads the pool.
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Each prefix is shorter than a table, as run needs: workers <= normalized // BLOCK,
-    # and the first |G| - 1 ranges hold normalized / d >= normalized // 256 tables.
-    depth, blocks = 0, 1
-    while blocks < workers:
-        blocks *= len(kernel.ranges[depth])
-        depth += 1
-    prefixes = list(itertools.product(*kernel.ranges[:depth]))
-    # Each block carries the parent's kernel, so a worker builds no field or group.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        found = list(itertools.chain.from_iterable(pool.map(kernel.run, prefixes)))
+        # Each part carries the parent's kernel, so a worker builds no field or group.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(functools.partial(kernel.run, step=workers), range(workers))
+            found = list(itertools.chain.from_iterable(parts))
     return SearchResult(d, total, tuple(kernel.expand(found)))
 
 
@@ -397,7 +391,8 @@ def search_bent(
     result sorted into mixed-radix order (first point most significant).
     Worker processes start only when jobs > 1 and there are at least
     2 * BLOCK normalized tables: then min(jobs, os.cpu_count(),
-    normalized // BLOCK) workers split them by leading positions.  The
-    result does not depend on jobs.
+    normalized // BLOCK) workers split them by stride: worker k decides
+    every workers-th head from head k (`_SearchKernel.run`).  The result
+    does not depend on jobs.
     """
     return _search(spec, d, _field_verdict(spec.ctx, d), max_candidates, jobs)

@@ -56,7 +56,9 @@ def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:
 
 
 class GroupSpec:
-    """A validated product of cyclic factors bound to a field context."""
+    """A validated product of cyclic factors bound to a field context.  Specs
+    are equal when their fields and coordinate moduli (`dims`) are: they list
+    the same elements in the same order, however the factors are grouped."""
 
     def __init__(self, ctx: FieldContext, factors: Sequence[tuple[int, int]]):
         factors = tuple((int(d), int(m)) for d, m in factors)
@@ -200,10 +202,10 @@ class GroupSpec:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupSpec):
             return NotImplemented
-        return self.ctx == other.ctx and self.factors == other.factors
+        return self.ctx == other.ctx and self.dims == other.dims
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.factors))
+        return hash((self.ctx, self.dims))
 
     def __repr__(self) -> str:
         desc = " x ".join(f"Z_{d}^{m}" if m > 1 else f"Z_{d}" for d, m in self.factors)

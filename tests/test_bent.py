@@ -472,6 +472,18 @@ class TestJobsBound:
         assert pool_sizes == [2]
         assert result == search_bent(z3sq, 3)
 
+    def test_no_worker_count_duplicates_a_table(self, monkeypatch, pool_sizes, z3, z3sq):
+        # One worker per normalized table: Z_3 with d = 3 has 3 normalized
+        # tables but a single head, Z_3^2 has 729 in 243 heads, so some parts
+        # are empty and the others hold one head each.  Inline, no process starts.
+        expected = [search_bent(z3, 3), search_bent(z3sq, 3)]
+        monkeypatch.setattr(bent, "BLOCK", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+        result = [search_bent(z3, 3, jobs=1000), search_bent(z3sq, 3, jobs=1000)]
+        assert pool_sizes == [3, 729]
+        assert [r.count for r in result] == [18, 2916]
+        assert result == expected
+
     def test_small_parallel_search_starts_no_pool(self, monkeypatch, pool_sizes, z3sq):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         result = search_bent(z3sq, 3, jobs=2)

@@ -208,7 +208,7 @@ class TestExactVerdict:
         assert is_classical_bent(quadratic)
         # the exhaustive route of compare: the search kernel with the classical verdict
         kernel = bent._SearchKernel(z3sq, 3, _classical_verdict(z3sq, 3))
-        assert len(kernel.expand(kernel.run(()))) == 486
+        assert len(kernel.expand(kernel.run())) == 486
 
     def test_stops_at_the_first_failing_direction(self, monkeypatch, z5sq):
         rows = []
@@ -339,9 +339,40 @@ class TestCensus:
         assert (len(field_tables), len(classical_tables)) == (field, classical)
         # compare --exhaustive: the classical verdict on the normalized tables, expanded
         kernel = bent._SearchKernel(spec, d, _classical_verdict(spec, d))
-        assert kernel.expand(kernel.run(())) == sorted(classical_tables)
+        assert kernel.expand(kernel.run()) == sorted(classical_tables)
         # the paper's theorem: classically bent implies field bent
         assert classical_tables <= field_tables
+
+    # ROADMAP item 2's gap-prime table, the rows within the default budget:
+    # (factors, d, primes, field count, classical count), each over GF(p^(2n))
+    # with the least n such that d | p^n + 1.  The last two rows are gaps.
+    @pytest.mark.parametrize(
+        "factors, d, primes, field, classical",
+        [
+            ([(3, 2)], 3, [5, 11, 17, 23, 29, 41], 486, 486),
+            ([(2, 1), (4, 1)], 4, [7, 11, 19, 23, 31, 43], 896, 896),
+            ([(2, 3)], 4, [7, 11, 19, 23, 31, 43], 896, 896),
+            ([(2, 4)], 2, [5, 7], 896, 896),
+            ([(6, 1)], 6, [11, 17, 23, 29, 41], 0, 0),
+            ([(7, 1)], 7, [3, 5, 41], 294, 294),
+            ([(5, 1)], 5, [2, 3, 7, 13], 100, 100),
+            ([(4, 1)], 4, [3, 7, 11, 19, 23, 31, 43], 32, 32),
+            ([(2, 2)], 4, [3, 7, 11, 19, 23, 31, 43], 64, 64),
+            ([(3, 1)], 6, [5, 11, 17, 23, 29, 41], 36, 36),
+            ([(2, 3)], 2, [3, 5, 7, 11, 13], 0, 0),
+            ([(7, 1)], 7, [13], 980, 294),
+            ([(2, 3)], 4, [3], 1408, 896),
+        ],
+    )
+    def test_gap_primes(self, factors, d, primes, field, classical):
+        for p in primes:
+            n = next(n for n in itertools.count(1) if (p**n + 1) % d == 0)
+            spec = make_group(make_context(p, n), factors)
+            field_tables = search_bent(spec, d).tables
+            verdict = _classical_verdict(spec, d)
+            classical_tables = bent._search(spec, d, verdict, bent.MAX_CANDIDATES, 1).tables
+            assert (len(field_tables), len(classical_tables)) == (field, classical), p
+            assert set(classical_tables) <= set(field_tables), p
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_field_bentness_does_not_depend_on_n(self, n):

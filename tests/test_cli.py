@@ -186,6 +186,18 @@ class TestTransforms:
         assert code == 0
         assert json.loads(out)["values"] == [[0, 0], [0, 0], [1, 0]]
 
+    def test_conv_across_groupings_of_the_factors(self, capsys, tmp_path, gf4, z3sq):
+        # Z_3 x Z_3 and Z_3^2 list the same elements in the same order.
+        pair = make_group(gf4, [(3, 1), (3, 1)])
+        f = ScalarFunction.from_exponents(pair, 3, [x * y % 3 for x in range(3) for y in range(3)])
+        g = ScalarFunction.delta(z3sq, (1, 2))
+        f_path = write(tmp_path, "f.json", scalar_function_to_obj(f))
+        g_path = write(tmp_path, "g.json", scalar_function_to_obj(g))
+        code, out, err = run(capsys, "conv", "--in", f_path, "--in2", g_path)
+        assert (code, err) == (0, "")
+        expected = gfharmonic.convolve(f, ScalarFunction(pair, g.values))
+        assert out == dumps(scalar_function_to_obj(expected)) + "\n"
+
 
 class TestBentCommands:
     def test_bent_check_exit_zero(self, capsys, bent_file):

@@ -14,6 +14,7 @@ from gfharmonic import (
     inverse_ft,
     make_context,
     make_group,
+    mm_construct,
     parseval_check,
     plancherel_check,
 )
@@ -131,6 +132,18 @@ class TestConvolution:
                 lhs = ft(convolve(f, g)).values
                 rhs = tuple(a * b for a, b in zip(ft(f).values, ft(g).values))
                 assert lhs == rhs
+
+    def test_factors_grouped_differently(self):
+        # mm_construct lists the factors of g twice, ((17, 1), (17, 1)); the same
+        # group written (17, 2) lists the same elements in the same order.
+        ctx = make_context(2, 4)
+        g = ScalarFunction.from_exponents(make_group(ctx, [(17, 1)]), 17, [y * y for y in range(17)])
+        mm = mm_construct(g)
+        f = random_circle_function(make_group(ctx, [(17, 2)]), random.Random(41))
+        assert (mm.spec.factors, f.spec.factors) == (((17, 1), (17, 1)), ((17, 2),))
+        same = ScalarFunction(mm.spec, f.values)
+        assert convolve(mm, f) == convolve(mm, same)
+        assert convolve(f, mm) == convolve(same, mm)
 
     def test_spec_mismatch(self, z3, z5):
         fa = ScalarFunction.constant(z3, z3.ctx.one)

@@ -61,6 +61,26 @@ class TestMakeGroup:
             make_group(gf4, [(3, 15)])
 
 
+class TestEquality:
+    """Specs are equal when they have the same field and the same coordinate
+    moduli, so that they list the same elements in the same order, however
+    the factors are grouped."""
+
+    def test_grouping_of_the_factors(self, gf9):
+        a = make_group(gf9, [(2, 1), (4, 2)])
+        b = make_group(gf9, [(2, 1), (4, 1), (4, 1)])
+        assert a.factors != b.factors
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert list(a.elements()) == list(b.elements())
+
+    def test_order_of_the_coordinates_and_the_field(self, gf9, gf16):
+        assert make_group(gf9, [(2, 1), (4, 1)]) != make_group(gf9, [(4, 1), (2, 1)])
+        assert make_group(gf9, [(2, 2)]) != make_group(gf9, [(2, 1)])
+        assert make_group(gf9, [(1, 1)]) != make_group(gf16, [(1, 1)])
+
+
 class TestElementOps:
     def test_componentwise_add(self, z5sq):
         assert z5sq.add((2, 3), (4, 4)) == (1, 2)

@@ -158,8 +158,8 @@ def test_expand_matches_the_tuple_expansion(case, rng):
     assert kernel.expand(subset) == naive_expand(spec, d, subset)
 
 
-# Cases for run(prefix) beyond CASE_EXAMPLES: (field, factors, d).
-PREFIX_EXAMPLES = [
+# Cases for run(start, step) beyond CASE_EXAMPLES: (field, factors, d).
+PART_EXAMPLES = [
     ((3, 1, None), ((2, 1),), 2),  # Z_2: the last point is a generator, one value
     ((3, 1, None), ((2, 1),), 4),  # Z_2 with two values at that generator
     ((3, 1, None), ((2, 1), (1, 1)), 4),  # Z_2 x Z_1: a generator last, then Z_1
@@ -169,23 +169,28 @@ PREFIX_EXAMPLES = [
 
 
 @settings(max_examples=40, deadline=None)
-@_with_examples(cases=CASE_EXAMPLES + PREFIX_EXAMPLES)
+@_with_examples(cases=CASE_EXAMPLES + PART_EXAMPLES)
 @given(search_cases())
-def test_run_matches_the_rotation_route_on_each_prefix(case):
-    """run(prefix), which decides the values of the last point together, on
-    a kernel that went through pickle as a pool worker's does, against
-    _passes, which counts the rows of one table by lane rotations, on every
-    normalized table that starts with prefix, depth 0 to 2 and below |G|:
-    run takes proper prefixes only, as the pool sends."""
+def test_run_matches_the_rotation_route_on_each_part(case):
+    """run(start, step), which decides the values of the last point together,
+    on a kernel that went through pickle as a pool worker's does, against
+    _passes, which counts the rows of one table by lane rotations: for steps
+    1 to 3, part start holds the passing normalized tables whose head (the
+    table with its last point set to 0) has an index = start mod step, among
+    the heads in mixed-radix order.  A step past the number of heads leaves
+    the later parts empty."""
     field, factors, d = case
     spec = _spec(field, factors)
     ranges = _field_kernel(spec, d).ranges
     verdict = _field_verdict(spec.ctx, d)
+    heads = list(itertools.product(*ranges[:-1]))
     passing = [e for e in itertools.product(*ranges) if _passes(spec, e, d, verdict)]
     run = pickle.loads(pickle.dumps(_field_kernel(spec, d).run))
-    for depth in range(min(2, spec.order - 1) + 1):
-        for prefix in itertools.product(*ranges[:depth]):
-            assert run(prefix) == [e for e in passing if e[:depth] == prefix], prefix
+    assert run() == passing
+    for step in range(1, 4):
+        for start in range(step):
+            part = {h for k, h in enumerate(heads) if k % step == start}
+            assert run(start, step) == [e for e in passing if e[:-1] in part], (start, step)
 
 
 def test_product_construction_is_a_lower_bound():
@@ -225,8 +230,8 @@ def test_kernel_matches_the_count_and_spectral_routes(field, factors, d):
     spec = _spec(field, factors)
     kernel = _field_kernel(spec, d)
     classical = _SearchKernel(spec, d, _classical_verdict(spec, d))
-    field_bent = set(kernel.run(()))
-    classical_bent = set(classical.run(()))
+    field_bent = set(kernel.run())
+    classical_bent = set(classical.run())
     verdict = _field_verdict(spec.ctx, d)
     for e in itertools.product(*kernel.ranges):
         expected = count_route_is_bent(spec, d, e)
@@ -246,7 +251,7 @@ def test_census_search_matches_full_space_oracle(field, factors, d):
 def test_verdicts_stay_within_the_composition_bound(field, factors, d):
     spec = _spec(field, factors)
     kernel = _field_kernel(spec, d)
-    kernel.run(())
+    kernel.run()
     # one row per pair {a, -a}: the pairs of the |G| - 1 nonzero elements, of
     # which those of order 2 pair with themselves
     involutions = sum(1 for a in spec.elements() if a != spec.zero() and spec.neg(a) == a)
