@@ -32,7 +32,7 @@ from .errors import (
 )
 from .field import FieldContext, FieldElement, _minimal_polynomial, _norm_sums, _poly_rem
 from .fourier import _correlate, _scalar, _transform, ft
-from .group import _LANE_FORMATS, GroupElement, GroupSpec, _outer_sum, _pack_lanes, make_group
+from .group import GroupElement, GroupSpec, _outer_sum, make_group
 
 
 class BentReport(Record):
@@ -158,18 +158,21 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
 
 
 # A search starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.
-# Measured on a 2-vCPU VM with Python 3.11, on Z_4^2 over GF(9) with d = 2: a
-# cold `gfharmonic search --jobs 2` process takes a median 11 ms (quartiles
-# 4-21 ms, two sets of 30 pairs) longer than `--jobs 1` to import the process
-# pool and start two workers that receive the kernel.  The kernel decides a
-# normalized table there in 2.3 us (a warm `run()`: the median over five
-# processes of the best of seven; 3.0 us when each table was decided alone),
-# and in 1.5 us on Z_3^2 with d = 3.  So a worker pays for its start-up at
-# about 11 ms / 2.3 us ~ 4800 tables, and the nearest power of two is 4096.
-# No benchmark workload starts a pool yet, so no benchmark shows the choice.
-# Any positive BLOCK is correct: the workers split the heads of `run` by stride,
-# so no worker count decides a table twice or leaves one out.
-BLOCK = 4096
+# Measured on a 2-vCPU VM with Python 3.11: cold `gfharmonic search` processes
+# at `--jobs 1` and `--jobs 2` with a pool of two, in alternating pairs, with
+# the medians of two or three rounds of 12 pairs in ms.  `--jobs 2` was faster
+# on Z_4^2/GF(9), d = 2 (8192 normalized tables) in 2 pairs of 24 (91-123 ->
+# 111-156); on Z_2 x Z_6/GF(25), d = 3 (59049) in 12 of 36 (126-175 ->
+# 155-184); on Z_18/GF(17^2), d = 2 (65536) in 23 of 36 (151-198 -> 176-196);
+# on Z_8/GF(79^2), d = 5 (78125) in 4 of 36 (141-156 -> 150-168); and on
+# Z_19/GF(37^2), d = 2 (262144), the one space of the default budget past
+# 2 * 65536, in 24 of 24 (457-521 -> 323-348).  The pool pays for its start-up
+# by the kernel's work, not by the table count alone: Z_8's tables are cheap.
+# So BLOCK is the least power of two whose 2 * BLOCK lies past every space
+# where the pool lost.  Any positive BLOCK is correct: the workers split the
+# heads of `run` by stride, so no worker count decides a table twice or leaves
+# one out.
+BLOCK = 65536
 
 # The default budget of a search, and of `compare --exhaustive`, in tables.
 MAX_CANDIDATES = 1_000_000
@@ -208,39 +211,17 @@ def _field_verdict(ctx: FieldContext, d: int) -> tuple[list[int], int]:
     return _minimal_polynomial(ctx.circle_subgroup_generator(d)), ctx.p
 
 
-# Each byte as a bytes object: bytes.count finds one faster than an int.
-_BYTES = [bytes((j,)) for j in range(256)]
-
-
 def _passes(spec: GroupSpec, e: Sequence[int], d: int, verdict: tuple[Sequence[int], int]) -> bool:
     """Whether verdict holds along every row of e: G -> Z_d; stops at the first
-    that fails.  Row a counts c_a[j] = #{x : e[a+x] - e[x] = j mod d}, and c_a(w),
-    w of order d, is the autocorrelation at a.  verdict is (divisor, p): c_a
-    passes when the monic divisor divides it over GF(p), or over Z when p is 0:
-    (mu_d, p) for the field (`_field_verdict`), (Phi_d, 0) classically.  Both
-    vanish at 1/w with w (1/u_d = u_d^(p^n) is a conjugate), and
-    c_{-a}(w) = c_a(1/w), so one row of each pair {a, -a} is counted.
-
-    e is held as one int of |G| lanes of b bits, 2d <= 2^b, and each row is a
-    translate of that int (`GroupSpec._translates`).  A row's lanes
-    e[a+x] - e[x] + d lie in [1, 2d - 1]; adding 2^(b-1) - d sets a lane's top
-    bit iff it is at least d, and there d is taken off.  One `bytes.count` over
-    the low bytes counts each residue, and each count vector is decided once."""
-    bits = next(b for b in _LANE_FORMATS if 2 * d <= 1 << b)
-    step, top = bits // 8, bits - 1
-    size = spec.order * step
-    ones = int.from_bytes((1).to_bytes(step, "little") * spec.order, "little")
-    table = _pack_lanes(e, bits)
-    base, carry = d * ones - table, ((1 << top) - d) * ones
-    residues, verdicts = _BYTES[:d], {}
-    for row in spec._translates(table, bits):
-        row += base
-        row -= (row + carry >> top & ones) * d
-        data = row.to_bytes(size, "little")
-        counts = tuple(map(data[::step].count, residues))
-        if d > 256:  # d = 257: residue 256, counted as 0 by its low byte
-            over = data[1::2].count(1)
-            counts = (counts[0] - over, *counts[1:], over)
+    that fails.  Row a counts c_a[j] = #{x : e[a+x] - e[x] = j mod d}
+    (`GroupSpec._difference_counts`), and c_a(w), w of order d, is the
+    autocorrelation at a.  verdict is (divisor, p): c_a passes when the monic
+    divisor divides it over GF(p), or over Z when p is 0: (mu_d, p) for the
+    field (`_field_verdict`), (Phi_d, 0) classically.  Both vanish at 1/w with
+    w (1/u_d = u_d^(p^n) is a conjugate), and c_{-a}(w) = c_a(1/w), so one row
+    of each pair {a, -a} is counted.  Each count vector is decided once."""
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for counts in spec._difference_counts(e, d):
         ok = verdicts.get(counts)
         if ok is None:
             ok = verdicts[counts] = not any(_poly_rem(counts, *verdict))

@@ -7,13 +7,13 @@ generator u_m.  The classical verdict is exact: the autocorrelation at a is
 c_a(zeta_m), where c_a counts the differences e(a + x) - e(x) mod m, so the
 table is classically bent iff Phi_m divides every c_a with a != 0 in Z[x].
 Two count routes divide them: the search's kernel for `compare
---exhaustive`, and for one table `bent._passes`, which holds the table as
-one int of byte lanes and counts each row, a rotation of that int, with
-`bytes.count`.  classical_ft runs the field transform's separable pass
-exactly, in Z[x]/(x^s - 1), and rounds once, when it evaluates the lane
-counts at zeta_s.  The embedding into the field is exact.  Being bent on the
-complex side implies being bent on the field side, and comparison_check
-flags any observed counterexample to that implication.
+--exhaustive`, and for one table `bent._passes`, which takes the counts of
+each row from `GroupSpec._difference_counts`.  classical_ft runs the field
+transform's separable pass exactly, in Z[x]/(x^s - 1), and rounds once,
+when it evaluates the lane counts at zeta_s.  The embedding into the field
+is exact.  Being bent on the complex side implies being bent on the field
+side, and comparison_check flags any observed counterexample to that
+implication.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from operator import lshift, mul
 
 from .bent import _passes, is_bent_spectral
 from .characters import Record, ScalarFunction
 from .errors import InvalidOrder, SpecMismatch
 from .field import _divmod_monic
-from .group import _LANE_FORMATS, GroupSpec
+from .group import GroupSpec, _lane_bits, _unpack_lanes
 
 
 class ExponentFunction(Record):
@@ -70,7 +69,7 @@ def _lane_ft(ef: ExponentFunction) -> tuple[list[int], int]:
     spec = ef.spec
     s = spec.ctx.circle_order
     spec._check_work(sum(spec.dims) * s)
-    bits = next(b for b in _LANE_FORMATS if spec.order < (1 << b) - 1)
+    bits = _lane_bits(spec.order + 1)
     ring, step = (1 << s * bits) - 1, s // ef.m
     values = [1 << bits * (e * step) for e in ef.exponents]
     for d, c, lines in spec._axes():
@@ -87,14 +86,8 @@ def classical_ft(ef: ExponentFunction) -> list[complex]:
     exact lane counts of _lane_ft, evaluated at zeta_s once per value."""
     values, bits = _lane_ft(ef)
     s = ef.spec.ctx.circle_order
-    size, fmt = s * bits // 8, _LANE_FORMATS[bits]
     zs = [cmath.exp(2j * math.pi * k / s) for k in range(s)]
-    if sys.byteorder == "big":
-        zs.reverse()  # the native bytes list the top lane first
-    return [
-        sum(map(mul, memoryview(v.to_bytes(size, sys.byteorder)).cast(fmt), zs))
-        for v in values
-    ]
+    return [sum(map(mul, zs, _unpack_lanes(v, bits, s))) for v in values]
 
 
 @functools.cache

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import sys
 from array import array
 from typing import Iterator, Sequence
@@ -34,16 +35,31 @@ MAX_LOG2_ORDER = 24
 # Z_17^3 (4913 elements) on every route.
 MAX_WORK = 1 << 25
 
-# The lane widths in bits, least first, and their array and memoryview formats.
+# The lane widths in bits, least first, and their struct and array formats.
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I"}
+
+# Each byte as a bytes object: bytes.count finds one faster than an int.
+_BYTES = [bytes((j,)) for j in range(256)]
+
+
+def _lane_bits(top: int) -> int:
+    """The least lane width in bits that holds every value up to top."""
+    return next(b for b in _LANE_FORMATS if top < 1 << b)
 
 
 def _pack_lanes(values: Sequence[int], bits: int) -> int:
     """One int of lanes of `bits` bits, lane i holding values[i] (least first)."""
-    lanes = array(_LANE_FORMATS[bits], values)
+    return int.from_bytes(struct.pack(f"<{len(values)}{_LANE_FORMATS[bits]}", *values), "little")
+
+
+def _unpack_lanes(x: int, bits: int, count: int) -> array:
+    """The first `count` lanes of `bits` bits of x, least first: the values
+    that `_pack_lanes` packed, as an array (it reads many short values faster
+    than struct.unpack, which takes a format string per call)."""
+    lanes = array(_LANE_FORMATS[bits], x.to_bytes(bits // 8 * count, "little"))
     if sys.byteorder == "big":
         lanes.byteswap()
-    return int.from_bytes(lanes, "little")
+    return lanes
 
 
 def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:
@@ -94,8 +110,8 @@ class GroupSpec:
         # Exponent step of the circle generator per coordinate: a coordinate
         # with modulus d contributes multiples of s/d to character exponents.
         self.coord_steps = tuple(s // d for d in self.dims)
-        # (bits, j, r) -> the shifts and masks of _translates that add r to
-        # coordinate j, each built when first needed.
+        # (bits, j, r) -> the shifts and masks of _difference_counts that add r
+        # to coordinate j, each built when first needed.
         self._rotations: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
         self._directions: tuple[GroupElement, ...] | None = None
 
@@ -107,24 +123,42 @@ class GroupSpec:
             blocks = range(0, self.order, d * st)
             yield d, c, (slice(i, i + d * st, st) for b in blocks for i in range(b, b + st))
 
-    def _translates(self, table: int, bits: int) -> Iterator[int]:
-        """table translated by each a of directions_up_to_sign, in that order:
-        table holds |G| lanes of `bits` bits (`_pack_lanes`), lane i at the
-        i-th element, and lane x of each result is lane a + x of table.  Adding
-        r to coordinate j rotates each line along it, d lanes a stride apart:
-        a lane comes down r strides, or up d - r where that would leave the
-        line, so one rotation is two shifts under two masks."""
-        rotations = self._rotations
+    def _difference_counts(self, e: Sequence[int], d: int) -> Iterator[tuple[int, ...]]:
+        """For each a of directions_up_to_sign, in that order, the counts c_a
+        of e: G -> Z_d, c_a[j] = #{x : e[a+x] - e[x] = j mod d} for j < d.
+
+        e is held as one int of |G| lanes of b bits, 2d <= 2^b (`_pack_lanes`),
+        lane i at the i-th element, and row a is that int translated, lane x
+        holding e[a+x].  Adding r to coordinate j rotates each line along it, d
+        lanes a stride apart: a lane comes down r strides, or up d - r where
+        that would leave the line, so one rotation is two shifts under two
+        masks.  A row's lanes e[a+x] - e[x] + d lie in [1, 2d - 1]; adding
+        2^(b-1) - d sets a lane's top bit iff it is at least d, and there d is
+        taken off.  One `bytes.count` over the low bytes counts each residue."""
+        bits = _lane_bits(2 * d - 1)
+        step, top = bits // 8, bits - 1
+        size = self.order * step
+        ones = int.from_bytes((1).to_bytes(step, "little") * self.order, "little")
+        table = _pack_lanes(e, bits)
+        base, carry = d * ones - table, ((1 << top) - d) * ones
+        residues, rotations = _BYTES[:d], self._rotations
         for a in self.directions_up_to_sign():
-            t = table
+            row = table
             for j, r in enumerate(a):
                 if r:
                     down, low, up, high = rotations.get((bits, j, r)) or self._rotation(bits, j, r)
-                    t = t >> down & low | t << up & high
-            yield t
+                    row = row >> down & low | row << up & high
+            row += base
+            row -= (row + carry >> top & ones) * d
+            data = row.to_bytes(size, "little")
+            counts = tuple(map(data[::step].count, residues))
+            if d > 256:  # d = 257: residue 256, counted as 0 by its low byte
+                over = data[1::2].count(1)
+                counts = (counts[0] - over, *counts[1:], over)
+            yield counts
 
     def _rotation(self, bits: int, j: int, r: int) -> tuple[int, int, int, int]:
-        """The shifts and masks of _translates that add r to coordinate j, kept."""
+        """The shifts and masks of _difference_counts that add r to coordinate j, kept."""
         d, st = self.dims[j], self._strides[j]
         step = bits // 8 * st  # the bytes of one stride
         line = b"\xff" * step * (d - r) + bytes(step * r)  # the lanes that come down

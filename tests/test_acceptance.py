@@ -237,9 +237,10 @@ def test_criterion_8_vectorial(contexts):
     report("criterion 8, vectorial transform and bentness", ok, elapsed)
 
 
-def test_criterion_9_search_determinism(tmp_path):
-    # Z_4^2 with d = 2 has 8192 normalized tables, so --jobs 4 starts a pool
-    # of min(4, cpu count, 2) workers.
+def test_criterion_9_search_determinism(monkeypatch, tmp_path):
+    # Z_4^2 with d = 2 has 8192 normalized tables, so at BLOCK = 4096, set here
+    # and in the child, --jobs 4 starts a pool of min(4, cpu count, 2) workers.
+    monkeypatch.setattr(bent, "BLOCK", 4096)
     gf9 = make_context(3, 1)
     z4sq = make_group(gf9, [(4, 2)])
     assert bent._SearchKernel(z4sq, 2, bent._field_verdict(gf9, 2)).normalized >= 2 * bent.BLOCK
@@ -252,8 +253,8 @@ def test_criterion_9_search_determinism(tmp_path):
         return subprocess.run(
             [
                 sys.executable,
-                "-m",
-                "gfharmonic",
+                "-c",
+                f"import sys; from gfharmonic import bent, cli; bent.BLOCK = {bent.BLOCK}; sys.exit(cli.main())",
                 "search",
                 "--group",
                 str(group_path),

@@ -307,8 +307,9 @@ class TestSearch:
         assert result.count == 3
 
     def test_worker_count_does_not_change_output(self, monkeypatch, gf9):
-        # Z_4^2 with d = 2 has 8192 normalized tables, enough for two workers.
+        # Z_4^2 with d = 2 has 8192 normalized tables: two workers at BLOCK = 4096.
         z4sq = make_group(gf9, [(4, 2)])
+        monkeypatch.setattr(bent, "BLOCK", 4096)
         assert bent._SearchKernel(z4sq, 2, bent._field_verdict(gf9, 2)).normalized >= 2 * bent.BLOCK
         started = []
 
@@ -331,11 +332,12 @@ class TestSearch:
         # spawn is the default start method on macOS (and forkserver on
         # Linux from Python 3.14): workers import the package afresh and
         # receive the kernel pickled.  Z_4^2 with d = 2 has 8192 normalized
-        # tables, enough for two workers.
+        # tables: two workers at BLOCK = 4096.
         code = (
             "import concurrent.futures, multiprocessing, os\n"
-            "from gfharmonic import make_context, make_group, search_bent\n"
+            "from gfharmonic import bent, make_context, make_group, search_bent\n"
             "multiprocessing.set_start_method('spawn')\n"
+            "bent.BLOCK = 4096\n"
             "os.cpu_count = lambda: 2\n"
             "started = []\n"
             "class RecordingPool(concurrent.futures.ProcessPoolExecutor):\n"
@@ -483,6 +485,15 @@ class TestJobsBound:
         assert pool_sizes == [3, 729]
         assert [r.count for r in result] == [18, 2916]
         assert result == expected
+
+    def test_only_the_top_of_the_budget_starts_a_pool(self, monkeypatch, pool_sizes, gf9):
+        # At the measured BLOCK, Z_4^2 with d = 2 (8192 normalized tables)
+        # stays serial and Z_19 over GF(37^2) with d = 2 (262144) splits in two.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        search_bent(make_group(gf9, [(4, 2)]), 2, jobs=2)
+        assert pool_sizes == []
+        search_bent(make_group(make_context(37, 1), [(19, 1)]), 2, jobs=2)
+        assert pool_sizes == [2]
 
     def test_small_parallel_search_starts_no_pool(self, monkeypatch, pool_sizes, z3sq):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -212,14 +212,14 @@ class TestExactVerdict:
 
     def test_stops_at_the_first_failing_direction(self, monkeypatch, z5sq):
         rows = []
-        translates = GroupSpec._translates
+        difference_counts = GroupSpec._difference_counts
 
-        def counting(spec, table, bits):
-            for row in translates(spec, table, bits):
+        def counting(spec, e, d):
+            for row in difference_counts(spec, e, d):
                 rows.append(row)
                 yield row
 
-        monkeypatch.setattr(GroupSpec, "_translates", counting)
+        monkeypatch.setattr(GroupSpec, "_difference_counts", counting)
         assert not is_classical_bent(ExponentFunction(z5sq, 5, (0,) * 25))
         assert len(rows) == 1
         rows.clear()

@@ -18,11 +18,12 @@ from gfharmonic import (
     ExponentFunction,
     GroupSpec,
     ScalarFunction,
+    SpecMismatch,
     VectorFunction,
     make_context,
     make_group,
 )
-from gfharmonic import TooLarge, bent, serialize
+from gfharmonic import TooLarge, bent, cli, serialize
 from gfharmonic.characters import character_row
 from gfharmonic.cli import main
 from gfharmonic.serialize import (
@@ -558,6 +559,15 @@ class TestErrorContract:
         record = self._record(capsys, "field-info", "--p", "x", "--n", "1")
         assert record["code"] == "malformed-input"
         assert record["witness"] == "x"
+
+    def test_field_element_witness_is_its_coefficient_list(self, capsys, monkeypatch, gf16):
+        def raising(args):
+            raise SpecMismatch("operands belong to different fields", witness=gf16.g)
+
+        monkeypatch.setattr(cli, "_cmd_field_info", raising)
+        record = self._record(capsys, "field-info", "--p", "2", "--n", "2")
+        assert record["code"] == "spec-mismatch"
+        assert record["witness"] == [0, 1, 0, 0]
 
     @pytest.mark.parametrize(
         "argv, head",

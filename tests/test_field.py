@@ -82,6 +82,13 @@ class TestConstruction:
         with pytest.raises(NonPrime):
             make_context(4, 1)
 
+    @pytest.mark.parametrize("p", [1, 0, 2.0, -300])
+    def test_characteristic_checked_before_the_field_size(self, p):
+        # At p = -300 the size check alone would report too-large (q = 90000).
+        with pytest.raises(NonPrime) as exc:
+            make_context(p, 1)
+        assert exc.value.witness == p
+
     def test_reducible_modulus_rejected(self):
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2 over GF(2)
         with pytest.raises(ReducibleModulus):
@@ -147,6 +154,18 @@ class TestArithmetic:
     def test_mixed_field_operands_rejected(self, gf4, gf16):
         with pytest.raises(SpecMismatch):
             gf4.one + gf16.one
+
+    def test_division_and_the_zeroth_power_of_zero(self, gf16):
+        assert gf16.g / gf16.g == gf16.one
+        assert gf16.zero**0 == gf16.one
+
+    def test_reprs(self, gf16):
+        assert repr(gf16.element([0, 1, 0, 0])) == "FieldElement([0, 1, 0, 0], q=16)"
+        assert repr(gf16) == "FieldContext(p=2, n=2, modulus=[1, 1, 0, 0, 1])"
+
+    def test_not_equal_to_a_foreign_object(self, gf16):
+        assert (gf16.one == 1) is False
+        assert (gf16 == (2, 2)) is False
 
 
 class TestConjugation:

@@ -1,4 +1,5 @@
 import math
+import random
 import types
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from gfharmonic import InadmissibleFactor, ShapeMismatch, TooLarge, make_context, make_group
 from gfharmonic import group
 
-from _oracles import factor_dot
+import test_classical
+from _oracles import difference_counts, factor_dot
 
 
 class TestMakeGroup:
@@ -80,6 +82,9 @@ class TestEquality:
         assert make_group(gf9, [(2, 2)]) != make_group(gf9, [(2, 1)])
         assert make_group(gf9, [(1, 1)]) != make_group(gf16, [(1, 1)])
 
+    def test_not_equal_to_a_foreign_object(self, z3):
+        assert (z3 == z3.dims) is False
+
 
 class TestElementOps:
     def test_componentwise_add(self, z5sq):
@@ -146,3 +151,42 @@ class TestFactorDot:
             )
         ]
         assert lhs == rhs
+
+
+class TestLanes:
+    """A table held as one int of lanes, the format that group.py alone knows."""
+
+    def test_lane_bits(self):
+        assert [group._lane_bits(top) for top in (255, 256, 65535, 65536)] == [8, 16, 16, 32]
+
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    def test_unpack_inverts_pack(self, bits):
+        values = [0, 1, 2**bits - 1, 7, 2**bits - 2, 0]
+        packed = group._pack_lanes(values, bits)
+        assert list(group._unpack_lanes(packed, bits, len(values))) == values
+
+
+class TestDifferenceCounts:
+    """The counts of each row against the oracle that counts one difference
+    at a time, on the tables of every lane width (test_classical.TestLaneWidths)
+    and on random tables."""
+
+    @staticmethod
+    def expected(spec, e, d):
+        rows = map(spec.translate_row, spec.directions_up_to_sign())
+        return [tuple(difference_counts(row, e, d)) for row in rows]
+
+    @pytest.mark.parametrize("p, n, factors, m, bent", test_classical.TestLaneWidths.BENT)
+    def test_lane_width_tables_and_a_one_point_change(self, p, n, factors, m, bent):
+        spec = make_group(make_context(p, n), factors)
+        e = [bent(x) % m for x in spec.elements()]
+        for table in (e, [0, m - 1] + e[2:]):
+            assert list(spec._difference_counts(table, m)) == self.expected(spec, table, m)
+
+    @pytest.mark.parametrize("p, n, factors, m", [(2, 4, [(17, 2)], 17), (2, 2, [(5, 3)], 5)])
+    def test_random_tables(self, p, n, factors, m):
+        spec = make_group(make_context(p, n), factors)
+        rng = random.Random(f"{factors} {m}")
+        for _ in range(50):
+            e = [rng.randrange(m) for _ in range(spec.order)]
+            assert list(spec._difference_counts(e, m)) == self.expected(spec, e, m)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfharmonic.bent as bent_module
+import gfharmonic.group as group_module
 from gfharmonic import (
     BentReport,
     ExponentFunction,
@@ -505,8 +506,8 @@ class TestWorkBound:
         monkeypatch.setattr(GroupSpec, "exponent_row", no_row)
         monkeypatch.setattr(GroupSpec, "translate_row", no_row)
         # is_classical_bent packs the table into one int of |G| lanes first.
-        monkeypatch.setattr(bent_module, "_pack_lanes", no_row)
-        monkeypatch.setattr(GroupSpec, "_translates", no_row)
+        monkeypatch.setattr(group_module, "_pack_lanes", no_row)
+        monkeypatch.setattr(GroupSpec, "_difference_counts", no_row)
         f = ScalarFunction.constant(z257sq, z257sq.ctx.one)
         ef = ExponentFunction(z257sq, 257, (0,) * z257sq.order)
         vf = VectorFunction.from_scalar(f, 2)

@@ -98,3 +98,14 @@ class TestFunctions:
         obj = {"context": {"p": 2, "n": 1}, "group": {"factors": [{"d": 3, "m": 1}]}}
         with pytest.raises(MalformedInput):
             scalar_function_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [(None, "requires a 'values' array"), ([7, 7, 7], "must be an array of elements")],
+    )
+    def test_vector_values_must_be_arrays(self, values, message):
+        obj = {"context": {"p": 2, "n": 1}, "group": {"factors": [{"d": 3, "m": 1}]}, "l": 1}
+        if values is not None:
+            obj["values"] = values
+        with pytest.raises(MalformedInput, match=message):
+            vector_function_from_obj(obj)

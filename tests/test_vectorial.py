@@ -8,6 +8,7 @@ from gfharmonic import (
     IndexOutOfRange,
     NotOnHypersphere,
     ScalarFunction,
+    SpecMismatch,
     VectorFunction,
     coordinate_function,
     ft,
@@ -148,8 +149,26 @@ class TestCoordinates:
         with pytest.raises(IndexOutOfRange):
             coordinate_function(f, 2)
 
+    def test_slot_guard(self, gf4, z3):
+        with pytest.raises(IndexOutOfRange) as exc:
+            VectorFunction.from_scalar(ScalarFunction.constant(z3, gf4.one), 2, slot=2)
+        assert exc.value.witness == 2
+
+    def test_table_checks(self, gf4, gf16, z3):
+        with pytest.raises(SpecMismatch, match="outside the spec's field"):
+            VectorFunction(z3, 1, ((gf4.one,), (gf4.one,), (gf16.one,)))
+        with pytest.raises(SpecMismatch, match="2 entries, group has 3"):
+            VectorFunction(z3, 1, ((gf4.one,),) * 2)
+
 
 class TestConvolution:
+    def test_operands_on_different_groups_or_dimensions_rejected(self, gf4, z3, z2z4):
+        f = VectorFunction.from_scalar(ScalarFunction.constant(z3, gf4.one), 2)
+        with pytest.raises(SpecMismatch):
+            vector_convolve(f, VectorFunction.from_scalar(ScalarFunction.constant(z2z4, z2z4.ctx.one), 2))
+        with pytest.raises(DimensionMismatch):
+            vector_convolve(f, VectorFunction.from_scalar(ScalarFunction.constant(z3, gf4.one), 3))
+
     def test_self_convolution_at_zero_sums_self_products(self, z2z4):
         rng = random.Random(23)
         f = random_vector_function(z2z4, 2, rng)
