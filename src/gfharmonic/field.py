@@ -11,7 +11,8 @@ monic irreducible modulus polynomial.  Fields here are deliberately
 desk-scale (q at most MAX_Q = 65536), so construction builds full discrete
 log / antilog tables once and every product afterwards is O(1).  The same
 pass packs every power of g into one int, a lane per coefficient, so the
-sum kernels add elements as ints; _reducer decodes such a sum.  The
+sum kernels add elements as ints; _reducer decodes such a sum, and _slots
+holds several packed elements side by side in one int.  The
 verdicts take norms on codes, with no element object (_norms, _norm_sums).
 A context is immutable after construction and safe to share across workers.
 """
@@ -411,6 +412,39 @@ def _reducer(ctx: FieldContext) -> Callable[[int], int]:
         return lambda x: half[(x := x & ones) & low] | half[x >> shift] << n
     places, mask = [(i * bits, w) for i, w in enumerate(ctx._pw)], (1 << bits) - 1
     return lambda x: sum((x >> sh & mask) % p * w for sh, w in places)
+
+
+def _slots(ctx: FieldContext, count: int) -> tuple[
+    Callable[[int], bytes], Callable[[Iterable[bytes]], int], Callable[[int, int], int],
+    Callable[[int], list[int]],
+]:
+    """The packed format widened to `count` slots, slot i one packed element
+    padded to whole bytes, lowest slot first.  Returns slot, the string of one
+    packed element; join, the int of `count` slot strings; plus, the sum
+    of two such ints reduced lane by lane mod p, their lanes below p (one
+    add and one lane reduction, as in _build_log_tables, or one XOR when
+    p = 2); and decode, the code of each slot of a sum of such ints whose
+    lanes have not overflowed, by _reducer."""
+    p, top = ctx.p, ctx._bits - 1
+    size = -(-ctx.width * ctx._bits // 8)
+    ones = int.from_bytes(ctx._ones.to_bytes(size, "little") * count, "little")
+    over, code_of = ((1 << top) - p) * ones, _reducer(ctx)
+    mask, offsets = (1 << 8 * size) - 1, range(0, 8 * size * count, 8 * size)
+
+    def slot(x: int) -> bytes:
+        return x.to_bytes(size, "little")
+
+    def join(slots: Iterable[bytes]) -> int:
+        return int.from_bytes(b"".join(slots), "little")
+
+    def plus(x: int, y: int) -> int:
+        x += y
+        return x - p * ((x + over) >> top & ones)
+
+    def decode(x: int) -> list[int]:
+        return [code_of(x >> o & mask) for o in offsets]
+
+    return slot, join, plus if p > 2 else int.__xor__, decode
 
 
 def _norms(ctx: FieldContext, codes: Iterable[int]) -> list[int]:

@@ -12,21 +12,30 @@ per coordinate: it runs a length-d transform along each coordinate of
 G = prod Z_(d_j), |G| * sum_j d_j terms in all instead of |G|^2.  Its
 kernel, _transform, takes and returns coordinate columns of codes (a scalar
 table is one column), so only the values a caller gets back become
-FieldElements.  Convolution and the autocorrelations behind the derivative
-bent criteria never transform: _correlate sums F(alpha + x) H(x)^power over
-each pair of columns, read from translation rows, reducing every lane
-before it can overflow.
+FieldElements.  A line of length d takes one of two routes.  The
+per-output route sums d packed products, looked up by their logs, for each
+of its d outputs.  The table route (the Method of Four Russians) sums 2d
+ints: for each position t and each half code v of an entry, one int holds
+the d products v W^(a t) side by side, in the slots of field._slots, so the
+line's d outputs are one int sum, decoded slot by slot.  Tables are built
+within a call, shared by its axes and columns of the same length, and
+dropped when it returns; _tables_pay takes them where the products they
+save outweigh their building and a line's sum fits every lane.
+Convolution and the autocorrelations behind the derivative bent criteria
+never transform: _correlate sums F(alpha + x) H(x)^power over each pair of
+columns, read from translation rows, reducing every lane before it can
+overflow.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .characters import ScalarFunction, inner_product
 from .errors import SpecMismatch
-from .field import FieldElement, _reducer
-from .group import GroupSpec
+from .field import FieldContext, FieldElement, _reducer, _slots
+from .group import MAX_WORK, GroupSpec
 
 
 def _transform(
@@ -35,19 +44,32 @@ def _transform(
     """The transform kernel, on coordinate columns of codes in canonical order:
     alpha -> scale * sum_x f(x) chi_alpha(x)^sign, for the codes of each column f."""
     ctx = spec.ctx
-    q1 = ctx.q - 1
+    q1, P = ctx.q - 1, ctx.sqrt_q
     spec._check_work(len(columns) * sum(spec.dims))  # all l transforms, before the first
     terms, log, code_of = ctx._terms, ctx._log, _reducer(ctx)
-    # The scale, a nonzero element of GF(p), multiplies the first pass.
-    shift = log[scale_mod_p]
     columns = list(map(list, columns))
+    if scale_mod_p != 1:  # a nonzero element of GF(p), applied before the first pass
+        exp, shift = ctx._exp, log[scale_mod_p]
+        columns = [[x and exp[(log[x] + shift) % q1] for x in codes] for codes in columns]
+    tables = {}  # by d: every axis of length d shares one table
     for d, c, lines in spec._axes():
         # Along this axis chi_alpha(x) has the factor u^(c a t) = g^(k a t),
         # where a and t are the coordinates of alpha and x.
         k = sign * ctx._step * c
-        rows = [[(k * a * t + shift) % q1 for t in range(d)] for a in range(d)]
-        shift = 0
         lines = list(lines)
+        if _tables_pay(ctx, d, spec.dims.count(d) * len(columns) * len(lines)):
+            if d not in tables:
+                tables[d] = _line_table(ctx, d, k)
+            lo_rows, hi_rows, decode = tables[d]
+            for codes in columns:
+                los, his = [x % P for x in codes], [x // P for x in codes]
+                for line in lines:
+                    codes[line] = decode(
+                        sum(map(list.__getitem__, lo_rows, los[line]))
+                        + sum(map(list.__getitem__, hi_rows, his[line]))
+                    )
+            continue
+        rows = [[k * a * t % q1 for t in range(d)] for a in range(d)]
         for codes in columns:
             logs = [log[x] for x in codes]
             for line in lines:
@@ -56,6 +78,53 @@ def _transform(
                     code_of(sum(map(terms.__getitem__, map(add, x_logs, row)))) for row in rows
                 ]
     return columns
+
+
+def _tables_pay(ctx: FieldContext, d: int, lines: int) -> bool:
+    """Whether `lines` lines of length d take the table route, from counts
+    known before any table is built.  Per line, the per-output route sums d
+    products for each of d outputs, d^2 steps; the table route reads 2d
+    table ints and cuts d slots, 3d steps.  The table, for each of 2 halves
+    and d positions, joins n(p - 1) multiples of d slots and adds P entries,
+    two steps each (an add and a lane reduction).  It must also fit: a line's
+    2d packed terms may not overflow a lane, and the table's 2d^2 P packed
+    elements take at most MAX_WORK bits."""
+    P, p, n = ctx.sqrt_q, ctx.p, ctx.n
+    return (
+        lines * d * (d - 3) > 4 * d * (P + n * (p - 1) * d)
+        and 2 * d * (p - 1) < 1 << ctx._bits
+        and 2 * d * P * d * ctx.width * ctx._bits <= MAX_WORK
+    )
+
+
+def _line_table(
+    ctx: FieldContext, d: int, k: int
+) -> tuple[list[list[int]], list[list[int]], Callable[[int], list[int]]]:
+    """The tables of a line of length d whose root is g^k: lo_rows[t][v] is
+    the int of d slots whose slot a holds the packed product v g^(k a t), for
+    each half code v (an element of the low half of the coefficients), and
+    hi_rows[t][v] the same for v x^n (the high half).  So the transform of a
+    line of codes x_t = lo_t + P hi_t is the slot-wise sum over t of
+    lo_rows[t][lo_t] + hi_rows[t][hi_t], which decode reads.  Each row is
+    built by linearity in v's digits: one `plus` per entry."""
+    q1, p, n, log, terms = ctx.q - 1, ctx.p, ctx.n, ctx._log, ctx._terms
+    slot, join, plus, decode = _slots(ctx, d)
+    halves = []
+    for h in range(2):
+        rows = [[0] for t in range(d)]
+        for j in range(n):
+            b = log[p ** (j + n * h)]  # x^(j + n h), whose code is p^(j + n h)
+            # The slot strings of c x^(j + n h) g^(k m), m < d, for each digit c > 0.
+            strings = [
+                [slot(terms[log[c] + (b + k * m) % q1]) for m in range(d)]
+                for c in range(1, p)
+            ]
+            for t, row in enumerate(rows):
+                # Slot a of position t holds power a t mod d: every t-th of t copies.
+                multiples = [join((ss * t)[::t] if t else ss[:1] * d) for ss in strings]
+                row += [plus(x, m) for m in multiples for x in row]
+        halves.append(rows)
+    return halves[0], halves[1], decode
 
 
 def ft(f: ScalarFunction) -> ScalarFunction:

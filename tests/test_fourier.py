@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfharmonic.fourier as fourier_module
 from gfharmonic import (
     ScalarFunction,
     SpecMismatch,
     character_row,
     convolve,
     ft,
+    inner_product,
     inverse_ft,
     make_context,
     make_group,
@@ -187,6 +189,23 @@ class TestPlancherelParseval:
                 total = total + v.norm()
             assert total == c * c
             assert parseval_check(f)
+
+    def test_a_wrong_spectrum_fails_the_energy_identity(self, monkeypatch, z2z4):
+        """With ft returning f itself, the spectral energy is the energy of f,
+        not |G| mod p = 2 times it; this f has nonzero energy."""
+        f = random_function(z2z4, random.Random(44))
+        assert parseval_check(f) and inner_product(f, f) != z2z4.ctx.zero
+        monkeypatch.setattr(fourier_module, "ft", lambda g: g)
+        assert not parseval_check(f)
+
+    def test_a_wrong_energy_fails_the_circle_value(self, monkeypatch, z2z4):
+        """For circle-valued f the energy identity already forces the spectral
+        energy (|G| mod p)^2 when inner_product(f, f) is |G| mod p; with a
+        zero inner product both sides agree, and only the circle check fails."""
+        f = random_circle_function(z2z4, random.Random(45))
+        assert parseval_check(f)
+        monkeypatch.setattr(fourier_module, "inner_product", lambda g, h: z2z4.ctx.zero)
+        assert not parseval_check(f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,13 +3,16 @@
 Sums over G in gfharmonic.fourier take two routes over the packed elements
 of FieldContext._terms: the separable transform, one pass per coordinate,
 and the correlation sums (convolution, the scalar and vectorial
-autocorrelations), fed by GroupSpec.translate_row.  These tests compare each
-with the FieldElement double sums kept in tests/_oracles.py, over fields
-from GF(4) to GF(1024), two of them with a non-default modulus.  The
+autocorrelations), fed by GroupSpec.translate_row.  A transform pass sums
+each line per output or through tables built for the call; both routes
+are forced on every case.  These tests compare each with the FieldElement
+double sums kept in tests/_oracles.py, over fields from GF(4) to GF(1024),
+two of them with a non-default modulus.  The
 classical transform runs the same pass over lane counts in Z[x]/(x^s - 1);
 its lanes are compared exactly with a one-by-one count.
 """
 
+import copy
 import functools
 import random
 
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfharmonic.bent as bent_module
+import gfharmonic.fourier as fourier_module
 import gfharmonic.group as group_module
 from gfharmonic import (
     BentReport,
@@ -35,6 +39,7 @@ from gfharmonic import (
     char_exponent,
     classical_ft,
     convolve,
+    coordinate_function,
     derivative,
     dual_bent,
     ft,
@@ -223,6 +228,147 @@ class TestVectorKernels:
         assert report.failing_points == failing
         assert report.is_bent == (not failing)
         assert report.spectrum_norms == naive_ft(ScalarFunction(spec, tuple(ac))).values
+
+
+def _with_zeros(data, f):
+    """f with a column of zeros added, and all its values at a drawn point zero."""
+    spec, zero = f.spec, f.spec.ctx.zero
+    x0 = data.draw(st.integers(0, spec.order - 1))
+    rows = [row + (zero,) for row in f.values]
+    rows[x0] = (zero,) * (f.dim + 1)
+    return VectorFunction(spec, f.dim + 1, tuple(rows))
+
+
+def _no_table(*args):
+    raise AssertionError("a transform table was built")
+
+
+def _record_tables(mp, built):
+    """Append to `built` the arguments of each table the kernel builds."""
+    line_table = fourier_module._line_table
+    mp.setattr(fourier_module, "_line_table", lambda *a: built.append(a) or line_table(*a))
+
+
+class TestTransformRoutes:
+    """Each pass of the transform kernel sums a line per output or through
+    the call's tables, as fourier._tables_pay decides.  Forced each way on
+    every case, both routes give the double-sum oracles, so they agree: both
+    signs, the inverse's scale (not 1 where p is odd and |G| mod p is not 1),
+    zero codes (a zero point and a zero column) and tables of 1-3 columns.
+    Every case fits a forced table: 2d(p - 1) stays below 2^bits."""
+
+    @each_case
+    @examples
+    @given(st.integers(1, 2), st.data())
+    def test_forced_routes(self, i, dim, data):
+        spec = _spec_of(i)
+        ctx = spec.ctx
+        assert all(2 * d * (ctx.p - 1) < 1 << ctx._bits for d in spec.dims)
+        f = _with_zeros(data, _vector_table(data, spec, dim))
+        g = coordinate_function(f, 0)
+        want = (
+            naive_md_ft(f),
+            naive_md_inverse_ft(f),
+            naive_ft(g),
+            tuple(naive_inverse_ft_at(g, x) for x in spec.elements()),
+        )
+        for table in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fourier_module, "_tables_pay", lambda ctx, d, lines: table)
+                got = (md_ft(f), md_inverse_ft(f), ft(g), inverse_ft(g).values)
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "p, n, factors", [(3, 1, [(2, 1), (4, 1)]), (5, 1, [(3, 2)]), (7, 1, [(4, 4)])]
+    )
+    def test_scaled_inverse(self, p, n, factors):
+        """The inverse scales by (|G| mod p)^-1 = 2, 4 and 2 here.  Z_4^4/GF(49)
+        takes tables unforced; its rows are sampled."""
+        spec = make_group(make_context(p, n), factors)
+        assert spec.inv_order_mod_p != 1
+        F = random_function(spec, random.Random(p))
+        rng = random.Random(spec.order)
+        idxs = range(spec.order)
+        if spec.order > 100:
+            idxs = [0, 1, spec.order - 1, rng.randrange(spec.order)]
+        built = []
+        for table in (False, True, None):  # None: as _tables_pay decides
+            with pytest.MonkeyPatch.context() as mp:
+                if table is None:
+                    _record_tables(mp, built)
+                else:
+                    mp.setattr(fourier_module, "_tables_pay", lambda ctx, d, lines: table)
+                back = inverse_ft(F)
+            for idx in idxs:
+                assert back.values[idx] == naive_inverse_ft_at(F, spec.element_at(idx))
+        assert bool(built) == (spec.order > 100)
+
+
+class TestTransformTablesFit:
+    """The table route needs a line's 2d packed terms to fit every lane and
+    the table within MAX_WORK bits; a line that would not fit takes the
+    per-output route although its count alone would take a table."""
+
+    @pytest.mark.parametrize("p, n, d", [(2, 5, 33), (5, 2, 26)])
+    def test_lines_that_would_overflow_a_lane(self, monkeypatch, p, n, d):
+        spec = make_group(make_context(p, n), [(d, 2)])
+        ctx, lines = spec.ctx, 2 * d
+        assert 2 * d * (p - 1) >= 1 << ctx._bits  # 66 > 63 and 208 > 127
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctx, "_bits", 8)  # lanes of 8 bits would hold 66 and 208
+            assert fourier_module._tables_pay(ctx, d, lines)
+        assert not fourier_module._tables_pay(ctx, d, lines)
+        monkeypatch.setattr(fourier_module, "_line_table", _no_table)
+        rng = random.Random(d)
+        f = random_function(spec, rng)
+        F, back = ft(f), inverse_ft(f)
+        for idx in [0, 1, d, spec.order - 1, rng.randrange(spec.order)]:
+            point = spec.element_at(idx)
+            assert F.values[idx] == naive_ft_at(f, point)
+            assert back.values[idx] == naive_inverse_ft_at(f, point)
+
+    def test_a_table_past_the_size_bound(self, monkeypatch):
+        """Z_43^2/GF(2^14): 86 lines of 43 would take a table of 2 * 43^2 * 128
+        packed elements of 112 bits, 53 million bits, past MAX_WORK."""
+        spec = make_group(make_context(2, 7), [(43, 2)])
+        ctx = spec.ctx
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fourier_module, "MAX_WORK", 1 << 26)
+            assert fourier_module._tables_pay(ctx, 43, 86)
+        assert not fourier_module._tables_pay(ctx, 43, 86)
+        monkeypatch.setattr(fourier_module, "_line_table", _no_table)
+        rng = random.Random(43)
+        f = random_function(spec, rng)
+        F = ft(f)
+        for idx in [0, 1, spec.order - 1, rng.randrange(spec.order)]:
+            assert F.values[idx] == naive_ft_at(f, spec.element_at(idx))
+
+
+class TestTransformKeepsNoState:
+    """Tables live within one call: after ft, inverse_ft, md_ft and
+    dual_bent, on groups where they take tables, the spec and its context
+    hold what they held before."""
+
+    @staticmethod
+    def _state(obj):
+        return {k: copy.copy(v) for k, v in vars(obj).items()}
+
+    def test_no_table_outlives_its_call(self, monkeypatch):
+        built = []
+        _record_tables(monkeypatch, built)
+        ctx = make_context(2, 4)
+        h = make_group(ctx, [(17, 1)])
+        mm = mm_construct(ScalarFunction.from_exponents(h, 17, [y * y for y in range(17)]))
+        z5cube = make_group(make_context(2, 2), [(5, 3)])
+        for spec, f in [(mm.spec, mm), (z5cube, random_circle_function(z5cube, random.Random(5)))]:
+            before = (self._state(spec), self._state(spec.ctx))
+            vf = VectorFunction.from_scalar(f, 2)
+            ft(f), inverse_ft(f), md_ft(vf), md_inverse_ft(vf)
+            if spec is mm.spec:
+                dual_bent(f)
+            assert (self._state(spec), self._state(spec.ctx)) == before
+            assert vars(spec) == before[0] and vars(spec.ctx) == before[1]
+        assert len(built) == 5 + 4  # one table a call: five calls on Z_17^2, four on Z_5^3
 
 
 class TestPastTheOldCacheCutoff:
