@@ -300,7 +300,8 @@ class _SearchKernel:
                 values = kept
                 if not values:
                     break
-            found.extend(e[:z] + (v,) for v in values)
+            else:  # some value passed every row
+                found.extend(e[:z] + (v,) for v in values)
         return found
 
     def expand(self, normalized: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -342,7 +343,9 @@ def _search(
             f"{total} candidates exceed the budget of {budget}", witness=total
         )
     kernel = _SearchKernel(spec, d, verdict)
-    workers = min(jobs, os.cpu_count() or 1, kernel.normalized // BLOCK)
+    workers = min(jobs, kernel.normalized // BLOCK)
+    if workers > 1:  # only a search that may start a pool asks for the cpu count
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         found = kernel.run()
     else:

@@ -12,9 +12,12 @@ desk-scale (q at most MAX_Q = 65536), so construction builds full discrete
 log / antilog tables once and every product afterwards is O(1).  The same
 pass packs every power of g into one int, a lane per coefficient, so the
 sum kernels add elements as ints; _reducer decodes such a sum, and _slots
-holds several packed elements side by side in one int.  The
-verdicts take norms on codes, with no element object (_norms, _norm_sums).
-A context is immutable after construction and safe to share across workers.
+holds several packed elements side by side in one int, as in the
+transform's line tables (FieldContext._line_table).  The verdicts take
+norms on codes, with no element object (_norms, _norm_sums).  A context's
+one memo is those tables, one per line length d, each built on first use:
+it never changes a result, equality, hash or pickle, so a context is safe
+to share across workers.
 """
 
 from __future__ import annotations
@@ -127,6 +130,11 @@ def _is_irreducible(modulus: Sequence[int], p: int, half_degree: int) -> bool:
             if not any(_poly_rem(modulus, divisor, p)):
                 return False
     return True
+
+
+# The tables of a transform line (FieldContext._line_table): lo_rows,
+# hi_rows and decode.
+LineTable = tuple[list[list[int]], list[list[int]], Callable[[int], list[int]]]
 
 
 class FieldElement:
@@ -283,6 +291,9 @@ class FieldContext:
         ), "circle generator order check failed"
 
         self._circle_pow = tuple(self._exp[k * self._step % (q - 1)] for k in range(s))
+        # The transform's line tables by length d, each built by _line_table
+        # when first needed and kept; at most one per divisor d of s.
+        self._line_tables: dict[int, LineTable] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -351,6 +362,41 @@ class FieldContext:
         log[0] = 2 * (q - 1)
         self._exp, self._log = exp, log
         self._terms = packed * 2 + [0] * (q - 1)
+
+    def _line_table(self, d: int) -> LineTable:
+        """Build and keep the tables of a line of length d, whose root is
+        w = u^(s/d) = g^k: lo_rows[t][v] is the int of d slots (_slots) whose
+        slot a holds the packed product v w^(a t), for each half code v (an
+        element of the low half of the coefficients), and hi_rows[t][v] the
+        same for v x^n (the high half).  So the transform of a line of codes
+        x_t = lo_t + P hi_t is the slot-wise sum over t of lo_rows[t][lo_t] +
+        hi_rows[t][hi_t], which decode reads; its inverse reads slot a at
+        -a mod d.  Each row is built by linearity in v's digits: one `plus`
+        per entry."""
+        q1, p, n, log, terms = self.q - 1, self.p, self.n, self._log, self._terms
+        k = self._step * (self.circle_order // d)
+        slot, join, plus, decode = _slots(self, d)
+        halves = []
+        for h in range(2):
+            rows = [[0] for t in range(d)]
+            for j in range(n):
+                b = log[p ** (j + n * h)]  # x^(j + n h), whose code is p^(j + n h)
+                # The slot strings of c x^(j + n h) g^(k m), m < d, for each digit c > 0.
+                strings = [
+                    [slot(terms[log[c] + (b + k * m) % q1]) for m in range(d)]
+                    for c in range(1, p)
+                ]
+                for t, row in enumerate(rows):
+                    # Slot a of position t holds power a t mod d: every t-th of t copies.
+                    multiples = [join((ss * t)[::t] if t else ss[:1] * d) for ss in strings]
+                    row += [plus(x, m) for m in multiples for x in row]
+            halves.append(rows)
+        table = self._line_tables[d] = (halves[0], halves[1], decode)
+        return table
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies leave the line tables out; they rebuild on first use.
+        return {**vars(self), "_line_tables": {}}
 
     # -- public surface --------------------------------------------------------
 

@@ -17,10 +17,11 @@ per-output route sums d packed products, looked up by their logs, for each
 of its d outputs.  The table route (the Method of Four Russians) sums 2d
 ints: for each position t and each half code v of an entry, one int holds
 the d products v W^(a t) side by side, in the slots of field._slots, so the
-line's d outputs are one int sum, decoded slot by slot.  Tables are built
-within a call, shared by its axes and columns of the same length, and
-dropped when it returns; _tables_pay takes them where the products they
-save outweigh their building and a line's sum fits every lane.
+line's d outputs are one int sum, decoded slot by slot.  The field context
+keeps one table per line length (FieldContext._line_table), built by the
+first call that needs it; the inverse reads the same table with its slots
+reversed.  _tables_pay takes the route, in each call, where the products
+it saves outweigh building the table and a line's sum fits every lane.
 Convolution and the autocorrelations behind the derivative bent criteria
 never transform: _correlate sums F(alpha + x) H(x)^power over each pair of
 columns, read from translation rows, reducing every lane before it can
@@ -30,11 +31,11 @@ overflow.
 from __future__ import annotations
 
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .characters import ScalarFunction, inner_product
 from .errors import SpecMismatch
-from .field import FieldContext, FieldElement, _reducer, _slots
+from .field import FieldContext, FieldElement, _reducer
 from .group import MAX_WORK, GroupSpec
 
 
@@ -51,23 +52,23 @@ def _transform(
     if scale_mod_p != 1:  # a nonzero element of GF(p), applied before the first pass
         exp, shift = ctx._exp, log[scale_mod_p]
         columns = [[x and exp[(log[x] + shift) % q1] for x in codes] for codes in columns]
-    tables = {}  # by d: every axis of length d shares one table
     for d, c, lines in spec._axes():
         # Along this axis chi_alpha(x) has the factor u^(c a t) = g^(k a t),
         # where a and t are the coordinates of alpha and x.
         k = sign * ctx._step * c
         lines = list(lines)
         if _tables_pay(ctx, d, spec.dims.count(d) * len(columns) * len(lines)):
-            if d not in tables:
-                tables[d] = _line_table(ctx, d, k)
-            lo_rows, hi_rows, decode = tables[d]
+            lo_rows, hi_rows, decode = ctx._line_tables.get(d) or ctx._line_table(d)
             for codes in columns:
                 los, his = [x % P for x in codes], [x // P for x in codes]
                 for line in lines:
-                    codes[line] = decode(
+                    out = decode(
                         sum(map(list.__getitem__, lo_rows, los[line]))
                         + sum(map(list.__getitem__, hi_rows, his[line]))
                     )
+                    # The table is the forward one (root g^(step c)): the inverse
+                    # reads slot a at -a mod d.
+                    codes[line] = out if sign > 0 else out[:1] + out[:0:-1]
             continue
         rows = [[k * a * t % q1 for t in range(d)] for a in range(d)]
         for codes in columns:
@@ -95,36 +96,6 @@ def _tables_pay(ctx: FieldContext, d: int, lines: int) -> bool:
         and 2 * d * (p - 1) < 1 << ctx._bits
         and 2 * d * P * d * ctx.width * ctx._bits <= MAX_WORK
     )
-
-
-def _line_table(
-    ctx: FieldContext, d: int, k: int
-) -> tuple[list[list[int]], list[list[int]], Callable[[int], list[int]]]:
-    """The tables of a line of length d whose root is g^k: lo_rows[t][v] is
-    the int of d slots whose slot a holds the packed product v g^(k a t), for
-    each half code v (an element of the low half of the coefficients), and
-    hi_rows[t][v] the same for v x^n (the high half).  So the transform of a
-    line of codes x_t = lo_t + P hi_t is the slot-wise sum over t of
-    lo_rows[t][lo_t] + hi_rows[t][hi_t], which decode reads.  Each row is
-    built by linearity in v's digits: one `plus` per entry."""
-    q1, p, n, log, terms = ctx.q - 1, ctx.p, ctx.n, ctx._log, ctx._terms
-    slot, join, plus, decode = _slots(ctx, d)
-    halves = []
-    for h in range(2):
-        rows = [[0] for t in range(d)]
-        for j in range(n):
-            b = log[p ** (j + n * h)]  # x^(j + n h), whose code is p^(j + n h)
-            # The slot strings of c x^(j + n h) g^(k m), m < d, for each digit c > 0.
-            strings = [
-                [slot(terms[log[c] + (b + k * m) % q1]) for m in range(d)]
-                for c in range(1, p)
-            ]
-            for t, row in enumerate(rows):
-                # Slot a of position t holds power a t mod d: every t-th of t copies.
-                multiples = [join((ss * t)[::t] if t else ss[:1] * d) for ss in strings]
-                row += [plus(x, m) for m in multiples for x in row]
-        halves.append(rows)
-    return halves[0], halves[1], decode
 
 
 def ft(f: ScalarFunction) -> ScalarFunction:

@@ -500,3 +500,15 @@ class TestJobsBound:
         result = search_bent(z3sq, 3, jobs=2)
         assert pool_sizes == []
         assert result == search_bent(z3sq, 3)
+
+    def test_a_search_that_starts_no_pool_reads_no_cpu_count(self, monkeypatch, pool_sizes, z3sq):
+        # Serial, or with fewer than 2 * BLOCK normalized tables (729 here).
+        expected = search_bent(z3sq, 3)
+
+        def no_cpu_count():
+            raise AssertionError("the search read the cpu count")
+
+        monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+        assert search_bent(z3sq, 3) == expected
+        assert search_bent(z3sq, 3, jobs=2) == expected
+        assert pool_sizes == []

@@ -59,6 +59,7 @@ from gfharmonic import (
     search_bent,
     vector_convolve,
 )
+from gfharmonic.field import FieldContext
 from gfharmonic.group import MAX_WORK
 from _oracles import (
     lane_counts,
@@ -240,22 +241,34 @@ def _with_zeros(data, f):
 
 
 def _no_table(*args):
-    raise AssertionError("a transform table was built")
+    raise AssertionError("the table route ran")
 
 
 def _record_tables(mp, built):
-    """Append to `built` the arguments of each table the kernel builds."""
-    line_table = fourier_module._line_table
-    mp.setattr(fourier_module, "_line_table", lambda *a: built.append(a) or line_table(*a))
+    """Append to `built` the (context, d) of each table the kernel builds."""
+    line_table = FieldContext._line_table
+    mp.setattr(
+        FieldContext, "_line_table", lambda ctx, d: built.append((ctx, d)) or line_table(ctx, d)
+    )
+
+
+def _forbid_tables(mp, ctx):
+    """Make the table route raise on ctx: its builder, and the decode of each
+    table it keeps."""
+    mp.setattr(FieldContext, "_line_table", _no_table)
+    kept = {d: table[:2] + (_no_table,) for d, table in ctx._line_tables.items()}
+    mp.setattr(ctx, "_line_tables", kept)
 
 
 class TestTransformRoutes:
     """Each pass of the transform kernel sums a line per output or through
-    the call's tables, as fourier._tables_pay decides.  Forced each way on
-    every case, both routes give the double-sum oracles, so they agree: both
-    signs, the inverse's scale (not 1 where p is odd and |G| mod p is not 1),
-    zero codes (a zero point and a zero column) and tables of 1-3 columns.
-    Every case fits a forced table: 2d(p - 1) stays below 2^bits."""
+    the context's line tables, as fourier._tables_pay decides.  Forced each
+    way on every case, both routes give the double-sum oracles, so they
+    agree: both signs, the inverse's scale (not 1 where p is odd and |G| mod
+    p is not 1), zero codes (a zero point and a zero column) and tables of
+    1-3 columns.  The per-output route runs after the forced tables are kept,
+    and reads none of them.  Every case fits a forced table: 2d(p - 1) stays
+    below 2^bits."""
 
     @each_case
     @examples
@@ -272,9 +285,12 @@ class TestTransformRoutes:
             naive_ft(g),
             tuple(naive_inverse_ft_at(g, x) for x in spec.elements()),
         )
-        for table in (False, True):
+        for table in (True, False):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fourier_module, "_tables_pay", lambda ctx, d, lines: table)
+                if not table:
+                    assert set(ctx._line_tables) >= set(spec.dims)
+                    _forbid_tables(mp, ctx)
                 got = (md_ft(f), md_inverse_ft(f), ft(g), inverse_ft(g).values)
             assert got == want
 
@@ -283,7 +299,8 @@ class TestTransformRoutes:
     )
     def test_scaled_inverse(self, p, n, factors):
         """The inverse scales by (|G| mod p)^-1 = 2, 4 and 2 here.  Z_4^4/GF(49)
-        takes tables unforced; its rows are sampled."""
+        takes tables unforced, on its fresh context (the forced runs come
+        after, since a forced table is kept); its rows are sampled."""
         spec = make_group(make_context(p, n), factors)
         assert spec.inv_order_mod_p != 1
         F = random_function(spec, random.Random(p))
@@ -292,7 +309,7 @@ class TestTransformRoutes:
         if spec.order > 100:
             idxs = [0, 1, spec.order - 1, rng.randrange(spec.order)]
         built = []
-        for table in (False, True, None):  # None: as _tables_pay decides
+        for table in (None, False, True):  # None: as _tables_pay decides
             with pytest.MonkeyPatch.context() as mp:
                 if table is None:
                     _record_tables(mp, built)
@@ -301,7 +318,29 @@ class TestTransformRoutes:
                 back = inverse_ft(F)
             for idx in idxs:
                 assert back.values[idx] == naive_inverse_ft_at(F, spec.element_at(idx))
-        assert bool(built) == (spec.order > 100)
+        assert built == ([(spec.ctx, 4)] if spec.order > 100 else [])
+
+    @pytest.mark.parametrize("p, n, factors", [(3, 1, [(2, 1), (4, 1)]), (7, 1, [(4, 4)])])
+    def test_both_signs_read_one_table(self, monkeypatch, p, n, factors):
+        """On a fresh context ft builds one table per line length, and
+        inverse_ft, with its odd-p scale, reads those and builds none."""
+        spec = make_group(make_context(p, n), factors)
+        monkeypatch.setattr(fourier_module, "_tables_pay", lambda ctx, d, lines: True)
+        built = []
+        _record_tables(monkeypatch, built)
+        F = random_function(spec, random.Random(p))
+        out = ft(F)
+        assert [d for _, d in built] == sorted(set(spec.dims))
+        back = inverse_ft(F)
+        assert len(built) == len(set(spec.dims))
+        rng = random.Random(spec.order)
+        idxs = range(spec.order)
+        if spec.order > 100:
+            idxs = [0, 1, spec.order - 1, rng.randrange(spec.order)]
+        for idx in idxs:
+            x = spec.element_at(idx)
+            assert out.values[idx] == naive_ft_at(F, x)
+            assert back.values[idx] == naive_inverse_ft_at(F, x)
 
 
 class TestTransformTablesFit:
@@ -318,7 +357,7 @@ class TestTransformTablesFit:
             mp.setattr(ctx, "_bits", 8)  # lanes of 8 bits would hold 66 and 208
             assert fourier_module._tables_pay(ctx, d, lines)
         assert not fourier_module._tables_pay(ctx, d, lines)
-        monkeypatch.setattr(fourier_module, "_line_table", _no_table)
+        monkeypatch.setattr(FieldContext, "_line_table", _no_table)
         rng = random.Random(d)
         f = random_function(spec, rng)
         F, back = ft(f), inverse_ft(f)
@@ -336,7 +375,7 @@ class TestTransformTablesFit:
             mp.setattr(fourier_module, "MAX_WORK", 1 << 26)
             assert fourier_module._tables_pay(ctx, 43, 86)
         assert not fourier_module._tables_pay(ctx, 43, 86)
-        monkeypatch.setattr(fourier_module, "_line_table", _no_table)
+        monkeypatch.setattr(FieldContext, "_line_table", _no_table)
         rng = random.Random(43)
         f = random_function(spec, rng)
         F = ft(f)
@@ -344,31 +383,38 @@ class TestTransformTablesFit:
             assert F.values[idx] == naive_ft_at(f, spec.element_at(idx))
 
 
-class TestTransformKeepsNoState:
-    """Tables live within one call: after ft, inverse_ft, md_ft and
-    dual_bent, on groups where they take tables, the spec and its context
-    hold what they held before."""
+class TestTransformKeepsOneTablePerLength:
+    """A context keeps one line table per length d, built by the first call
+    that takes the table route and read by every later call of either sign:
+    on groups where they take tables, ft, inverse_ft, md_ft, md_inverse_ft
+    and dual_bent build one table per (context, d) in all, and a second round
+    builds none.  The spec, and the context's equality and hash, stay as
+    they were."""
 
     @staticmethod
     def _state(obj):
         return {k: copy.copy(v) for k, v in vars(obj).items()}
 
-    def test_no_table_outlives_its_call(self, monkeypatch):
+    def test_one_table_per_context_and_length(self, monkeypatch):
         built = []
         _record_tables(monkeypatch, built)
-        ctx = make_context(2, 4)
-        h = make_group(ctx, [(17, 1)])
+        h = make_group(make_context(2, 4), [(17, 1)])
         mm = mm_construct(ScalarFunction.from_exponents(h, 17, [y * y for y in range(17)]))
         z5cube = make_group(make_context(2, 2), [(5, 3)])
         for spec, f in [(mm.spec, mm), (z5cube, random_circle_function(z5cube, random.Random(5)))]:
-            before = (self._state(spec), self._state(spec.ctx))
+            ctx, d = spec.ctx, spec.dims[0]
+            before, key = self._state(spec), hash(ctx)
             vf = VectorFunction.from_scalar(f, 2)
-            ft(f), inverse_ft(f), md_ft(vf), md_inverse_ft(vf)
-            if spec is mm.spec:
-                dual_bent(f)
-            assert (self._state(spec), self._state(spec.ctx)) == before
-            assert vars(spec) == before[0] and vars(spec.ctx) == before[1]
-        assert len(built) == 5 + 4  # one table a call: five calls on Z_17^2, four on Z_5^3
+            for _ in range(2):
+                ft(f), inverse_ft(f), md_ft(vf), md_inverse_ft(vf)
+                if spec is mm.spec:
+                    dual_bent(f)
+                assert len(built) == 1 and built[0][0] is ctx and built[0][1] == d
+                assert list(ctx._line_tables) == [d]
+            built.clear()
+            assert vars(spec) == before
+            twin = make_context(ctx.p, ctx.n)
+            assert ctx == twin and hash(ctx) == hash(twin) == key
 
 
 class TestPastTheOldCacheCutoff:

@@ -14,6 +14,9 @@ from gfharmonic import (
     SearchResult,
     SpecMismatch,
     VectorFunction,
+    ft,
+    make_context,
+    make_group,
 )
 
 
@@ -98,6 +101,19 @@ class TestRecords:
             assert copy.copy(r) == r
             assert copy.deepcopy(r) == r
             assert pickle.loads(pickle.dumps(r)) == r
+        # A record whose context keeps a line table (Z_5^3/GF(16) transforms
+        # through one) pickles and deep-copies without it; it rebuilds on use.
+        spec = make_group(make_context(2, 2), [(5, 3)])
+        f = ScalarFunction.from_exponents(spec, 5, [x * x for x in range(spec.order)])
+        size = len(pickle.dumps(f))
+        F = ft(f)
+        assert list(spec.ctx._line_tables) == [5]
+        assert len(pickle.dumps(f)) == size
+        for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == f and twin.spec.ctx is not spec.ctx
+            assert twin.spec.ctx._line_tables == {}
+            assert ft(twin) == F and list(twin.spec.ctx._line_tables) == [5]
+        assert copy.copy(f).spec.ctx is spec.ctx
 
     def test_count_property(self):
         assert SearchResult(3, 27, ((0, 1, 1), (0, 2, 2))).count == 2
