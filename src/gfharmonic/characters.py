@@ -176,7 +176,7 @@ def evaluation_map_is_bijective(spec: GroupSpec) -> bool:
     Injectivity suffices for bijectivity since G and its double dual have
     equal order.  The map is a homomorphism, so it is injective iff no
     x != 0 has an all-zero row; one row is held at a time, and a group
-    whose |G|^2 exponents exceed group.MAX_WORK raises TooLarge.
+    whose |G|^2 exponents exceed field.MAX_WORK raises TooLarge.
     """
     spec._check_work(spec.order)
     # chi_alpha(x) = chi_x(alpha), so the row of x is its evaluation map.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -90,7 +91,9 @@ def _cmd_char_table(args) -> int:
 
     if args.pretty:
         cells = [str(v) for v in spec.ctx.circle()]
-        width_ = max(len(cells[k]) for row in rows() for k in row)
+        # The table's exponents are exactly the multiples of s/e, e = lcm(dims):
+        # some alpha has order e, and its row takes every e-th root of unity.
+        width_ = max(map(len, cells[:: len(cells) // math.lcm(*spec.dims)]))
         _emit(args, ("  ".join(cells[k].rjust(width_) for k in row) + "\n" for row in rows()))
     else:
         # The bytes of dumps({**group_file_to_obj(spec), "table": ...}), row by row.

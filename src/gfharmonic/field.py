@@ -13,16 +13,20 @@ log / antilog tables once and every product afterwards is O(1).  The same
 pass packs every power of g into one int, a lane per coefficient, so the
 sum kernels add elements as ints; _reducer decodes such a sum, and _slots
 holds several packed elements side by side in one int, as in the
-transform's line tables (FieldContext._line_table).  The verdicts take
-norms on codes, with no element object (_norms, _norm_sums).  A context's
-one memo is those tables, one per line length d, each built on first use:
-it never changes a result, equality, hash or pickle, so a context is safe
-to share across workers.
+transform's line tables (_build_line_table).  The verdicts take norms on
+codes, with no element object (_norms, _norm_sums).  A context's one memo
+is the transform's route per line length d (FieldContext._line_table):
+the line table, built on first use where d >= 3, a line's sum fits every
+lane and the table fits in MAX_WORK bits, or None, and the line sums per
+output.  So the route depends on the field and d alone.  The memo never
+changes a result, equality, hash or pickle, so a context is safe to share
+across workers.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -39,6 +43,13 @@ from .errors import (
 # Construction builds tables of q entries and may try up to q candidate
 # moduli, so q is bounded before any of that, or the primality test, runs.
 MAX_Q = 1 << 16
+
+# The most terms one call may sum, checked (GroupSpec._check_work) before any
+# row or table is built: |G| * sum d_j for the transform (times s lanes for
+# the classical one), |G|^2 per table pair for the routes that sum over G for
+# every element.  Admits Z_17^3 (4913 elements) on every route.  A
+# transform's line table takes at most MAX_WORK bits (_line_table).
+MAX_WORK = 1 << 25
 
 
 def _check_size(p: int, n: int) -> None:
@@ -132,8 +143,8 @@ def _is_irreducible(modulus: Sequence[int], p: int, half_degree: int) -> bool:
     return True
 
 
-# The tables of a transform line (FieldContext._line_table): lo_rows,
-# hi_rows and decode.
+# The tables of a transform line (_build_line_table): lo_rows, hi_rows and
+# decode.
 LineTable = tuple[list[list[int]], list[list[int]], Callable[[int], list[int]]]
 
 
@@ -291,9 +302,10 @@ class FieldContext:
         ), "circle generator order check failed"
 
         self._circle_pow = tuple(self._exp[k * self._step % (q - 1)] for k in range(s))
-        # The transform's line tables by length d, each built by _line_table
-        # when first needed and kept; at most one per divisor d of s.
-        self._line_tables: dict[int, LineTable] = {}
+        # The transform's line tables by length d, or None where a line takes
+        # the per-output route, each decided by _line_table when first needed
+        # and kept; at most one per divisor d of s.
+        self._line_tables: dict[int, Optional[LineTable]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -363,39 +375,21 @@ class FieldContext:
         self._exp, self._log = exp, log
         self._terms = packed * 2 + [0] * (q - 1)
 
-    def _line_table(self, d: int) -> LineTable:
-        """Build and keep the tables of a line of length d, whose root is
-        w = u^(s/d) = g^k: lo_rows[t][v] is the int of d slots (_slots) whose
-        slot a holds the packed product v w^(a t), for each half code v (an
-        element of the low half of the coefficients), and hi_rows[t][v] the
-        same for v x^n (the high half).  So the transform of a line of codes
-        x_t = lo_t + P hi_t is the slot-wise sum over t of lo_rows[t][lo_t] +
-        hi_rows[t][hi_t], which decode reads; its inverse reads slot a at
-        -a mod d.  Each row is built by linearity in v's digits: one `plus`
-        per entry."""
-        q1, p, n, log, terms = self.q - 1, self.p, self.n, self._log, self._terms
-        k = self._step * (self.circle_order // d)
-        slot, join, plus, decode = _slots(self, d)
-        halves = []
-        for h in range(2):
-            rows = [[0] for t in range(d)]
-            for j in range(n):
-                b = log[p ** (j + n * h)]  # x^(j + n h), whose code is p^(j + n h)
-                # The slot strings of c x^(j + n h) g^(k m), m < d, for each digit c > 0.
-                strings = [
-                    [slot(terms[log[c] + (b + k * m) % q1]) for m in range(d)]
-                    for c in range(1, p)
-                ]
-                for t, row in enumerate(rows):
-                    # Slot a of position t holds power a t mod d: every t-th of t copies.
-                    multiples = [join((ss * t)[::t] if t else ss[:1] * d) for ss in strings]
-                    row += [plus(x, m) for m in multiples for x in row]
-            halves.append(rows)
-        table = self._line_tables[d] = (halves[0], halves[1], decode)
-        return table
+    def _line_table(self, d: int) -> Optional[LineTable]:
+        """The tables of a line of length d (_build_line_table), or None where
+        the line takes the per-output route; decided and built on first use,
+        and kept.  A table is built where d >= 3 (on lines of 2 it measured
+        slower), a line's 2d packed terms fit every lane, and its 2d^2 P
+        packed elements take at most MAX_WORK bits."""
+        if d not in self._line_tables:
+            fits = 2 * d * (self.p - 1) < 1 << self._bits
+            small = 2 * d * d * self.sqrt_q * self.width * self._bits <= MAX_WORK
+            self._line_tables[d] = _build_line_table(self, d) if d > 2 and fits and small else None
+        return self._line_tables[d]
 
     def __getstate__(self) -> dict:
-        # Pickles and copies leave the line tables out; they rebuild on first use.
+        # Pickles and copies leave the line tables, and the Nones, out; they
+        # are decided again on first use.
         return {**vars(self), "_line_tables": {}}
 
     # -- public surface --------------------------------------------------------
@@ -491,6 +485,33 @@ def _slots(ctx: FieldContext, count: int) -> tuple[
         return [code_of(x >> o & mask) for o in offsets]
 
     return slot, join, plus if p > 2 else int.__xor__, decode
+
+
+def _build_line_table(ctx: FieldContext, d: int) -> LineTable:
+    """The tables of a line of length d, whose root is w = u^(s/d) = g^k:
+    lo_rows[t][v] is the int of d slots (_slots) whose slot a holds the
+    packed product v w^(a t), for each half code v (an element of the low
+    half of the coefficients), and hi_rows[t][v] the same for v x^n (the
+    high half).  So the transform of a line of codes x_t = lo_t + P hi_t is
+    the slot-wise sum over t of lo_rows[t][lo_t] + hi_rows[t][hi_t], which
+    decode reads; its inverse reads slot a at -a mod d.  Each row is built by
+    linearity in v's digits: one `plus` per entry, and the multiples of a
+    digit c > 1 are c - 1 `plus` steps on the multiple of 1."""
+    q1, p, n, log, terms = ctx.q - 1, ctx.p, ctx.n, ctx._log, ctx._terms
+    k = ctx._step * (ctx.circle_order // d)
+    slot, join, plus, decode = _slots(ctx, d)
+    halves = []
+    for h in range(2):
+        rows = [[0] for t in range(d)]
+        for j in range(n):
+            b = log[p ** (j + n * h)]  # x^(j + n h), whose code is p^(j + n h)
+            ss = [slot(terms[(b + k * m) % q1]) for m in range(d)]  # x^(j + n h) w^m
+            for t, row in enumerate(rows):
+                # Slot a of position t holds power a t mod d.
+                one = join([ss[a * t % d] for a in range(d)])
+                row += [plus(x, m) for m in accumulate([one] * (p - 1), plus) for x in row]
+        halves.append(rows)
+    return halves[0], halves[1], decode
 
 
 def _norms(ctx: FieldContext, codes: Iterable[int]) -> list[int]:

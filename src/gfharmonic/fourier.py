@@ -17,11 +17,12 @@ per-output route sums d packed products, looked up by their logs, for each
 of its d outputs.  The table route (the Method of Four Russians) sums 2d
 ints: for each position t and each half code v of an entry, one int holds
 the d products v W^(a t) side by side, in the slots of field._slots, so the
-line's d outputs are one int sum, decoded slot by slot.  The field context
-keeps one table per line length (FieldContext._line_table), built by the
-first call that needs it; the inverse reads the same table with its slots
-reversed.  _tables_pay takes the route, in each call, where the products
-it saves outweigh building the table and a line's sum fits every lane.
+line's d outputs are one int sum, decoded slot by slot.  The route is the
+field's, per line length: FieldContext._line_table decides it once, builds
+the table where d >= 3, a line's sum fits every lane and the table is
+within its size bound, and keeps it, or None for the per-output route.  So
+the first call over a length builds its table, and the inverse reads the
+same table with its slots reversed.
 Convolution and the autocorrelations behind the derivative bent criteria
 never transform: _correlate sums F(alpha + x) H(x)^power over each pair of
 columns, read from translation rows, reducing every lane before it can
@@ -35,8 +36,8 @@ from typing import Sequence
 
 from .characters import ScalarFunction, inner_product
 from .errors import SpecMismatch
-from .field import FieldContext, FieldElement, _reducer
-from .group import MAX_WORK, GroupSpec
+from .field import FieldElement, _reducer
+from .group import GroupSpec
 
 
 def _transform(
@@ -57,8 +58,8 @@ def _transform(
         # where a and t are the coordinates of alpha and x.
         k = sign * ctx._step * c
         lines = list(lines)
-        if _tables_pay(ctx, d, spec.dims.count(d) * len(columns) * len(lines)):
-            lo_rows, hi_rows, decode = ctx._line_tables.get(d) or ctx._line_table(d)
+        if table := ctx._line_table(d):
+            lo_rows, hi_rows, decode = table
             for codes in columns:
                 los, his = [x % P for x in codes], [x // P for x in codes]
                 for line in lines:
@@ -79,23 +80,6 @@ def _transform(
                     code_of(sum(map(terms.__getitem__, map(add, x_logs, row)))) for row in rows
                 ]
     return columns
-
-
-def _tables_pay(ctx: FieldContext, d: int, lines: int) -> bool:
-    """Whether `lines` lines of length d take the table route, from counts
-    known before any table is built.  Per line, the per-output route sums d
-    products for each of d outputs, d^2 steps; the table route reads 2d
-    table ints and cuts d slots, 3d steps.  The table, for each of 2 halves
-    and d positions, joins n(p - 1) multiples of d slots and adds P entries,
-    two steps each (an add and a lane reduction).  It must also fit: a line's
-    2d packed terms may not overflow a lane, and the table's 2d^2 P packed
-    elements take at most MAX_WORK bits."""
-    P, p, n = ctx.sqrt_q, ctx.p, ctx.n
-    return (
-        lines * d * (d - 3) > 4 * d * (P + n * (p - 1) * d)
-        and 2 * d * (p - 1) < 1 << ctx._bits
-        and 2 * d * P * d * ctx.width * ctx._bits <= MAX_WORK
-    )
 
 
 def ft(f: ScalarFunction) -> ScalarFunction:

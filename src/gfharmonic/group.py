@@ -19,7 +19,7 @@ from array import array
 from typing import Iterator, Sequence
 
 from .errors import InadmissibleFactor, ShapeMismatch, TooLarge
-from .field import FieldContext
+from .field import MAX_WORK, FieldContext
 
 GroupElement = tuple[int, ...]
 
@@ -28,12 +28,6 @@ GroupElement = tuple[int, ...]
 # huge power nor a huge list, nor an order with too many digits to print.  A
 # factor Z_1 counts as Z_2, so there are at most MAX_LOG2_ORDER coordinates.
 MAX_LOG2_ORDER = 24
-
-# The most terms one call may sum, checked before any row or table is built:
-# |G| * sum d_j for the transform (times s lanes for the classical one), |G|^2
-# per table pair for the routes that sum over G for every element.  Admits
-# Z_17^3 (4913 elements) on every route.
-MAX_WORK = 1 << 25
 
 # The lane widths in bits, least first, and their struct and array formats.
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I"}

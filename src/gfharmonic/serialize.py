@@ -204,7 +204,7 @@ def vector_function_from_obj(obj: Any) -> VectorFunction:
 # -- files -------------------------------------------------------------------------
 
 
-# The largest table group.MAX_WORK admits (786432 values) is about 11 MB of JSON.
+# The largest table field.MAX_WORK admits (786432 values) is about 11 MB of JSON.
 MAX_INPUT_BYTES = 1 << 26
 
 

@@ -24,7 +24,7 @@ from gfharmonic import (
     make_group,
 )
 from gfharmonic import TooLarge, bent, cli, serialize
-from gfharmonic.characters import character_row
+from gfharmonic.characters import character_row, character_value_naive
 from gfharmonic.cli import main
 from gfharmonic.serialize import (
     dumps,
@@ -120,6 +120,23 @@ class TestCharTable:
         out_path = tmp_path / "table.out"
         assert main(["char-table", "--group", path, *flags, "--out", str(out_path)]) == 0
         assert out_path.read_text(encoding="utf-8") == out
+
+    def test_pretty_cells_and_width(self, capsys, tmp_path):
+        """--pretty on Z_2 x Z_4 over GF(9): each cell is chi_alpha(x) by
+        per-factor exponentiation, right-aligned to the widest cell of the
+        table, which the width the command takes from the 4th roots of unity
+        must match."""
+        spec = make_group(make_context(3, 1), [(2, 1), (4, 1)])
+        path = write(tmp_path, "g.json", group_file_to_obj(spec))
+        code, out, _ = run(capsys, "char-table", "--group", path, "--pretty")
+        cells = [
+            [str(character_value_naive(spec, a, x)) for x in spec.elements()]
+            for a in spec.elements()
+        ]
+        width = max(len(c) for row in cells for c in row)
+        assert width > 1
+        want = "".join("  ".join(c.rjust(width) for c in row) + "\n" for row in cells)
+        assert (code, out) == (0, want)
 
     def test_peak_memory_does_not_grow_with_the_table(self, tmp_path):
         # Z_17^2 over GF(256) has 83521 cells (1.5 MB of JSON), Z_17 has 289.

@@ -4,16 +4,17 @@ Sums over G in gfharmonic.fourier take two routes over the packed elements
 of FieldContext._terms: the separable transform, one pass per coordinate,
 and the correlation sums (convolution, the scalar and vectorial
 autocorrelations), fed by GroupSpec.translate_row.  A transform pass sums
-each line per output or through tables built for the call; both routes
-are forced on every case.  These tests compare each with the FieldElement
-double sums kept in tests/_oracles.py, over fields from GF(4) to GF(1024),
-two of them with a non-default modulus.  The
-classical transform runs the same pass over lane counts in Z[x]/(x^s - 1);
+each line per output or through the line table its field context keeps;
+both routes are forced on every case.  These tests compare each with the
+FieldElement double sums kept in tests/_oracles.py, over fields from GF(4)
+to GF(1024), two of them with a non-default modulus.  The classical
+transform runs the same pass over lane counts in Z[x]/(x^s - 1);
 its lanes are compared exactly with a one-by-one count.
 """
 
 import copy
 import functools
+import pickle
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfharmonic.bent as bent_module
-import gfharmonic.fourier as fourier_module
+import gfharmonic.field as field_module
 import gfharmonic.group as group_module
 from gfharmonic import (
     BentReport,
@@ -241,34 +242,40 @@ def _with_zeros(data, f):
 
 
 def _no_table(*args):
-    raise AssertionError("the table route ran")
+    raise AssertionError("a line table was built")
 
 
 def _record_tables(mp, built):
     """Append to `built` the (context, d) of each table the kernel builds."""
-    line_table = FieldContext._line_table
+    build = field_module._build_line_table
     mp.setattr(
-        FieldContext, "_line_table", lambda ctx, d: built.append((ctx, d)) or line_table(ctx, d)
+        field_module, "_build_line_table", lambda ctx, d: built.append((ctx, d)) or build(ctx, d)
     )
 
 
-def _forbid_tables(mp, ctx):
-    """Make the table route raise on ctx: its builder, and the decode of each
-    table it keeps."""
-    mp.setattr(FieldContext, "_line_table", _no_table)
-    kept = {d: table[:2] + (_no_table,) for d, table in ctx._line_tables.items()}
-    mp.setattr(ctx, "_line_tables", kept)
+def _force_route(mp, table):
+    """Make every line take the table route (a table built apart from the
+    context's memo, whatever the context decided or keeps) or the
+    per-output route."""
+    build = functools.cache(field_module._build_line_table) if table else lambda ctx, d: None
+    mp.setattr(FieldContext, "_line_table", build)
+
+
+def _sampled(spec, rng):
+    """Every index of a small group, a few of a large one."""
+    if spec.order <= 100:
+        return range(spec.order)
+    return [0, 1, spec.order - 1, rng.randrange(spec.order)]
 
 
 class TestTransformRoutes:
     """Each pass of the transform kernel sums a line per output or through
-    the context's line tables, as fourier._tables_pay decides.  Forced each
-    way on every case, both routes give the double-sum oracles, so they
-    agree: both signs, the inverse's scale (not 1 where p is odd and |G| mod
-    p is not 1), zero codes (a zero point and a zero column) and tables of
-    1-3 columns.  The per-output route runs after the forced tables are kept,
-    and reads none of them.  Every case fits a forced table: 2d(p - 1) stays
-    below 2^bits."""
+    the line table of its length, as FieldContext._line_table decides for the
+    field.  Forced each way on every case, both routes give the double-sum
+    oracles, so they agree: both signs, the inverse's scale (not 1 where p is
+    odd and |G| mod p is not 1), zero codes (a zero point and a zero column)
+    and tables of 1-3 columns.  Every case fits a forced table: 2d(p - 1)
+    stays below 2^bits."""
 
     @each_case
     @examples
@@ -287,10 +294,7 @@ class TestTransformRoutes:
         )
         for table in (True, False):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fourier_module, "_tables_pay", lambda ctx, d, lines: table)
-                if not table:
-                    assert set(ctx._line_tables) >= set(spec.dims)
-                    _forbid_tables(mp, ctx)
+                _force_route(mp, table)
                 got = (md_ft(f), md_inverse_ft(f), ft(g), inverse_ft(g).values)
             assert got == want
 
@@ -298,66 +302,119 @@ class TestTransformRoutes:
         "p, n, factors", [(3, 1, [(2, 1), (4, 1)]), (5, 1, [(3, 2)]), (7, 1, [(4, 4)])]
     )
     def test_scaled_inverse(self, p, n, factors):
-        """The inverse scales by (|G| mod p)^-1 = 2, 4 and 2 here.  Z_4^4/GF(49)
-        takes tables unforced, on its fresh context (the forced runs come
-        after, since a forced table is kept); its rows are sampled."""
+        """The inverse scales by (|G| mod p)^-1 = 2, 4 and 2 here.  Unforced,
+        on its fresh context, it builds a table for each length d >= 3 and
+        none for d = 2; then forced each way.  Large groups are sampled."""
         spec = make_group(make_context(p, n), factors)
         assert spec.inv_order_mod_p != 1
         F = random_function(spec, random.Random(p))
-        rng = random.Random(spec.order)
-        idxs = range(spec.order)
-        if spec.order > 100:
-            idxs = [0, 1, spec.order - 1, rng.randrange(spec.order)]
+        idxs = _sampled(spec, random.Random(spec.order))
         built = []
-        for table in (None, False, True):  # None: as _tables_pay decides
+        for table in (None, False, True):  # None: as the context decides
             with pytest.MonkeyPatch.context() as mp:
                 if table is None:
                     _record_tables(mp, built)
                 else:
-                    mp.setattr(fourier_module, "_tables_pay", lambda ctx, d, lines: table)
+                    _force_route(mp, table)
                 back = inverse_ft(F)
             for idx in idxs:
                 assert back.values[idx] == naive_inverse_ft_at(F, spec.element_at(idx))
-        assert built == ([(spec.ctx, 4)] if spec.order > 100 else [])
+        assert built == [(spec.ctx, d) for d in sorted(set(spec.dims)) if d > 2]
 
     @pytest.mark.parametrize("p, n, factors", [(3, 1, [(2, 1), (4, 1)]), (7, 1, [(4, 4)])])
     def test_both_signs_read_one_table(self, monkeypatch, p, n, factors):
-        """On a fresh context ft builds one table per line length, and
+        """On a fresh context ft builds one table per line length d >= 3, and
         inverse_ft, with its odd-p scale, reads those and builds none."""
         spec = make_group(make_context(p, n), factors)
-        monkeypatch.setattr(fourier_module, "_tables_pay", lambda ctx, d, lines: True)
         built = []
         _record_tables(monkeypatch, built)
         F = random_function(spec, random.Random(p))
         out = ft(F)
-        assert [d for _, d in built] == sorted(set(spec.dims))
+        assert [d for _, d in built] == [4]
         back = inverse_ft(F)
-        assert len(built) == len(set(spec.dims))
-        rng = random.Random(spec.order)
-        idxs = range(spec.order)
-        if spec.order > 100:
-            idxs = [0, 1, spec.order - 1, rng.randrange(spec.order)]
-        for idx in idxs:
+        assert len(built) == 1
+        for idx in _sampled(spec, random.Random(spec.order)):
             x = spec.element_at(idx)
             assert out.values[idx] == naive_ft_at(F, x)
             assert back.values[idx] == naive_inverse_ft_at(F, x)
 
+    @pytest.mark.parametrize(
+        "p, n, factors", [(2, 2, [(5, 2)]), (2, 6, [(5, 1), (13, 1)]), (3, 1, [(2, 6)])]
+    )
+    def test_one_route_for_any_column_count(self, p, n, factors):
+        """ft and a 3-column md_ft on one group ask for the same line tables
+        and get the same answer: the route depends on the field and d, not on
+        how many lines a call sums.  Z_5^2/GF(16) and Z_5 x Z_13/GF(4096) take
+        tables, Z_2^6/GF(9) sums per output."""
+        spec = make_group(make_context(p, n), factors)
+        rng = random.Random(p + n)
+        f = random_function(spec, rng)
+        vf = VectorFunction(
+            spec, 3, tuple(zip(f.values, *(random_function(spec, rng).values for _ in range(2))))
+        )
+        line_table, routes = FieldContext._line_table, []
+
+        def record(ctx, d):
+            table = line_table(ctx, d)
+            routes[-1].append((d, table is not None))
+            return table
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FieldContext, "_line_table", record)
+            for call, arg in [(ft, f), (md_ft, vf)]:
+                routes.append([])
+                out = call(arg)
+        one, three = routes
+        assert one == three and set(one) == {(d, d > 2) for d in spec.dims}
+        assert coordinate_function(out, 0) == ft(f) == naive_ft(f)
+
 
 class TestTransformTablesFit:
-    """The table route needs a line's 2d packed terms to fit every lane and
-    the table within MAX_WORK bits; a line that would not fit takes the
-    per-output route although its count alone would take a table."""
+    """FieldContext._line_table returns None, keeps it, and builds nothing,
+    where a table cannot gain or cannot fit: d = 2, a line's 2d packed terms
+    that would overflow a lane, and a table past MAX_WORK bits.  Each such
+    case builds a table once that bound alone is lifted, and its transform,
+    per output, equals the oracles."""
+
+    @staticmethod
+    def _refused(ctx, d):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field_module, "_build_line_table", _no_table)
+            assert ctx._line_table(d) is None
+            assert ctx._line_tables == {d: None}
+            assert ctx._line_table(d) is None
+
+    @staticmethod
+    def _admitted(ctx, d, mp):
+        """Whether _line_table would build on a twin of ctx under mp's patches."""
+        built = []
+        mp.setattr(field_module, "_build_line_table", lambda ctx, d: built.append(d) or "table")
+        return ctx._line_table(d) == "table" and built == [d]
+
+    def test_lines_of_two(self):
+        ctx = make_context(3, 1)
+        self._refused(ctx, 2)
+        spec = make_group(ctx, [(2, 6)])
+        f = random_function(spec, random.Random(2))
+        assert ft(f) == naive_ft(f) and ctx._line_tables == {2: None}
 
     @pytest.mark.parametrize("p, n, d", [(2, 5, 33), (5, 2, 26)])
     def test_lines_that_would_overflow_a_lane(self, monkeypatch, p, n, d):
-        spec = make_group(make_context(p, n), [(d, 2)])
-        ctx, lines = spec.ctx, 2 * d
-        assert 2 * d * (p - 1) >= 1 << ctx._bits  # 66 > 63 and 208 > 127
+        """Z_33/GF(2^10) (2d = 66 > 63) and Z_26/GF(5^4) (2d(p - 1) = 208 >
+        127) take the per-output route; lanes of 8 bits would hold their sums.
+        Z_d^2 is sampled."""
+        ctx = make_context(p, n)
+        assert 2 * d * (p - 1) >= 1 << ctx._bits
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ctx, "_bits", 8)  # lanes of 8 bits would hold 66 and 208
-            assert fourier_module._tables_pay(ctx, d, lines)
-        assert not fourier_module._tables_pay(ctx, d, lines)
-        monkeypatch.setattr(FieldContext, "_line_table", _no_table)
+            twin = make_context(p, n)
+            mp.setattr(twin, "_bits", 8)
+            assert self._admitted(twin, d, mp)
+        self._refused(ctx, d)
+        line = make_group(ctx, [(d, 1)])
+        f = random_function(line, random.Random(d))
+        assert ft(f) == naive_ft(f)
+        spec = make_group(ctx, [(d, 2)])
+        monkeypatch.setattr(field_module, "_build_line_table", _no_table)
         rng = random.Random(d)
         f = random_function(spec, rng)
         F, back = ft(f), inverse_ft(f)
@@ -367,15 +424,16 @@ class TestTransformTablesFit:
             assert back.values[idx] == naive_inverse_ft_at(f, point)
 
     def test_a_table_past_the_size_bound(self, monkeypatch):
-        """Z_43^2/GF(2^14): 86 lines of 43 would take a table of 2 * 43^2 * 128
-        packed elements of 112 bits, 53 million bits, past MAX_WORK."""
-        spec = make_group(make_context(2, 7), [(43, 2)])
-        ctx = spec.ctx
+        """Z_43^2/GF(2^14): a line of 43 would take a table of 2 * 43^2 * 128
+        packed elements of 112 bits, 53 million bits, past MAX_WORK; twice
+        the bound admits it."""
+        ctx = make_context(2, 7)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fourier_module, "MAX_WORK", 1 << 26)
-            assert fourier_module._tables_pay(ctx, 43, 86)
-        assert not fourier_module._tables_pay(ctx, 43, 86)
-        monkeypatch.setattr(FieldContext, "_line_table", _no_table)
+            mp.setattr(field_module, "MAX_WORK", 1 << 26)
+            assert self._admitted(make_context(2, 7), 43, mp)
+        self._refused(ctx, 43)
+        spec = make_group(ctx, [(43, 2)])
+        monkeypatch.setattr(field_module, "_build_line_table", _no_table)
         rng = random.Random(43)
         f = random_function(spec, rng)
         F = ft(f)
@@ -383,13 +441,41 @@ class TestTransformTablesFit:
             assert F.values[idx] == naive_ft_at(f, spec.element_at(idx))
 
 
+class TestLineTableBuild:
+    """The line table against a direct construction: entry [h][t][v] joins,
+    slot a at byte offset a * size, the d packed products of the half code v
+    (times x^n for h = 1) with w^(a t), each looked up by its log."""
+
+    @staticmethod
+    def _direct(ctx, d):
+        q1, P, log, terms = ctx.q - 1, ctx.sqrt_q, ctx._log, ctx._terms
+        k = ctx._step * (ctx.circle_order // d)
+        size = -(-ctx.width * ctx._bits // 8)
+        return [
+            [
+                [
+                    sum(terms[log[v * P**h] + k * a * t % q1] << 8 * size * a for a in range(d))
+                    for v in range(P)
+                ]
+                for t in range(d)
+            ]
+            for h in range(2)
+        ]
+
+    @pytest.mark.parametrize("p, n, d", [(3, 2, 10), (5, 2, 13), (13, 1, 14), (13, 1, 7)])
+    def test_table_is_the_direct_construction(self, p, n, d):
+        ctx = make_context(p, n)
+        lo_rows, hi_rows, _ = ctx._line_table(d)
+        assert [lo_rows, hi_rows] == self._direct(ctx, d)
+
+
 class TestTransformKeepsOneTablePerLength:
     """A context keeps one line table per length d, built by the first call
-    that takes the table route and read by every later call of either sign:
-    on groups where they take tables, ft, inverse_ft, md_ft, md_inverse_ft
-    and dual_bent build one table per (context, d) in all, and a second round
-    builds none.  The spec, and the context's equality and hash, stay as
-    they were."""
+    over a line of that length and read by every later call of either sign,
+    on any group over that field: on groups where they take tables, ft,
+    inverse_ft, md_ft, md_inverse_ft and dual_bent build one table per
+    (context, d) in all, and a second round builds none.  The spec, and the
+    context's equality and hash, stay as they were."""
 
     @staticmethod
     def _state(obj):
@@ -415,6 +501,45 @@ class TestTransformKeepsOneTablePerLength:
             assert vars(spec) == before
             twin = make_context(ctx.p, ctx.n)
             assert ctx == twin and hash(ctx) == hash(twin) == key
+
+    def test_a_single_line_builds_the_table(self, monkeypatch):
+        """ft on Z_17 over a fresh GF(256), one line, builds the d = 17 table."""
+        built = []
+        _record_tables(monkeypatch, built)
+        spec = make_group(make_context(2, 4), [(17, 1)])
+        f = random_function(spec, random.Random(17))
+        assert ft(f) == naive_ft(f)
+        assert built == [(spec.ctx, 17)] and list(spec.ctx._line_tables) == [17]
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_groups_over_one_field_share_the_table(self, monkeypatch, order):
+        """Z_17 then Z_17^2 over one GF(256), or the reverse, build the d = 17
+        table once, and both read it."""
+        built = []
+        _record_tables(monkeypatch, built)
+        ctx = make_context(2, 4)
+        for m in order:
+            spec = make_group(ctx, [(17, m)])
+            f = random_function(spec, random.Random(m))
+            F = ft(f)
+            assert list(ctx._line_tables) == [17] and len(built) == 1
+            rng = random.Random(m)
+            for idx in _sampled(spec, rng):
+                assert F.values[idx] == naive_ft_at(f, spec.element_at(idx))
+        assert built == [(ctx, 17)]
+
+    def test_copies_leave_the_memo_out(self):
+        """A context that keeps a table (d = 4) and a None (d = 2) pickles and
+        deep-copies without either; a copy decides both again on use."""
+        spec = make_group(make_context(3, 1), [(2, 1), (4, 1)])
+        f = random_function(spec, random.Random(9))
+        F = ft(f)
+        assert spec.ctx._line_tables[2] is None and spec.ctx._line_tables[4]
+        for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == f and twin.spec.ctx is not spec.ctx
+            assert twin.spec.ctx._line_tables == {}
+            assert ft(twin) == F and twin.spec.ctx._line_tables.keys() == {2, 4}
+            assert twin.spec.ctx._line_tables[2] is None
 
 
 class TestPastTheOldCacheCutoff:
