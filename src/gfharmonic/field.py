@@ -11,16 +11,17 @@ monic irreducible modulus polynomial.  Fields here are deliberately
 desk-scale (q at most MAX_Q = 65536), so construction builds full discrete
 log / antilog tables once and every product afterwards is O(1).  The same
 pass packs every power of g into one int, a lane per coefficient, so the
-sum kernels add elements as ints; _reducer decodes such a sum, and _slots
-holds several packed elements side by side in one int, as in the
-transform's line tables (_build_line_table).  The verdicts take norms on
-codes, with no element object (_norms, _norm_sums).  A context's one memo
-is the transform's route per line length d (FieldContext._line_table):
-the line table, built on first use where d >= 3, a line's sum fits every
-lane and the table fits in MAX_WORK bits, or None, and the line sums per
-output.  So the route depends on the field and d alone.  The memo never
-changes a result, equality, hash or pickle, so a context is safe to share
-across workers.
+sum kernels add elements as ints, and _reducer decodes such a sum.  The
+powers of g and the transform's line tables (_build_line_table, several
+packed elements side by side in one int) are both built by linearity over
+the digits of half codes (_span), with one lanewise sum mod p
+(_lane_plus).  The verdicts take norms on codes, with no element object
+(_norms, _norm_sums).  A context's one memo is the transform's route per
+line length d (FieldContext._line_table): the line table, built on first
+use where d >= 3, a line's sum fits every lane and the table fits in
+MAX_WORK bits, or None, and the line sums per output.  So the route
+depends on the field and d alone.  The memo never changes a result,
+equality, hash or pickle, so a context is safe to share across workers.
 """
 
 from __future__ import annotations
@@ -319,10 +320,11 @@ class FieldContext:
         raise ReducibleModulus(f"no irreducible polynomial found for p={self.p}, n={self.n}")
 
     def _find_primitive(self) -> int:
+        # The codes below p are GF(p), whose units have orders dividing p - 1.
         q, p = self.q, self.p
         one = [1] + [0] * (self.width - 1)
         checks = [(q - 1) // r for r in _prime_factors(q - 1)]
-        for code in range(2, q):
+        for code in range(p, q):
             cand = _digits(code, p, self.width)
             if all(_poly_pow_mod(cand, e, self.modulus, p) != one for e in checks):
                 return code
@@ -333,35 +335,28 @@ class FieldContext:
         # (lowest degree lowest) that holds the kernel's longest sum, s = p^n + 1
         # digits below p, widened to fill the 30-bit digits the int has anyway.
         # Multiplication by g is GF(p)-linear: g * (lo + x^n hi), for the halves
-        # lo and hi of a coefficient vector, is a sum of two packed vectors
-        # looked up by half code.  Its lanes are below 2p, so one step on the int
-        # reduces them mod p, and a dict from packed halves gives the half codes.
+        # lo and hi of a coefficient vector, is the lanewise sum mod p of two
+        # packed vectors looked up by half code, each a _span of the packed
+        # g x^j over its half's j, and a dict from packed halves gives the half
+        # codes.
         q, p, n, w, P = self.q, self.p, self.n, self.width, self.sqrt_q
         lane = (self.circle_order * (p - 1)).bit_length()
         bits = self._bits = -(-lane * w // 30) * 30 // w
         ones = self._ones = sum(1 << i * bits for i in range(w))
         # A sum of a reduced element and _chunk more packed terms fits every lane.
         self._chunk = ((1 << bits) - 1) // (p - 1) - 1
-        # A lane below 2p is at least p iff adding 2^top - p to it sets bit top.
-        top, over = bits - 1, ((1 << bits - 1) - p) * ones
-
-        def reduce(x: int) -> int:
-            return x - p * ((x + over) >> top & ones)
-
-        def pack(digits: Iterable[int]) -> int:
-            return sum(c << i * bits for i, c in enumerate(digits))
-
-        half = self._half = {pack(_digits(c, p, n)): c for c in range(P)}
-        times = [[0], [0]]  # times[h][c]: the packed g * x^(n h) * c, for half codes c
-        xg = list(_digits(g_code, p, w))
+        plus = _lane_plus(p, bits, ones)
+        halves = _span([1 << j * bits for j in range(n)], p, plus)  # packed half codes
+        half = self._half = {x: c for c, x in enumerate(halves)}
+        units, xg = [], list(_digits(g_code, p, w))  # units[j]: g x^j packed
         for j in range(w):
-            multiples = [pack([c * a % p for a in xg]) for c in range(p)]
-            times[j // n] = [reduce(t + m) for m in multiples for t in times[j // n]]
+            units.append(sum(c << i * bits for i, c in enumerate(xg)))
             xg = _poly_rem([0] + xg, self.modulus, p)
+        times = [_span(units[:n], p, plus), _span(units[n:], p, plus)]
         shift, low, lo, hi = n * bits, (1 << n * bits) - 1, 1, 0
         exp, packed = array("i", [1]) * (q - 1), [1] * (q - 1)
         for i in range(1, q - 1):
-            x = packed[i] = reduce(times[0][lo] + times[1][hi])
+            x = packed[i] = plus(times[0][lo], times[1][hi])
             lo, hi = half[x & low], half[x >> shift]
             exp[i] = lo + P * hi
         log = array("i", [-1]) * q
@@ -379,10 +374,10 @@ class FieldContext:
         """The tables of a line of length d (_build_line_table), or None where
         the line takes the per-output route; decided and built on first use,
         and kept.  A table is built where d >= 3 (on lines of 2 it measured
-        slower), a line's 2d packed terms fit every lane, and its 2d^2 P
-        packed elements take at most MAX_WORK bits."""
+        slower), a line's 2d packed terms fit every lane (2d <= _chunk + 1),
+        and its 2d^2 P packed elements take at most MAX_WORK bits."""
         if d not in self._line_tables:
-            fits = 2 * d * (self.p - 1) < 1 << self._bits
+            fits = 2 * d <= self._chunk + 1
             small = 2 * d * d * self.sqrt_q * self.width * self._bits <= MAX_WORK
             self._line_tables[d] = _build_line_table(self, d) if d > 2 and fits and small else None
         return self._line_tables[d]
@@ -454,64 +449,64 @@ def _reducer(ctx: FieldContext) -> Callable[[int], int]:
     return lambda x: sum((x >> sh & mask) % p * w for sh, w in places)
 
 
-def _slots(ctx: FieldContext, count: int) -> tuple[
-    Callable[[int], bytes], Callable[[Iterable[bytes]], int], Callable[[int, int], int],
-    Callable[[int], list[int]],
-]:
-    """The packed format widened to `count` slots, slot i one packed element
-    padded to whole bytes, lowest slot first.  Returns slot, the string of one
-    packed element; join, the int of `count` slot strings; plus, the sum
-    of two such ints reduced lane by lane mod p, their lanes below p (one
-    add and one lane reduction, as in _build_log_tables, or one XOR when
-    p = 2); and decode, the code of each slot of a sum of such ints whose
-    lanes have not overflowed, by _reducer."""
-    p, top = ctx.p, ctx._bits - 1
-    size = -(-ctx.width * ctx._bits // 8)
-    ones = int.from_bytes(ctx._ones.to_bytes(size, "little") * count, "little")
-    over, code_of = ((1 << top) - p) * ones, _reducer(ctx)
-    mask, offsets = (1 << 8 * size) - 1, range(0, 8 * size * count, 8 * size)
-
-    def slot(x: int) -> bytes:
-        return x.to_bytes(size, "little")
-
-    def join(slots: Iterable[bytes]) -> int:
-        return int.from_bytes(b"".join(slots), "little")
+def _lane_plus(p: int, bits: int, ones: int) -> Callable[[int, int], int]:
+    """The sum of two packed ints whose lanes, `bits` bits wide at the set
+    bits of `ones`, are below p, reduced lane by lane mod p: one add and one
+    step that takes p from each lane that reached it, or one XOR when p = 2."""
+    if p == 2:
+        return int.__xor__
+    # A lane below 2p is at least p iff adding 2^top - p to it sets bit top.
+    top, over = bits - 1, ((1 << bits - 1) - p) * ones
 
     def plus(x: int, y: int) -> int:
         x += y
         return x - p * ((x + over) >> top & ones)
 
-    def decode(x: int) -> list[int]:
-        return [code_of(x >> o & mask) for o in offsets]
+    return plus
 
-    return slot, join, plus if p > 2 else int.__xor__, decode
+
+def _span(units: Sequence[int], p: int, plus: Callable[[int, int], int]) -> list[int]:
+    """For each half code v (digits v_j below p, lowest first, one per unit),
+    the packed sum of v_j units[j], by linearity: one `plus` per entry, and the
+    multiples of a digit c > 1 are c - 1 `plus` steps on the unit."""
+    span = [0]
+    for unit in units:
+        span += [plus(x, m) for m in accumulate([unit] * (p - 1), plus) for x in span]
+    return span
 
 
 def _build_line_table(ctx: FieldContext, d: int) -> LineTable:
-    """The tables of a line of length d, whose root is w = u^(s/d) = g^k:
-    lo_rows[t][v] is the int of d slots (_slots) whose slot a holds the
-    packed product v w^(a t), for each half code v (an element of the low
-    half of the coefficients), and hi_rows[t][v] the same for v x^n (the
-    high half).  So the transform of a line of codes x_t = lo_t + P hi_t is
-    the slot-wise sum over t of lo_rows[t][lo_t] + hi_rows[t][hi_t], which
-    decode reads; its inverse reads slot a at -a mod d.  Each row is built by
-    linearity in v's digits: one `plus` per entry, and the multiples of a
-    digit c > 1 are c - 1 `plus` steps on the multiple of 1."""
+    """The tables of a line of length d, whose root is w = u^(s/d) = g^k, on
+    d slots side by side in one int, slot a one packed element padded to
+    whole bytes, lowest slot first: lo_rows[t][v] holds in slot a the packed
+    product v w^(a t), for each half code v (an element of the low half of
+    the coefficients), and hi_rows[t][v] the same for v x^n (the high half).
+    So the transform of a line of codes x_t = lo_t + P hi_t is the slot-wise
+    sum over t of lo_rows[t][lo_t] + hi_rows[t][hi_t], which decode reads
+    slot by slot with _reducer; its inverse reads slot a at -a mod d.  Each
+    row is the _span of the slot ints of the units x^j w^(a t), j < n for
+    lo_rows and n <= j < 2n for hi_rows, under _lane_plus on every lane of
+    the d slots."""
     q1, p, n, log, terms = ctx.q - 1, ctx.p, ctx.n, ctx._log, ctx._terms
     k = ctx._step * (ctx.circle_order // d)
-    slot, join, plus, decode = _slots(ctx, d)
-    halves = []
-    for h in range(2):
-        rows = [[0] for t in range(d)]
-        for j in range(n):
-            b = log[p ** (j + n * h)]  # x^(j + n h), whose code is p^(j + n h)
-            ss = [slot(terms[(b + k * m) % q1]) for m in range(d)]  # x^(j + n h) w^m
-            for t, row in enumerate(rows):
-                # Slot a of position t holds power a t mod d.
-                one = join([ss[a * t % d] for a in range(d)])
-                row += [plus(x, m) for m in accumulate([one] * (p - 1), plus) for x in row]
-        halves.append(rows)
-    return halves[0], halves[1], decode
+    size = -(-ctx.width * ctx._bits // 8)
+    ones = int.from_bytes(ctx._ones.to_bytes(size, "little") * d, "little")
+    plus = _lane_plus(p, ctx._bits, ones)
+    # x^j w^m for j < 2n (the code of x^j is p^j), as slot strings.
+    powers = [
+        [terms[(log[p**j] + k * m) % q1].to_bytes(size, "little") for m in range(d)]
+        for j in range(2 * n)
+    ]
+    # units[t][j]: slot a holds x^j w^(a t mod d).
+    units = [
+        [int.from_bytes(b"".join([ss[a * t % d] for a in range(d)]), "little") for ss in powers]
+        for t in range(d)
+    ]
+    lo_rows = [_span(row[:n], p, plus) for row in units]
+    hi_rows = [_span(row[n:], p, plus) for row in units]
+    code_of, mask = _reducer(ctx), (1 << 8 * size) - 1
+    offsets = range(0, 8 * size * d, 8 * size)
+    return lo_rows, hi_rows, lambda x: [code_of(x >> o & mask) for o in offsets]
 
 
 def _norms(ctx: FieldContext, codes: Iterable[int]) -> list[int]:

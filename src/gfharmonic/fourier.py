@@ -16,7 +16,8 @@ FieldElements.  A line of length d takes one of two routes.  The
 per-output route sums d packed products, looked up by their logs, for each
 of its d outputs.  The table route (the Method of Four Russians) sums 2d
 ints: for each position t and each half code v of an entry, one int holds
-the d products v W^(a t) side by side, in the slots of field._slots, so the
+the d products v W^(a t) side by side, in byte-padded slots
+(field._build_line_table, by field._span and field._lane_plus), so the
 line's d outputs are one int sum, decoded slot by slot.  The route is the
 field's, per line length: FieldContext._line_table decides it once, builds
 the table where d >= 3, a line's sum fits every lane and the table is

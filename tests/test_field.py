@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -496,3 +497,37 @@ class TestMinimalPolynomial:
                 assert _at(ctx, multiple, ud).is_zero(), (d, multiple)
                 zero = _at(ctx, counts, ud).is_zero()
                 assert (not any(field._poly_rem(counts, *verdict))) == zero, (d, counts)
+
+
+class TestPackedLogTables:
+    """The primitive element and the packed tables of a fresh context, against
+    the field's logs and the base-p digits of its codes."""
+
+    SMALL_FIELDS = [(p, n) for p, n in ALL_FIELDS if p ** (2 * n) <= 1 << 12] + [(251, 1)]
+
+    @pytest.mark.parametrize("p, n", SMALL_FIELDS, ids=[f"GF({p}^{2 * n})" for p, n in SMALL_FIELDS])
+    def test_g_is_the_least_code_of_full_order(self, p, n):
+        # The search starts at code p: no code of GF(p) has order q - 1.
+        ctx = _context(p, n)
+        q1, log = ctx.q - 1, ctx._log
+        assert ctx.g.code == min(c for c in range(1, ctx.q) if math.gcd(log[c], q1) == 1) >= p
+
+    @pytest.mark.parametrize(
+        "p, n", [(2, 1), (2, 4), (2, 8), (3, 2), (7, 1), (13, 1), (251, 1)],
+        ids=["GF(2^2)", "GF(2^8)", "GF(2^16)", "GF(3^4)", "GF(7^2)", "GF(13^2)", "GF(251^2)"],
+    )
+    def test_terms_and_half_codes_pack_the_digits(self, p, n):
+        """_terms[k] packs the digits of g^k (the code _exp[k], which
+        test_exp_matches_schoolbook_powers checks), lane i of _bits bits
+        holding digit i, for k < q - 1; the block repeats once and q - 1
+        zeros follow.  _half maps the packed digits of each half code back
+        to it."""
+        ctx = make_context(p, n)
+        q1, bits = ctx.q - 1, ctx._bits
+
+        def packed(code, width):
+            return sum(code // p**i % p << i * bits for i in range(width))
+
+        block = [packed(ctx._exp[k], ctx.width) for k in range(q1)]
+        assert ctx._terms == block + block + [0] * q1
+        assert ctx._half == {packed(c, n): c for c in range(ctx.sqrt_q)}

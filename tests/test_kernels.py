@@ -408,6 +408,7 @@ class TestTransformTablesFit:
         with pytest.MonkeyPatch.context() as mp:
             twin = make_context(p, n)
             mp.setattr(twin, "_bits", 8)
+            mp.setattr(twin, "_chunk", 255 // (p - 1) - 1)  # the capacity of 8-bit lanes
             assert self._admitted(twin, d, mp)
         self._refused(ctx, d)
         line = make_group(ctx, [(d, 1)])
@@ -444,7 +445,8 @@ class TestTransformTablesFit:
 class TestLineTableBuild:
     """The line table against a direct construction: entry [h][t][v] joins,
     slot a at byte offset a * size, the d packed products of the half code v
-    (times x^n for h = 1) with w^(a t), each looked up by its log."""
+    (times x^n for h = 1) with w^(a t), each looked up by its log; for odd p
+    and for p = 2, whose lanes add by XOR."""
 
     @staticmethod
     def _direct(ctx, d):
@@ -462,7 +464,9 @@ class TestLineTableBuild:
             for h in range(2)
         ]
 
-    @pytest.mark.parametrize("p, n, d", [(3, 2, 10), (5, 2, 13), (13, 1, 14), (13, 1, 7)])
+    @pytest.mark.parametrize(
+        "p, n, d", [(3, 2, 10), (5, 2, 13), (13, 1, 14), (13, 1, 7), (2, 4, 17), (2, 6, 13)]
+    )
     def test_table_is_the_direct_construction(self, p, n, d):
         ctx = make_context(p, n)
         lo_rows, hi_rows, _ = ctx._line_table(d)
