@@ -6,10 +6,12 @@ sum_x f(alpha + x) conj(f(x)) vanish for every nonzero direction alpha;
 both routes are implemented and kept independent so they can cross-check
 each other.  The module also builds duals, the product-group construction
 f(x, y) = chi_x(y) g(y), and an exhaustive search over subgroup-valued
-tables.  The spectral test and the dual run on codes: the transform
-kernel (fourier._transform), the norm codes (field._norms) and the
-comparison with |G| mod p, whose code is itself; a FieldElement is built
-only for each value returned.
+tables.  The spectral test, the derivative report, the dual and the
+product construction run on the codes a table keeps: the transform kernel
+(fourier._transform), the norm codes (field._norms) and the comparison with
+|G| mod p, whose code is itself.  A BentReport keeps its norm table as
+codes too, so a FieldElement is built only for a value a caller reads
+(BentReport.spectrum_norms, built on first read and kept).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import operator
 import os
 from typing import Sequence
 
-from .characters import Record, ScalarFunction
+from .characters import Record, ScalarFunction, _Coded, _codes_of, _elements, _kept
 from .errors import (
     BudgetExceeded,
     HarmonicError,
@@ -31,18 +33,33 @@ from .errors import (
     TooLarge,
 )
 from .field import FieldContext, FieldElement, _minimal_polynomial, _norm_sums, _poly_rem
-from .fourier import _correlate, _scalar, _transform, ft
+from .fourier import _correlate, _transform, ft
 from .group import GroupElement, GroupSpec, _outer_sum, make_group
 
 
-class BentReport(Record):
+class BentReport(_Coded):
     """Outcome of a bentness test: verdict, the per-direction norm table of
-    the spectrum, and the points where the test failed (empty iff bent)."""
+    the spectrum, and the points where the test failed (empty iff bent).
+    The norm table is kept as codes, with their field (None for an empty
+    table)."""
 
-    __slots__ = ("is_bent", "spectrum_norms", "failing_points")
+    __slots__ = ("is_bent", "_ctx", "_codes", "failing_points")
+    _args = ("is_bent", "spectrum_norms", "failing_points")
     is_bent: bool
-    spectrum_norms: tuple[FieldElement, ...]
+    _ctx: FieldContext | None
+    _codes: tuple[int, ...]
     failing_points: tuple[GroupElement, ...]
+
+    def _validate(self, is_bent, spectrum_norms, failing_points) -> tuple:
+        spectrum_norms = tuple(spectrum_norms)
+        ctx = getattr(spectrum_norms[0], "ctx", None) if spectrum_norms else None
+        codes = _codes_of(ctx, spectrum_norms, "the norms are not elements of one field")
+        return is_bent, ctx, codes, failing_points
+
+    @_kept
+    def spectrum_norms(self) -> tuple[FieldElement, ...]:
+        """The norm table in canonical order, built on first read and kept."""
+        return _elements(self._ctx, self._codes)
 
 
 def _require(witness: GroupElement | None, error: type[HarmonicError], what: str) -> None:
@@ -61,11 +78,10 @@ def _spectral(spec: GroupSpec, columns: list[list[int]]) -> tuple[list[list[int]
     """The transforms of the coordinate columns of codes of a table, and the
     spectral verdict on them: every norm sum must be |G| mod p, whose code is
     itself."""
-    ctx = spec.ctx
     spectra = _transform(spec, columns, 1, 1)
-    norms = _norm_sums(ctx, spectra)
+    norms = tuple(_norm_sums(spec.ctx, spectra))
     failing = tuple(itertools.compress(spec.elements(), map(spec.order_mod_p.__ne__, norms)))
-    return spectra, BentReport(not failing, tuple([FieldElement(ctx, v) for v in norms]), failing)
+    return spectra, BentReport._of(not failing, spec.ctx, norms, failing)
 
 
 def derivative(f: ScalarFunction, alpha: Sequence[int]) -> ScalarFunction:
@@ -77,8 +93,7 @@ def derivative(f: ScalarFunction, alpha: Sequence[int]) -> ScalarFunction:
 
 def autocorrelation(f: ScalarFunction) -> ScalarFunction:
     """alpha -> sum_x f(alpha + x) * conj(f(x))."""
-    codes = f._columns()[0]
-    return _correlate(f.spec, [(codes, codes)], f.spec.ctx.sqrt_q)
+    return _correlate(f.spec, [(f._codes, f._codes)], f.spec.ctx.sqrt_q)
 
 
 def is_bent_autocorr(f: ScalarFunction) -> BentReport:
@@ -99,8 +114,8 @@ def _derivative_report(ac: ScalarFunction) -> BentReport:
     spec = ac.spec
     # index 0 is the identity element in canonical order; its direction is exempt
     directions = itertools.islice(spec.elements(), 1, None)
-    failing = tuple(itertools.compress(directions, [v.code for v in ac.values[1:]]))
-    return BentReport(not failing, ft(ac).values, failing)
+    failing = tuple(itertools.compress(directions, ac._codes[1:]))
+    return BentReport._of(not failing, spec.ctx, ft(ac)._codes, failing)
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:
@@ -137,7 +152,7 @@ def dual_bent(f: ScalarFunction) -> ScalarFunction:
     # The scale 1 / sqrt(c) multiplies by adding its log; bent spectra have no zero.
     exp, log, q1 = ctx._exp, ctx._log, ctx.q - 1
     shift = log[pow(_sqrt_mod_prime(c, p), -1, p)]
-    return _scalar(spec, [exp[(log[x] + shift) % q1] for x in spectrum])
+    return ScalarFunction._of(spec, [exp[(log[x] + shift) % q1] for x in spectrum])
 
 
 def mm_construct(g: ScalarFunction) -> ScalarFunction:
@@ -150,11 +165,11 @@ def mm_construct(g: ScalarFunction) -> ScalarFunction:
     # chi_x(y) g(y) = g^(step k + log g(y)), for chi_x(y) = u^k and u = g^step.
     ctx = spec.ctx
     exp, step, q1 = ctx._exp, ctx._step, ctx.q - 1
-    logs = [ctx._log[v.code] for v in g.values]
+    logs = [ctx._log[c] for c in g._codes]
     codes = [
         exp[(step * k + b) % q1] for x in spec.elements() for k, b in zip(spec.exponent_row(x), logs)
     ]
-    return _scalar(spec2, codes)
+    return ScalarFunction._of(spec2, codes)
 
 
 # A search starts one worker per BLOCK normalized tables, and none below 2 * BLOCK.

@@ -6,40 +6,61 @@ Because every value is a power of the circle generator u, a character value
 is fully described by an exponent modulo s = p^n + 1.  Whole rows of
 exponents come from GroupSpec.exponent_row; a reference path that
 exponentiates in the field per factor is kept for cross-checking.
+
+A table keeps its values as coordinate columns of codes (`_Coded`), the
+form every sum kernel reads and returns: a scalar table is one column.
+Equality, hashing, copies and pickles work on the codes, and the library's
+producers, character_row and from_exponents among them, build tables from
+codes with a length check only (`_of`).  Only the values a caller reads
+become FieldElements: `ScalarFunction.values` is built on first read and
+kept.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import SpecMismatch
-from .field import FieldElement, _norm_sums
+from .field import FieldContext, FieldElement, _norm_sums
 from .group import GroupElement, GroupSpec
 
 
 class Record:
     """Base of the library's immutable records.
 
-    A subclass names its fields in ``__slots__``; the constructor takes
-    them positionally or by name and then calls ``_validate``.  Records of
-    the same class are equal when their fields are, hash by their fields,
-    print as ``Name(field=value, ...)`` and reject assignment.
+    A subclass names the fields it keeps in ``__slots__``.  Its constructor
+    takes the fields, or the arguments that ``_args`` names in their place,
+    positionally or by name, and keeps what ``_validate`` returns for them.
+    Records of the same class are equal when their fields are, hash by
+    their fields, print as ``Name(argument=value, ...)``, reject
+    assignment, and copy and pickle through ``_of``.
     """
 
     __slots__ = ()
+    _args: tuple[str, ...] = ()
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._args or self.__slots__
         if kwargs:
             args += tuple(kwargs.pop(k) for k in names[len(args):] if k in kwargs)
         if len(args) != len(names) or kwargs:
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-        self._validate()
+        self._set(self._validate(*args))
 
-    def _validate(self) -> None:
-        """Check (or normalize, through object.__setattr__) the fields."""
+    def _validate(self, *args) -> tuple:
+        """Check the constructor's arguments; return the fields to keep."""
+        return args
+
+    @classmethod
+    def _of(cls, *fields):
+        """The record of the given fields, kept as they are."""
+        record = object.__new__(cls)
+        record._set(fields)
+        return record
+
+    def _set(self, fields: Sequence) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -59,11 +80,51 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._args or self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return self._of, self._fields()
+
+
+class _Coded(Record):
+    """A record that keeps field values as codes.  The FieldElements a
+    caller reads (a property made by `_kept`) are built on first read and
+    kept in the `_view` slot, which is no field: equality, hashing, copies
+    and pickles leave it out."""
+
+    __slots__ = ("_view",)
+
+
+def _kept(build: Callable[[_Coded], tuple]) -> property:
+    """A read-only property whose value build makes on first read; it is kept."""
+
+    def get(record: _Coded) -> tuple:
+        view = getattr(record, "_view", None)
+        if view is None:
+            view = build(record)
+            object.__setattr__(record, "_view", view)
+        return view
+
+    return property(get, doc=build.__doc__)
+
+
+def _elements(ctx: FieldContext, codes: Sequence[int]) -> tuple[FieldElement, ...]:
+    """The elements of ctx with the given codes."""
+    return tuple([FieldElement(ctx, c) for c in codes])
+
+
+def _codes_of(ctx: FieldContext | None, values, error: str) -> tuple[int, ...]:
+    """The codes of values; SpecMismatch(error) unless each is a FieldElement of ctx."""
+    values = tuple(values)
+    if not all(isinstance(v, FieldElement) and (v.ctx is ctx or v.ctx == ctx) for v in values):
+        raise SpecMismatch(error)
+    return tuple([v.code for v in values])
+
+
+def _check_length(spec: GroupSpec, table: Sequence) -> None:
+    if len(table) != spec.order:
+        raise SpecMismatch(f"table has {len(table)} entries, group has {spec.order}")
 
 
 def _first_failing(spec: GroupSpec, columns: Sequence[Sequence[int]]) -> GroupElement | None:
@@ -74,21 +135,30 @@ def _first_failing(spec: GroupSpec, columns: Sequence[Sequence[int]]) -> GroupEl
     return None
 
 
-class ScalarFunction(Record):
-    """A total table G -> GF(q) in canonical element order."""
+class ScalarFunction(_Coded):
+    """A total table G -> GF(q) in canonical element order, kept as the
+    codes of its values."""
 
-    __slots__ = ("spec", "values")
+    __slots__ = ("spec", "_codes")
+    _args = ("spec", "values")
     spec: GroupSpec
-    values: tuple[FieldElement, ...]
+    _codes: tuple[int, ...]
 
-    def _validate(self):
-        if len(self.values) != self.spec.order:
-            raise SpecMismatch(
-                f"table has {len(self.values)} entries, group has {self.spec.order}"
-            )
-        for v in self.values:
-            if v.ctx is not self.spec.ctx and v.ctx != self.spec.ctx:
-                raise SpecMismatch("table value lies outside the spec's field")
+    def _validate(self, spec: GroupSpec, values: Sequence[FieldElement]) -> tuple:
+        codes = _codes_of(spec.ctx, values, "table value lies outside the spec's field")
+        _check_length(spec, codes)
+        return spec, codes
+
+    @classmethod
+    def _of(cls, spec: GroupSpec, codes: Sequence[int]) -> "ScalarFunction":
+        """The table of the given codes in canonical order; checks their number."""
+        _check_length(spec, codes)
+        return super()._of(spec, tuple(codes))
+
+    @_kept
+    def values(self) -> tuple[FieldElement, ...]:
+        """The values in canonical order, built on first read and kept."""
+        return _elements(self.spec.ctx, self._codes)
 
     def at(self, x: Sequence[int]) -> FieldElement:
         return self.values[self.spec.index_of(x)]
@@ -97,9 +167,9 @@ class ScalarFunction(Record):
         """First point whose value has norm != 1, or None if circle-valued."""
         return _first_failing(self.spec, self._columns())
 
-    def _columns(self) -> list[list[int]]:
+    def _columns(self) -> list[Sequence[int]]:
         """The codes of the table as its one coordinate column."""
-        return [[v.code for v in self.values]]
+        return [self._codes]
 
     @classmethod
     def constant(cls, spec: GroupSpec, value: FieldElement) -> "ScalarFunction":
@@ -108,22 +178,18 @@ class ScalarFunction(Record):
     @classmethod
     def delta(cls, spec: GroupSpec, x: Sequence[int]) -> "ScalarFunction":
         """Indicator of x: one at x, zero elsewhere."""
-        ctx = spec.ctx
-        values = [ctx.zero] * spec.order
-        values[spec.index_of(x)] = ctx.one
-        return cls(spec, tuple(values))
+        codes = [0] * spec.order
+        codes[spec.index_of(x)] = 1
+        return cls._of(spec, codes)
 
     @classmethod
     def from_exponents(cls, spec: GroupSpec, d: int, exponents: Sequence[int]) -> "ScalarFunction":
         """Table x -> u_d^(exponents[x]) for the order-d circle subgroup."""
         ctx = spec.ctx
         ctx.circle_subgroup_generator(d)  # validates d | s
-        s = ctx.circle_order
+        s, power = ctx.circle_order, ctx._circle_pow
         step = s // d
-        values = tuple(
-            FieldElement(ctx, ctx._circle_pow[step * (int(e) % d) % s]) for e in exponents
-        )
-        return cls(spec, values)
+        return cls._of(spec, [power[step * (int(e) % d) % s] for e in exponents])
 
 
 def char_exponent(spec: GroupSpec, alpha: Sequence[int], x: Sequence[int]) -> int:
@@ -152,9 +218,8 @@ def character_value_naive(spec: GroupSpec, alpha: Sequence[int], x: Sequence[int
 
 def character_row(spec: GroupSpec, alpha: Sequence[int]) -> ScalarFunction:
     """The character chi_alpha as a table over G."""
-    ctx = spec.ctx
-    values = tuple(FieldElement(ctx, ctx._circle_pow[k]) for k in spec.exponent_row(alpha))
-    return ScalarFunction(spec, values)
+    power = spec.ctx._circle_pow
+    return ScalarFunction._of(spec, [power[k] for k in spec.exponent_row(alpha)])
 
 
 def _dot(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> FieldElement:

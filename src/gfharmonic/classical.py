@@ -22,6 +22,7 @@ import cmath
 import functools
 import math
 from operator import lshift, mul
+from typing import Sequence
 
 from .bent import _passes, is_bent_spectral
 from .characters import Record, ScalarFunction
@@ -38,16 +39,13 @@ class ExponentFunction(Record):
     m: int
     exponents: tuple[int, ...]
 
-    def _validate(self):
-        _check_root_order(self.spec, self.m)
-        if len(self.exponents) != self.spec.order:
+    def _validate(self, spec: GroupSpec, m: int, exponents: Sequence[int]) -> tuple:
+        _check_root_order(spec, m)
+        if len(exponents) != spec.order:
             raise SpecMismatch(
-                f"exponent table has {len(self.exponents)} entries, "
-                f"group has {self.spec.order}"
+                f"exponent table has {len(exponents)} entries, group has {spec.order}"
             )
-        object.__setattr__(
-            self, "exponents", tuple(int(e) % self.m for e in self.exponents)
-        )
+        return spec, m, tuple(int(e) % m for e in exponents)
 
 
 def _check_root_order(spec: GroupSpec, m: int) -> None:

@@ -56,7 +56,7 @@ def _reply(args, code: int, obj, pretty: Optional[Callable[[], str]] = None) -> 
 def _bent_report_obj(report) -> dict:
     return {
         "is_bent": report.is_bent,
-        "spectrum_norms": [element_to_obj(v) for v in report.spectrum_norms],
+        "spectrum_norms": [report._ctx._coeffs(c) for c in report._codes],
         "failing_points": [list(x) for x in report.failing_points],
     }
 

@@ -163,8 +163,7 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Coefficient vector over GF(p), lowest degree first."""
-        ctx = self.ctx
-        return tuple([self.code // w % ctx.p for w in ctx._pw])
+        return tuple(self.ctx._coeffs(self.code))
 
     def is_zero(self) -> bool:
         return self.code == 0
@@ -399,12 +398,22 @@ class FieldContext:
 
     def element(self, coeffs: Iterable[int]) -> FieldElement:
         """Build an element from its coefficient vector (reduced mod p)."""
+        return FieldElement(self, self._code(coeffs))
+
+    def _code(self, coeffs: Iterable[int]) -> int:
+        """The code of a coefficient vector (reduced mod p), lowest degree
+        first: its base-p digits."""
         cs = [int(c) % self.p for c in coeffs]
         if len(cs) != self.width:
             raise DegreeMismatch(
                 f"expected {self.width} coefficients, got {len(cs)}", witness=cs
             )
-        return FieldElement(self, sum(c * w for c, w in zip(cs, self._pw)))
+        return sum(c * w for c, w in zip(cs, self._pw))
+
+    def _coeffs(self, code: int) -> list[int]:
+        """The coefficient vector of a code, lowest degree first."""
+        p = self.p
+        return [code // w % p for w in self._pw]
 
     def from_int(self, k: int) -> FieldElement:
         """The scalar (k mod p) * 1, i.e. the image of k in GF(p) < GF(q)."""

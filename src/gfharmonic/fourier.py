@@ -11,10 +11,11 @@ The transform is separable, since chi_alpha(x) is a product of one factor
 per coordinate: it runs a length-d transform along each coordinate of
 G = prod Z_(d_j), |G| * sum_j d_j terms in all instead of |G|^2.  Its
 kernel, _transform, takes and returns coordinate columns of codes (a scalar
-table is one column), so only the values a caller gets back become
-FieldElements.  A line of length d takes one of two routes.  The
-per-output route sums d packed products, looked up by their logs, for each
-of its d outputs.  The table route (the Method of Four Russians) sums 2d
+table is one column), the columns a table keeps: ft and inverse_ft hand
+them over and build their output from codes, so a FieldElement is built
+only for a value a caller reads.  A line of length d takes one of two
+routes.  The per-output route sums d packed products, looked up by their
+logs, for each of its d outputs.  The table route (the Method of Four Russians) sums 2d
 ints: for each position t and each half code v of an entry, one int holds
 the d products v W^(a t) side by side, in byte-padded slots
 (field._build_line_table, by field._span and field._lane_plus), so the
@@ -27,7 +28,8 @@ same table with its slots reversed.
 Convolution and the autocorrelations behind the derivative bent criteria
 never transform: _correlate sums F(alpha + x) H(x)^power over each pair of
 columns, read from translation rows, reducing every lane before it can
-overflow.
+overflow.  convolve reads g(-y) through the group's negation index
+(GroupSpec._negation).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Sequence
 
 from .characters import ScalarFunction, inner_product
 from .errors import SpecMismatch
-from .field import FieldElement, _reducer
+from .field import _reducer
 from .group import GroupSpec
 
 
@@ -85,18 +87,13 @@ def _transform(
 
 def ft(f: ScalarFunction) -> ScalarFunction:
     """Fourier transform: alpha -> sum_x f(x) chi_alpha(x)."""
-    return _scalar(f.spec, _transform(f.spec, f._columns(), 1, 1)[0])
+    return ScalarFunction._of(f.spec, _transform(f.spec, f._columns(), 1, 1)[0])
 
 
 def inverse_ft(F: ScalarFunction) -> ScalarFunction:
     """Inverse transform: x -> (|G| mod p)^-1 sum_alpha F(alpha) conj(chi_alpha(x))."""
-    return _scalar(F.spec, _transform(F.spec, F._columns(), -1, F.spec.inv_order_mod_p)[0])
-
-
-def _scalar(spec: GroupSpec, codes: Sequence[int]) -> ScalarFunction:
-    """The table of the given codes, in canonical order."""
-    ctx = spec.ctx
-    return ScalarFunction(spec, tuple([FieldElement(ctx, x) for x in codes]))
+    spec = F.spec
+    return ScalarFunction._of(spec, _transform(spec, F._columns(), -1, spec.inv_order_mod_p)[0])
 
 
 def _correlate(
@@ -122,16 +119,15 @@ def _correlate(
         for i in range(0, len(summands), chunk):
             code = code_of(terms[log[code]] + sum(summands[i:i + chunk]))
         out.append(code)
-    return _scalar(spec, out)
+    return ScalarFunction._of(spec, out)
 
 
 def convolve(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
     """(f * g)(alpha) = sum_x f(x) g(-x + alpha) = sum_y f(alpha + y) g(-y)."""
     if f.spec != g.spec:
         raise SpecMismatch("functions live on different groups")
-    spec = f.spec
-    g_neg = [g.at(spec.neg(y)).code for y in spec.elements()]
-    return _correlate(spec, [(f._columns()[0], g_neg)], 1)
+    g_neg = list(map(g._codes.__getitem__, f.spec._negation()))
+    return _correlate(f.spec, [(f._codes, g_neg)], 1)
 
 
 def plancherel_check(f: ScalarFunction, g: ScalarFunction) -> bool:

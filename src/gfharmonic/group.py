@@ -197,11 +197,14 @@ class GroupSpec:
         """The first-listed element of each pair {a, -a} with a != 0, in canonical
         order; listed on first use and kept."""
         if self._directions is None:
-            parts = [[-x % d * st for x in range(d)] for d, st in zip(self.dims, self._strides)]
-            neg = _outer_sum(parts)  # neg[i] is the index of -a, a the i-th element
-            first = [i and j >= i for i, j in enumerate(neg)]
+            first = [i and j >= i for i, j in enumerate(self._negation())]
             self._directions = tuple(itertools.compress(self.elements(), first))
         return iter(self._directions)
+
+    def _negation(self) -> list[int]:
+        """Entry i is the index of -a, a the i-th element in canonical order."""
+        parts = [[-x % d * st for x in range(d)] for d, st in zip(self.dims, self._strides)]
+        return _outer_sum(parts)
 
     def index_of(self, x: Sequence[int]) -> int:
         x = self.validate_element(x)

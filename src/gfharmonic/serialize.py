@@ -1,7 +1,10 @@
 """JSON encodings for contexts, groups, and function tables.
 
 Field elements serialize as coefficient arrays, lowest degree first.
-Function tables are listed in the group's canonical element order.  The
+Function tables are listed in the group's canonical element order, written
+from the codes a table keeps and read into codes, digit by digit
+(FieldContext._coeffs and _code, the rule of FieldElement.coeffs and
+FieldContext.element), so no FieldElement is built per value.  The
 writers are deterministic (fixed key order, compact separators), so any
 artifact round-trips bit for bit through its reader.  The group and table
 types are imported by the readers that build them, so reading or writing a
@@ -130,7 +133,11 @@ def element_to_obj(v: FieldElement) -> list[int]:
 
 
 def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
-    return ctx.element(_expect_coeffs(obj, ctx.p, "field element"))
+    return FieldElement(ctx, _code_from_obj(ctx, obj))
+
+
+def _code_from_obj(ctx: FieldContext, obj: Any) -> int:
+    return ctx._code(_expect_coeffs(obj, ctx.p, "field element"))
 
 
 # -- scalar functions -------------------------------------------------------------
@@ -139,7 +146,7 @@ def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
 def scalar_function_to_obj(f: ScalarFunction) -> dict:
     return {
         **group_file_to_obj(f.spec),
-        "values": [element_to_obj(v) for v in f.values],
+        "values": list(map(f.spec.ctx._coeffs, f._codes)),
     }
 
 
@@ -152,7 +159,7 @@ def scalar_function_from_obj(obj: Any) -> ScalarFunction:
     if not isinstance(values, list):
         raise MalformedInput("function requires a 'values' array")
     ctx = spec.ctx
-    return ScalarFunction(spec, tuple(element_from_obj(ctx, v) for v in values))
+    return ScalarFunction._of(spec, [_code_from_obj(ctx, v) for v in values])
 
 
 # -- exponent functions ------------------------------------------------------------
@@ -177,12 +184,12 @@ def vector_function_to_obj(f: VectorFunction) -> dict:
     return {
         **group_file_to_obj(f.spec),
         "l": f.dim,
-        "values": [[element_to_obj(v) for v in vec] for vec in f.values],
+        "values": [list(map(f.spec.ctx._coeffs, vec)) for vec in zip(*f._codes)],
     }
 
 
 def vector_function_from_obj(obj: Any) -> VectorFunction:
-    from .vectorial import VectorFunction
+    from .vectorial import VectorFunction, _coordinate_columns
 
     obj = _expect_mapping(obj, "vector function")
     spec = group_from_file_obj(obj)
@@ -193,12 +200,12 @@ def vector_function_from_obj(obj: Any) -> VectorFunction:
     if not isinstance(values, list):
         raise MalformedInput("vector function requires a 'values' array")
     ctx = spec.ctx
-    vecs = []
+    rows = []
     for vec in values:
         if not isinstance(vec, list):
             raise MalformedInput("each vector value must be an array of elements")
-        vecs.append(tuple(element_from_obj(ctx, v) for v in vec))
-    return VectorFunction(spec, dim, tuple(vecs))
+        rows.append([_code_from_obj(ctx, v) for v in vec])
+    return VectorFunction._of(spec, _coordinate_columns(spec, dim, rows))
 
 
 # -- files -------------------------------------------------------------------------

@@ -7,10 +7,14 @@ dot product is only a pairing).  The transform sends alpha to
 sum_x chi_alpha(x) f(x) and works coordinatewise like the scalar one; the
 derivative in direction alpha is the scalar table
 x -> <f(alpha + x), f(x)>, and bentness asks every transformed vector to
-have self-product |G| mod p.  A table reaches the scalar layer's kernels
-as its coordinate columns of codes, a scalar table being one column: the
-transform, the norm sums, the spectral verdict (bent._spectral) and the
-correlation sums.  norm_l and hermitian_dot stay on FieldElement arithmetic.
+have self-product |G| mod p.  A table keeps one column of codes per
+coordinate and hands them to the scalar layer's kernels as they are, a
+scalar table being one column: the transform, the norm sums, the spectral
+verdict (bent._spectral) and the correlation sums.  md_ft, md_inverse_ft,
+coordinate_function and from_scalar build tables from columns of codes;
+only the vectors a caller reads (VectorFunction.values, built on first read
+and kept) become FieldElements.  norm_l, hermitian_dot and md_derivative
+stay on FieldElement arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +22,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bent import BentReport, _derivative_report, _require, _spectral
-from .characters import Record, ScalarFunction, _dot, _first_failing
+from .characters import (
+    ScalarFunction,
+    _check_length,
+    _Coded,
+    _codes_of,
+    _dot,
+    _elements,
+    _first_failing,
+    _kept,
+)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -48,29 +61,37 @@ def on_hypersphere(x: Sequence[FieldElement]) -> bool:
     return norm_l(x).code == 1
 
 
-class VectorFunction(Record):
-    """A total table G -> GF(q)^l in canonical element order."""
+class VectorFunction(_Coded):
+    """A total table G -> GF(q)^l in canonical element order, kept as one
+    column of codes per coordinate; dim is l."""
 
-    __slots__ = ("spec", "dim", "values")
+    __slots__ = ("spec", "_codes")
+    _args = ("spec", "dim", "values")
     spec: GroupSpec
-    dim: int
-    values: tuple[FieldVector, ...]
+    _codes: tuple[tuple[int, ...], ...]
 
-    def _validate(self):
-        if self.dim < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {self.dim}")
-        if len(self.values) != self.spec.order:
-            raise SpecMismatch(
-                f"table has {len(self.values)} entries, group has {self.spec.order}"
-            )
-        for vec in self.values:
-            if len(vec) != self.dim:
-                raise DimensionMismatch(
-                    f"vector of length {len(vec)} in a dimension-{self.dim} table"
-                )
-            for v in vec:
-                if v.ctx is not self.spec.ctx and v.ctx != self.spec.ctx:
-                    raise SpecMismatch("vector entry lies outside the spec's field")
+    def _validate(self, spec: GroupSpec, dim: int, values: Sequence[FieldVector]) -> tuple:
+        ctx = spec.ctx
+        error = "vector entry lies outside the spec's field"
+        rows = [_codes_of(ctx, vec, error) for vec in values]
+        return spec, _coordinate_columns(spec, dim, rows)
+
+    @classmethod
+    def _of(cls, spec: GroupSpec, columns: Sequence[Sequence[int]]) -> "VectorFunction":
+        """The table of the given coordinate columns of codes; checks their lengths."""
+        for column in columns:
+            _check_length(spec, column)
+        return super()._of(spec, tuple(map(tuple, columns)))
+
+    @property
+    def dim(self) -> int:
+        return len(self._codes)
+
+    @_kept
+    def values(self) -> tuple[FieldVector, ...]:
+        """The vectors in canonical order, built on first read and kept."""
+        ctx = self.spec.ctx
+        return tuple(zip(*[_elements(ctx, column) for column in self._codes]))
 
     def at(self, x: Sequence[int]) -> FieldVector:
         return self.values[self.spec.index_of(x)]
@@ -79,44 +100,47 @@ class VectorFunction(Record):
         """First point whose vector has self-product != 1, or None."""
         return _first_failing(self.spec, self._columns())
 
-    def _columns(self) -> list[list[int]]:
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
         """The codes of the table, one column per coordinate."""
-        return [[v.code for v in column] for column in zip(*self.values)]
+        return self._codes
 
     @classmethod
     def from_scalar(cls, f: ScalarFunction, dim: int, slot: int = 0) -> "VectorFunction":
         """Zero-pad a scalar table into coordinate ``slot`` of a dim-vector table."""
         if not 0 <= slot < dim:
             raise IndexOutOfRange(f"slot {slot} outside dimension {dim}", witness=slot)
-        zero = f.spec.ctx.zero
-        values = tuple(
-            tuple(v if i == slot else zero for i in range(dim)) for v in f.values
-        )
-        return cls(f.spec, dim, values)
+        zeros = (0,) * f.spec.order
+        return cls._of(f.spec, tuple(f._codes if i == slot else zeros for i in range(dim)))
+
+
+def _coordinate_columns(spec: GroupSpec, dim: int, rows: Sequence[Sequence[int]]) -> tuple:
+    """The coordinate columns of a table of dim-vectors of codes, after
+    checking dim, the number of vectors and the length of each."""
+    if dim < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
+    _check_length(spec, rows)
+    for vec in rows:
+        if len(vec) != dim:
+            raise DimensionMismatch(f"vector of length {len(vec)} in a dimension-{dim} table")
+    return tuple(zip(*rows))
 
 
 def coordinate_function(f: VectorFunction, e: int) -> ScalarFunction:
     """Projection onto the e-th canonical basis vector."""
     if not 0 <= e < f.dim:
         raise IndexOutOfRange(f"basis index {e} outside dimension {f.dim}", witness=e)
-    return ScalarFunction(f.spec, tuple(vec[e] for vec in f.values))
-
-
-def _vectors(spec: GroupSpec, columns: list[list[int]]) -> VectorFunction:
-    """The vector table of the given coordinate columns of codes."""
-    ctx = spec.ctx
-    values = tuple([tuple([FieldElement(ctx, x) for x in vec]) for vec in zip(*columns)])
-    return VectorFunction(spec, len(columns), values)
+    return ScalarFunction._of(f.spec, f._codes[e])
 
 
 def md_ft(f: VectorFunction) -> VectorFunction:
     """alpha -> sum_x chi_alpha(x) f(x): the coordinate transforms, stacked."""
-    return _vectors(f.spec, _transform(f.spec, f._columns(), 1, 1))
+    return VectorFunction._of(f.spec, _transform(f.spec, f._columns(), 1, 1))
 
 
 def md_inverse_ft(F: VectorFunction) -> VectorFunction:
     """x -> (|G| mod p)^-1 sum_alpha conj(chi_alpha(x)) F(alpha), coordinatewise."""
-    return _vectors(F.spec, _transform(F.spec, F._columns(), -1, F.spec.inv_order_mod_p))
+    spec = F.spec
+    return VectorFunction._of(spec, _transform(spec, F._columns(), -1, spec.inv_order_mod_p))
 
 
 def vector_convolve(f: VectorFunction, g: VectorFunction) -> ScalarFunction:

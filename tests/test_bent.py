@@ -194,7 +194,7 @@ class TestDual:
         transform = bent._transform
 
         def counting_transform(spec, columns, sign, scale_mod_p):
-            calls.append((spec, list(columns), sign, scale_mod_p))
+            calls.append((spec, [list(column) for column in columns], sign, scale_mod_p))
             return transform(spec, columns, sign, scale_mod_p)
 
         monkeypatch.setattr(bent, "_transform", counting_transform)

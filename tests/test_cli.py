@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -737,6 +738,16 @@ class TestErrorContract:
         record = self._record(capsys, "search", "--group", path, "--d", "1")
         assert record["code"] == "too-large"
         assert record["witness"] == {"order": 729, "max_order": 256}
+
+
+class TestModuleEntryPoint:
+    def test_python_m_in_process(self, monkeypatch, capsys):
+        """`python -m gfharmonic` runs __main__.py, which exits with main's code."""
+        monkeypatch.setattr(sys, "argv", ["gfharmonic", "field-info", "--p", "2", "--n", "1"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("gfharmonic", run_name="__main__")
+        assert info.value.code == 0
+        assert json.loads(capsys.readouterr().out)["q"] == 4
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

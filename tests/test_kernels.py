@@ -14,6 +14,7 @@ its lanes are compared exactly with a one-by-one count.
 
 import copy
 import functools
+import hashlib
 import pickle
 import random
 
@@ -38,6 +39,7 @@ from gfharmonic import (
     VectorFunction,
     autocorrelation,
     char_exponent,
+    character_row,
     classical_ft,
     convolve,
     coordinate_function,
@@ -79,6 +81,7 @@ from _oracles import (
     naive_vector_convolve,
     random_circle_function,
     random_function,
+    random_vector_function,
 )
 
 # (p, n, modulus or None for the default, factors)
@@ -791,6 +794,103 @@ class TestCodeReports:
                 assert is_md_bent(g) == want
                 seen.add(want.is_bent)
         assert seen == {True, False}
+
+
+def _outputs(spec):
+    """Every table and report the library builds from codes, each by name,
+    on inputs seeded by the group."""
+    rng = random.Random(repr(spec))
+    ctx, s = spec.ctx, spec.ctx.circle_order
+    f, c = random_function(spec, rng), random_circle_function(spec, rng)
+    vf = random_vector_function(spec, 2, rng)
+    by_norm = _by_norm(ctx)
+    rows = [(a, rng.choice(by_norm[ctx.one - a.norm()])) for a in random_function(spec, rng).values]
+    sphere = VectorFunction(spec, 2, tuple(rows))
+    alpha = spec.element_at(rng.randrange(spec.order))
+    exponents = [rng.randrange(s) for _ in range(spec.order)]
+    mm = mm_construct(c)
+    return {
+        "ft": ft(f),
+        "inverse_ft": inverse_ft(f),
+        "convolve": convolve(f, c),
+        "autocorrelation": autocorrelation(f),
+        "derivative": derivative(c, alpha),
+        "character_row": character_row(spec, alpha),
+        "from_exponents": ScalarFunction.from_exponents(spec, s, exponents),
+        "delta": ScalarFunction.delta(spec, alpha),
+        "is_bent_spectral": is_bent_spectral(c),
+        "is_bent_autocorr": is_bent_autocorr(c),
+        "md_ft": md_ft(vf),
+        "md_inverse_ft": md_inverse_ft(vf),
+        "coordinate_function": coordinate_function(vf, 1),
+        "from_scalar": VectorFunction.from_scalar(f, 3, 1),
+        "vector_convolve": vector_convolve(vf, sphere),
+        "md_derivative": md_derivative(sphere, alpha),
+        "is_md_bent": is_md_bent(sphere),
+        "is_md_bent_derivative": is_md_bent_derivative(sphere),
+        "mm_construct": mm,
+        "is_bent_spectral mm": is_bent_spectral(mm),
+        "dual_bent": dual_bent(mm),
+    }
+
+
+def _view(x):
+    return x.spectrum_norms if isinstance(x, BentReport) else x.values
+
+
+def _digest(outputs):
+    """A digest of the outputs' FieldElements, read through their views."""
+
+    def plain(x):
+        if isinstance(x, BentReport):
+            return (x.is_bent, tuple(v.coeffs for v in x.spectrum_norms), x.failing_points)
+        if isinstance(x, VectorFunction):
+            return tuple(tuple(v.coeffs for v in vec) for vec in x.values)
+        return tuple(v.coeffs for v in x.values)
+
+    text = repr(sorted((k, plain(v)) for k, v in outputs.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestValuesFromCodes:
+    """Tables and reports keep codes, and build the FieldElements of .values
+    and .spectrum_norms on first read.  Those equal, element for element, the
+    tables of the library that kept one FieldElement per value: DIGESTS holds
+    its `_digest` of `_outputs` on each case, taken before the change."""
+
+    DIGESTS = [
+        "0e150f0fcedc58c0",
+        "f3daa488a14c6cad",
+        "8d9ed6191b0acf96",
+        "06c60c02b68c534a",
+        "728f5e3ce4b59073",
+        "2f506f98c3ad7d9b",
+        "bcba3fe3fe4da78d",
+        "229487ccc6b44969",
+        "37720396a6d3c561",
+        "74ab04137610efa6",
+        "ed2300d608e32814",
+        "f516cf8671f5a602",
+        "48647b98861e8b64",
+    ]
+
+    @each_case
+    def test_views_equal_the_element_tables(self, i):
+        outputs = _outputs(_spec_of(i))
+        assert _digest(outputs) == self.DIGESTS[i]
+        for x in outputs.values():
+            assert _view(x) is _view(x)  # built once and kept
+
+    @each_case
+    def test_codes_and_elements_build_one_table(self, i):
+        for x in _outputs(_spec_of(i)).values():
+            if isinstance(x, BentReport):
+                twin = BentReport(x.is_bent, x.spectrum_norms, x.failing_points)
+            elif isinstance(x, VectorFunction):
+                twin = VectorFunction(x.spec, x.dim, x.values)
+            else:
+                twin = ScalarFunction(x.spec, x.values)
+            assert twin == x and hash(twin) == hash(x) and twin._fields() == x._fields()
 
 
 class TestOraclesIgnoreThePackedTable:

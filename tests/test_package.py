@@ -15,8 +15,11 @@ from gfharmonic import (
     SpecMismatch,
     VectorFunction,
     ft,
+    is_bent_autocorr,
+    is_bent_spectral,
     make_context,
     make_group,
+    md_ft,
 )
 
 
@@ -50,26 +53,52 @@ class TestLazyPackage:
 
 
 @pytest.fixture
-def records(z3):
+def records(z3, z5):
     f = ScalarFunction.from_exponents(z3, 3, [0, 1, 1])
+    g = ScalarFunction.from_exponents(z5, 5, [0, 1, 4, 4, 1])
+    read = ft(g)
+    read.values  # a table whose view is built and kept
+    vf = VectorFunction.from_scalar(f, 2)
     return [
         f,
         ExponentFunction(z3, 3, (0, 1, 1)),
-        VectorFunction.from_scalar(f, 2),
+        vf,
         BentReport(True, f.values, ()),
         SearchResult(3, 27, ((0, 1, 1),)),
+        ft(g),
+        read,
+        md_ft(vf),
+        is_bent_spectral(g),
+        is_bent_autocorr(g),
+        BentReport(False, (), ()),
     ]
+
+
+def _arguments(r):
+    """The constructor's arguments that rebuild r."""
+    return [getattr(r, name) for name in r._args or r.__slots__]
 
 
 class TestRecords:
     def test_equality_and_hash(self, records):
         for r in records:
-            twin = type(r)(*r._fields())
-            assert twin == r and twin is not r
-            assert hash(twin) == hash(r) == hash(r._fields())
+            for twin in (type(r)._of(*r._fields()), type(r)(*_arguments(r))):
+                assert twin == r and twin is not r
+                assert hash(twin) == hash(r) == hash(r._fields())
         assert SearchResult(3, 27, ()) != SearchResult(3, 9, ())
         assert SearchResult(3, 27, ()) != (3, 27, ())
-        assert len(set(records + [type(r)(*r._fields()) for r in records])) == len(records)
+        twins = [type(r)._of(*r._fields()) for r in records]
+        assert len(set(records + twins)) == len(set(records))
+        assert records[-3] == records[-2]  # g is bent: both routes give one report
+
+    def test_tables_keep_codes(self, z3):
+        f = ScalarFunction.from_exponents(z3, 3, [0, 1, 1])
+        vf = VectorFunction.from_scalar(f, 2, 1)
+        assert f._fields() == (z3, (1, 2, 2))
+        assert vf._fields() == (z3, ((0, 0, 0), (1, 2, 2)))
+        report = BentReport(True, f.values, ())
+        assert report._fields() == (True, z3.ctx, (1, 2, 2), ())
+        assert BentReport(True, (), ())._fields() == (True, None, (), ())
 
     def test_repr(self, z3):
         assert repr(SearchResult(3, 27, ((0, 1, 1),))) == (
@@ -101,6 +130,11 @@ class TestRecords:
             assert copy.copy(r) == r
             assert copy.deepcopy(r) == r
             assert pickle.loads(pickle.dumps(r)) == r
+        # A view kept by a table is no field: copies and pickles leave it out.
+        read, unread = records[6], records[5]
+        assert len(pickle.dumps(read)) == len(pickle.dumps(unread))
+        for twin in (copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read))):
+            assert not hasattr(twin, "_view") and twin.values == read.values
         # A record whose context keeps a line table (Z_5^3/GF(16) transforms
         # through one) pickles and deep-copies without it; it rebuilds on use.
         spec = make_group(make_context(2, 2), [(5, 3)])
@@ -114,6 +148,18 @@ class TestRecords:
             assert twin.spec.ctx._line_tables == {}
             assert ft(twin) == F and list(twin.spec.ctx._line_tables) == [5]
         assert copy.copy(f).spec.ctx is spec.ctx
+
+    def test_entries_that_are_not_field_elements(self, z3, gf16):
+        one = z3.ctx.one
+        for values in [(1, 2, 3), (one, one, 1), (one, None, one), (one, gf16.one, one)]:
+            with pytest.raises(SpecMismatch, match="table value"):
+                ScalarFunction(z3, values)
+            with pytest.raises(SpecMismatch, match="vector entry"):
+                VectorFunction(z3, 1, tuple((v,) for v in values))
+            with pytest.raises(SpecMismatch, match="vector entry"):
+                VectorFunction(z3, 2, tuple((one, v) for v in values))
+            with pytest.raises(SpecMismatch):
+                BentReport(True, values, ())
 
     def test_count_property(self):
         assert SearchResult(3, 27, ((0, 1, 1), (0, 2, 2))).count == 2
