@@ -11,7 +11,9 @@ product construction run on the codes a table keeps: the transform kernel
 (fourier._transform), the norm codes (field._norms) and the comparison with
 |G| mod p, whose code is itself.  A BentReport keeps its norm table as
 codes too, so a FieldElement is built only for a value a caller reads
-(BentReport.spectrum_norms, built on first read and kept).
+(BentReport.spectrum_norms, built on first read and kept).  A SearchResult
+likewise keeps its tables as one block of bytes and builds one tuple per
+table only when a caller reads `tables`.
 """
 
 from __future__ import annotations
@@ -21,20 +23,22 @@ import itertools
 import math
 import operator
 import os
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .characters import Record, ScalarFunction, _Coded, _codes_of, _elements, _kept
+from .characters import ScalarFunction, _Coded, _codes_of, _elements, _kept
 from .errors import (
     BudgetExceeded,
     HarmonicError,
+    InvalidOrder,
     NotBent,
     NotCircleValued,
     NotQuadraticResidue,
+    ShapeMismatch,
     TooLarge,
 )
 from .field import FieldContext, FieldElement, _minimal_polynomial, _norm_sums, _poly_rem
 from .fourier import _correlate, _transform, ft
-from .group import GroupElement, GroupSpec, _outer_sum, make_group
+from .group import GroupElement, GroupSpec, _lane_bits, _lane_bytes, _lanes, _outer_sum, make_group
 
 
 class BentReport(_Coded):
@@ -201,7 +205,7 @@ MAX_CANDIDATES = 1_000_000
 MAX_SEARCH_ORDER = 256
 
 
-class SearchResult(Record):
+class SearchResult(_Coded):
     """Outcome of an exhaustive search: the subgroup order d, the size
     d^|G| of the full candidate space, and every bent exponent table of that
     space in mixed-radix order.
@@ -209,16 +213,57 @@ class SearchResult(Record):
     The search tests one normalized table per orbit of e -> e + c + h (see
     `_SearchKernel`) and expands the bent ones, so `candidates` counts every
     table decided, not the tables tested directly.
+
+    The tables are kept as one block of bytes, |G| entries per table in the
+    lane format of `group._lane_bytes`: a byte per entry, or two bytes where
+    d - 1 passes a byte (d = 257, only on the trivial group over GF(2^16)).
+    `count` reads the block's length, and `tables`, one tuple per table, is
+    built on first read and kept.  Equality, hashing, copies and pickles work
+    on (d, candidates, |G|, block), |G| being 0 where there is no table.
+    The constructor takes the tables and raises ShapeMismatch unless they
+    have one length of at least 1, and InvalidOrder unless d is an int in
+    [1, 2^32] and every entry an int in [0, d).
     """
 
-    __slots__ = ("d", "candidates", "tables")
+    __slots__ = ("d", "candidates", "_width", "_block")
+    _args = ("d", "candidates", "tables")
     d: int
     candidates: int
-    tables: tuple[tuple[int, ...], ...]
+    _width: int
+    _block: bytes
+
+    def _validate(self, d, candidates, tables) -> tuple:
+        if not (isinstance(d, int) and 0 < d <= 1 << 32):
+            raise InvalidOrder(f"subgroup order {d!r} is not an int in [1, 2^32]", witness=d)
+        rows = [tuple(e) for e in tables]
+        lengths = sorted({len(e) for e in rows})
+        if len(lengths) > 1 or 0 in lengths:
+            raise ShapeMismatch(f"tables of {lengths} entries: they need one length >= 1", witness=lengths)
+        entries = list(itertools.chain.from_iterable(rows))
+        for v in entries:
+            if not (isinstance(v, int) and 0 <= v < d):
+                raise InvalidOrder(f"table entry {v!r} is not an int in [0, {d})", witness=v)
+        return d, candidates, lengths[0] if rows else 0, _lane_bytes(entries, _lane_bits(d - 1))
+
+    def _entries(self) -> Sequence[int]:
+        """The entries of the block's lanes, |G| per table, in mixed-radix order."""
+        return _lanes(self._block, _lane_bits(self.d - 1))
 
     @property
     def count(self) -> int:
-        return len(self.tables)
+        """The number of tables, read off the block's length; builds no view."""
+        return len(self._entries()) // (self._width or 1)
+
+    def _rows(self) -> Iterator[Sequence[int]]:
+        """Each table's entries, a slice of the block's lanes; builds no view."""
+        entries, w = self._entries(), self._width
+        return (entries[i : i + w] for i in range(0, len(entries), w or 1))
+
+    @_kept
+    def tables(self) -> tuple[tuple[int, ...], ...]:
+        """The tables in mixed-radix order, a tuple each, built on first read and kept."""
+        entries, w = self._entries(), self._width
+        return tuple(zip(*(entries[i::w] for i in range(w))))
 
 
 def _field_verdict(ctx: FieldContext, d: int) -> tuple[list[int], int]:
@@ -319,12 +364,15 @@ class _SearchKernel:
                 found.extend(e[:z] + (v,) for v in values)
         return found
 
-    def expand(self, normalized: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Every shift of the given normalized tables, in mixed-radix order, with
-        no Python step per table.  Point 0 of e + c + h is c, the other w = |G| - 1
-        bytes: one translate per h adds h to a point's column, which fills every
-        w-th byte of a buffer of rows; one translate per c adds c, and the rows are
-        sorted (memcmp order is mixed-radix order), joined and cut into columns."""
+    def expand(self, normalized: Sequence[tuple[int, ...]]) -> bytes:
+        """Every shift of the given normalized tables, in mixed-radix order, as
+        one block of |G| entries per table in SearchResult's lane format, with
+        no Python step per table.  Point 0 of e + c + h is c, the other
+        w = |G| - 1 bytes: one translate per h adds h to a point's column, which
+        fills every w-th byte of a buffer of rows; one translate per c adds c,
+        and the rows are sorted (memcmp order is mixed-radix order) and joined
+        with c written before each.  Only d = 257 writes c in two bytes, and
+        then |G| = 1 (see MAX_SEARCH_ORDER): the rows are empty."""
         d, w, n = self.d, len(self.ranges) - 1, len(normalized) * len(self.shifts)
         ring = bytes(range(min(d, 256))) * (256 // d + 2)  # ring[s + v] = (s + v) % d, v < d
         adds = [ring[s : s + 256] for s in range(d)]  # the translate tables of + s
@@ -334,11 +382,11 @@ class _SearchKernel:
         tails = bytes(buf)  # bytes, not bytearray: their slices sort twice as fast
         # Each row's slice, by count and not range, so that w = 0 gives n empty rows.
         rows = list(map(slice, itertools.islice(itertools.count(0, w), n), itertools.count(w, w)))
-        found: list[tuple[int, ...]] = []
+        bits, blocks = _lane_bits(d - 1), []
         for c in range(d):
-            block = b"".join(sorted(map(tails.translate(adds[c]).__getitem__, rows)))
-            found.extend(zip(itertools.repeat(c, n), *(block[i::w] for i in range(w))))
-        return found
+            tail = sorted(map(tails.translate(adds[c]).__getitem__, rows))
+            blocks.append(_lane_bytes((c,), bits).join([b""] + tail))
+        return b"".join(blocks)
 
 
 def _search(
@@ -371,7 +419,9 @@ def _search(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(functools.partial(kernel.run, step=workers), range(workers))
             found = list(itertools.chain.from_iterable(parts))
-    return SearchResult(d, total, tuple(kernel.expand(found)))
+    block = kernel.expand(found)
+    # A result with no table keeps |G| = 0, as the constructor gives it.
+    return SearchResult._of(d, total, spec.order if block else 0, block)
 
 
 def search_bent(
@@ -387,7 +437,9 @@ def search_bent(
     elements raises TooLarge before any table is built.  Only the
     normalized tables, one per orbit of e -> e + c + h (d * prod gcd(d, d_j)
     tables each), are tested; each bent one is expanded by its orbit and the
-    result sorted into mixed-radix order (first point most significant).
+    result sorted into mixed-radix order (first point most significant) and
+    kept as one block of bytes: `count` builds no tuple, and `tables` builds
+    one per table on first read.
     Worker processes start only when jobs > 1 and there are at least
     2 * BLOCK normalized tables: then min(jobs, os.cpu_count(),
     normalized // BLOCK) workers split them by stride: worker k decides

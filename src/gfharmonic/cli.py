@@ -111,8 +111,10 @@ def _cmd_table(args) -> int:
     """Apply the library function args.function names to the --in (then --in2) table."""
     # The lazy package imports only the module that defines the function.
     function = getattr(sys.modules[__package__], args.function)
-    paths = [args.infile] + ([args.infile2] if "infile2" in args else [])
-    tables = [scalar_function_from_obj(read_json(path)) for path in paths]
+    tables = [scalar_function_from_obj(read_json(args.infile))]
+    if "infile2" in args:
+        # Read against the first table's field where its context names the same one.
+        tables.append(scalar_function_from_obj(read_json(args.infile2), tables[0].spec.ctx))
     return _reply(args, 0, scalar_function_to_obj(function(*tables)))
 
 
@@ -131,7 +133,7 @@ def _cmd_search(args) -> int:
     spec = group_from_file_obj(read_json(args.group))
     budget = MAX_CANDIDATES if args.max_candidates is None else args.max_candidates
     result = search_bent(spec, args.d, max_candidates=budget, jobs=args.jobs)
-    tables = [list(e) for e in result.tables]
+    tables = list(map(list, result._rows()))
     obj = {
         **group_file_to_obj(spec),
         "d": result.d,
@@ -158,7 +160,7 @@ def _cmd_compare(args) -> int:
         spec, m = group_from_file_obj(read_json(args.group)), args.m
         # The search's driver with the classical verdict, which checks m | s first.
         result = _search(spec, m, _classical_verdict(spec, m), MAX_CANDIDATES, jobs=1)
-        checked, classical = result.candidates, result.tables
+        checked, classical = result.candidates, list(result._rows())
     else:
         raise MalformedInput(
             "compare needs either --in FILE or --group FILE --m M --exhaustive"

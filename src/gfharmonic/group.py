@@ -41,19 +41,32 @@ def _lane_bits(top: int) -> int:
     return next(b for b in _LANE_FORMATS if top < 1 << b)
 
 
+def _lane_bytes(values: Sequence[int], bits: int) -> bytes:
+    """Lanes of `bits` bits, lane i holding values[i], as little-endian bytes."""
+    return struct.pack(f"<{len(values)}{_LANE_FORMATS[bits]}", *values)
+
+
 def _pack_lanes(values: Sequence[int], bits: int) -> int:
     """One int of lanes of `bits` bits, lane i holding values[i] (least first)."""
-    return int.from_bytes(struct.pack(f"<{len(values)}{_LANE_FORMATS[bits]}", *values), "little")
+    return int.from_bytes(_lane_bytes(values, bits), "little")
 
 
-def _unpack_lanes(x: int, bits: int, count: int) -> array:
-    """The first `count` lanes of `bits` bits of x, least first: the values
-    that `_pack_lanes` packed, as an array (it reads many short values faster
-    than struct.unpack, which takes a format string per call)."""
-    lanes = array(_LANE_FORMATS[bits], x.to_bytes(bits // 8 * count, "little"))
+def _lanes(data: bytes, bits: int) -> Sequence[int]:
+    """The values of the lanes of `bits` bits in data, least first: what
+    `_lane_bytes` packed.  Bytes are their own lanes of 8 bits, read faster
+    than any copy; wider lanes come as an array (it reads many short values
+    faster than struct.unpack, which takes a format string per call)."""
+    if bits == 8:
+        return data
+    lanes = array(_LANE_FORMATS[bits], data)
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes
+
+
+def _unpack_lanes(x: int, bits: int, count: int) -> Sequence[int]:
+    """The first `count` lanes of `bits` bits of x: the values that `_pack_lanes` packed."""
+    return _lanes(x.to_bytes(bits // 8 * count, "little"), bits)
 
 
 def _outer_sum(parts: Sequence[Sequence[int]]) -> list[int]:

@@ -6,9 +6,11 @@ from the codes a table keeps and read into codes, digit by digit
 (FieldContext._coeffs and _code, the rule of FieldElement.coeffs and
 FieldContext.element), so no FieldElement is built per value.  The
 writers are deterministic (fixed key order, compact separators), so any
-artifact round-trips bit for bit through its reader.  The group and table
-types are imported by the readers that build them, so reading or writing a
-context alone loads only the field module.
+artifact round-trips bit for bit through its reader.  A table reader given
+a context reads over it a file whose context names the same p, n and
+modulus, so `conv` builds one field for two tables over it.  The group and
+table types are imported by the readers that build them, so reading or
+writing a context alone loads only the field module.
 """
 
 from __future__ import annotations
@@ -79,15 +81,19 @@ def _checked_context(p: int, n: int, modulus: Optional[list[int]], what: str) ->
     return make_context(p, n, modulus)
 
 
-def context_from_obj(obj: Any) -> FieldContext:
+def _context_args(obj: Any) -> tuple[int, int, Optional[list[int]]]:
+    """The p, n and modulus (None if omitted) that a context object names."""
     obj = _expect_mapping(obj, "context")
     if "p" not in obj or "n" not in obj:
         raise MalformedInput("context requires 'p' and 'n'")
     modulus = obj.get("modulus")
     if modulus is not None:
         modulus = _expect_int_list(modulus, "context.modulus")
-    p, n = _expect_int(obj["p"], "context.p"), _expect_int(obj["n"], "context.n")
-    return _checked_context(p, n, modulus, "context.modulus")
+    return _expect_int(obj["p"], "context.p"), _expect_int(obj["n"], "context.n"), modulus
+
+
+def context_from_obj(obj: Any) -> FieldContext:
+    return _checked_context(*_context_args(obj), "context.modulus")
 
 
 # -- group ---------------------------------------------------------------------
@@ -119,9 +125,13 @@ def group_file_to_obj(spec: GroupSpec) -> dict:
     return {"context": context_to_obj(spec.ctx), "group": group_to_obj(spec)}
 
 
-def group_from_file_obj(obj: Any) -> GroupSpec:
+def group_from_file_obj(obj: Any, ctx: Optional[FieldContext] = None) -> GroupSpec:
+    """The group of a group file, over ctx where its context names ctx's p,
+    n and modulus, else over the field it names, built afresh."""
     obj = _expect_mapping(obj, "group file")
-    ctx = context_from_obj(obj.get("context"))
+    args = _context_args(obj.get("context"))
+    if ctx is None or args != (ctx.p, ctx.n, list(ctx.modulus)):
+        ctx = _checked_context(*args, "context.modulus")
     return group_from_obj(ctx, obj.get("group"))
 
 
@@ -150,11 +160,13 @@ def scalar_function_to_obj(f: ScalarFunction) -> dict:
     }
 
 
-def scalar_function_from_obj(obj: Any) -> ScalarFunction:
+def scalar_function_from_obj(obj: Any, ctx: Optional[FieldContext] = None) -> ScalarFunction:
+    """The table of a function file; its field is ctx where the file names
+    ctx's p, n and modulus (`group_from_file_obj`)."""
     from .characters import ScalarFunction
 
     obj = _expect_mapping(obj, "function")
-    spec = group_from_file_obj(obj)
+    spec = group_from_file_obj(obj, ctx)
     values = obj.get("values")
     if not isinstance(values, list):
         raise MalformedInput("function requires a 'values' array")

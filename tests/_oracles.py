@@ -14,7 +14,9 @@ share no code with the exact difference counts.
 count_route_is_bent counts exponent differences (difference_counts) as the
 search kernel does, but direction by direction, unpacked, uncached and in
 FieldElement arithmetic.  naive_expand expands normalized tables by their
-orbits as tuples, with every shift c + h listed over the group's elements.
+orbits as tuples, with every shift c + h listed over the group's elements,
+and block_tables cuts the block of bytes a search keeps into those tuples,
+entry by entry with int.from_bytes.
 """
 
 import cmath
@@ -376,6 +378,14 @@ def naive_expand(spec, d, normalized):
         for e in normalized
         for s in shifts
     )
+
+
+def block_tables(spec, d, block):
+    """The tables of a search's block of bytes: |G| entries each, an entry
+    one byte, or two bytes least significant first where d - 1 passes a byte."""
+    size = 1 if d <= 256 else 2
+    entries = [int.from_bytes(block[i : i + size], "little") for i in range(0, len(block), size)]
+    return [tuple(entries[i : i + spec.order]) for i in range(0, len(entries), spec.order)]
 
 
 @functools.cache

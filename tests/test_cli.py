@@ -217,6 +217,38 @@ class TestTransforms:
         expected = gfharmonic.convolve(f, ScalarFunction(pair, g.values))
         assert out == dumps(scalar_function_to_obj(expected)) + "\n"
 
+    def test_conv_builds_one_field_for_two_tables_over_it(self, capsys, monkeypatch, tmp_path, z3):
+        built, build = [], serialize.make_context
+        monkeypatch.setattr(serialize, "make_context", lambda *a: built.append(a) or build(*a))
+        f = write(tmp_path, "f.json", scalar_function_to_obj(ScalarFunction.delta(z3, (1,))))
+        g = write(tmp_path, "g.json", scalar_function_to_obj(ScalarFunction.delta(z3, (2,))))
+        code, out, err = run(capsys, "conv", "--in", f, "--in2", g)
+        assert (code, err, built) == (0, "", [(2, 1, [1, 1, 1])])
+        assert json.loads(out)["values"] == [[1, 0], [0, 0], [0, 0]]
+
+    def test_conv_over_two_fields(self, capsys, monkeypatch, tmp_path, z3):
+        # The second table names another field, GF(2^6) or GF(9) by another
+        # modulus: it is read over a field of its own, and conv refuses the pair.
+        built, build = [], serialize.make_context
+        monkeypatch.setattr(serialize, "make_context", lambda *a: built.append(a) or build(*a))
+        z2 = make_group(make_context(3, 1), [(2, 1)])
+        for first, second in [
+            (z3, make_group(make_context(2, 3), [(3, 1)])),
+            (z2, make_group(make_context(3, 1, [2, 2, 1]), [(2, 1)])),
+        ]:
+            f = write(tmp_path, "f.json", scalar_function_to_obj(ScalarFunction.delta(first, (1,))))
+            g = write(tmp_path, "g.json", scalar_function_to_obj(ScalarFunction.delta(second, (0,))))
+            built.clear()
+            code, out, err = run(capsys, "conv", "--in", f, "--in2", g)
+            assert (code, out, json.loads(err)["code"], len(built)) == (2, "", "spec-mismatch", 2)
+        # A context naming GF(4) with JSON true for n is read, and refused, afresh.
+        obj = scalar_function_to_obj(ScalarFunction.delta(z3, (2,)))
+        obj["context"]["n"] = True
+        f = write(tmp_path, "f.json", scalar_function_to_obj(ScalarFunction.delta(z3, (1,))))
+        g = write(tmp_path, "g.json", obj)
+        code, out, err = run(capsys, "conv", "--in", f, "--in2", g)
+        assert (code, out, json.loads(err)["code"]) == (2, "", "malformed-input")
+
 
 class TestBentCommands:
     def test_bent_check_exit_zero(self, capsys, bent_file):

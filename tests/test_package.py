@@ -1,6 +1,7 @@
 import copy
 import importlib
 import pickle
+import struct
 
 import pytest
 
@@ -12,6 +13,7 @@ from gfharmonic import (
     InvalidOrder,
     ScalarFunction,
     SearchResult,
+    ShapeMismatch,
     SpecMismatch,
     VectorFunction,
     ft,
@@ -20,6 +22,7 @@ from gfharmonic import (
     make_context,
     make_group,
     md_ft,
+    search_bent,
 )
 
 
@@ -163,6 +166,60 @@ class TestRecords:
 
     def test_count_property(self):
         assert SearchResult(3, 27, ((0, 1, 1), (0, 2, 2))).count == 2
+
+    def test_search_result_keeps_one_block(self, z3):
+        r = SearchResult(3, 27, ((0, 1, 1), (0, 2, 2)))
+        assert r._fields() == (3, 27, 3, bytes([0, 1, 1, 0, 2, 2]))
+        assert r.count == 2 and not hasattr(r, "_view")
+        # An empty result keeps |G| = 0, from the constructor and from a search:
+        # Z_2^3 over GF(9) has no bent table with d = 2.
+        empty = search_bent(make_group(make_context(3, 1), [(2, 3)]), 2)
+        assert empty._fields() == SearchResult(2, 256, ())._fields() == (2, 256, 0, b"")
+        assert (empty.count, empty.tables) == (0, ())
+        found = search_bent(z3, 3)
+        twin = SearchResult(3, 27, found.tables)
+        assert twin == found and hash(twin) == hash(found) == hash(found._fields())
+        assert twin != SearchResult(3, 27, found.tables[1:])
+        assert SearchResult(3, 27, ((0, 1, 1),)) != SearchResult(3, 9, ((0, 1, 1),))
+
+    def test_search_result_view_is_kept_and_left_out(self, z3):
+        read, unread = search_bent(z3, 3), search_bent(z3, 3)
+        tables = read.tables
+        assert read.tables is tables and len(tables) == read.count == 18
+        assert not hasattr(unread, "_view")
+        assert read == unread and hash(read) == hash(unread)
+        assert len(pickle.dumps(read)) == len(pickle.dumps(unread))
+        for twin in (copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read))):
+            assert twin == read and not hasattr(twin, "_view")
+            assert twin.tables == tables
+
+    def test_search_result_constructor_round_trips(self, z3, z3sq, z2z4):
+        # The trivial group over GF(2^16) with d = 257: the one search whose
+        # entries pass a byte, kept in lanes of two bytes.
+        trivial = make_group(make_context(2, 8), [(1, 1)])
+        wide = SearchResult(257, 257, tuple((v,) for v in range(257)))
+        assert wide._block == struct.pack("<257H", *range(257))
+        assert wide == search_bent(trivial, 257) and wide.count == 257
+        assert wide.tables == tuple((v,) for v in range(257))
+        for spec, d in [(z3, 3), (z3sq, 3), (z2z4, 4), (trivial, 257)]:
+            found = search_bent(spec, d)
+            twin = SearchResult(found.d, found.candidates, found.tables)
+            assert twin == found and twin.tables == found.tables
+            assert SearchResult(d, found.candidates, list(map(list, found.tables))) == found
+        assert repr(wide).startswith("SearchResult(d=257, candidates=257, tables=((0,), (1,),")
+
+    def test_search_result_rejects_malformed_tables(self):
+        for tables in [((0, 1), (0,)), ((0,), (0, 1)), ((),), ((), ())]:
+            with pytest.raises(ShapeMismatch):
+                SearchResult(3, 27, tables)
+        for tables in [((0, 3),), ((0, -1),), ((0, 0.0),), ((0, "1"),), ((None, 0),)]:
+            with pytest.raises(InvalidOrder):
+                SearchResult(3, 9, tables)
+        with pytest.raises(InvalidOrder):
+            SearchResult(257, 257, ((257,),))
+        for d in (0, -1, 3.0, (1 << 32) + 1):
+            with pytest.raises(InvalidOrder):
+                SearchResult(d, 1, ())
 
     def test_validation(self, z3, gf16):
         f = ScalarFunction.from_exponents(z3, 3, [0, 1, 1])

@@ -5,11 +5,13 @@ constant plus a homomorphism G -> Z_d) and expands the bent ones.  These
 tests compare it with naive_search, which decides every one of the d^|G|
 tables by the spectral definition, on small groups over GF(4) to GF(81),
 one of them with a non-default modulus, and on the trivial group over
-GF(2^16), whose d = 257 does not fit a byte.  The orbit expansion is also
-compared with naive_expand, which builds and sorts every table as a tuple.
+GF(2^16), whose d = 257 does not fit a byte.  The orbit expansion, a block
+of bytes read here by block_tables, is also compared with naive_expand,
+which builds and sorts every table as a tuple.
 """
 
 import functools
+import gc
 import hashlib
 import itertools
 import math
@@ -40,6 +42,7 @@ from gfharmonic.bent import (
 from gfharmonic.classical import _classical_verdict, _cyclotomic
 from gfharmonic.field import _minimal_polynomial
 from _oracles import (
+    block_tables,
     count_route_is_bent,
     float_classical_bent,
     naive_expand,
@@ -141,7 +144,8 @@ def test_normalized_tables_and_shifts_partition_the_space(case):
     assert d * len(kernel.shifts) == shift_count == len(set(orbit_shifts(spec, d)))
     assert kernel.normalized == len(normalized) == d**spec.order // shift_count
     assert all(e[0] == 0 for e in normalized)
-    assert kernel.expand(normalized) == list(itertools.product(range(d), repeat=spec.order))
+    expanded = block_tables(spec, d, kernel.expand(normalized))
+    assert expanded == list(itertools.product(range(d), repeat=spec.order))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +159,7 @@ def test_expand_matches_the_tuple_expansion(case, rng):
     kernel = _field_kernel(spec, d)
     normalized = list(itertools.product(*kernel.ranges))
     subset = rng.sample(normalized, rng.randint(0, len(normalized)))
-    assert kernel.expand(subset) == naive_expand(spec, d, subset)
+    assert block_tables(spec, d, kernel.expand(subset)) == naive_expand(spec, d, subset)
 
 
 # Cases for run(start, step) beyond CASE_EXAMPLES: (field, factors, d).
@@ -209,6 +213,37 @@ def test_product_construction_is_a_lower_bound():
     assert len(lifted) == 27
     assert lifted <= found
     assert len(found) == 2916
+
+
+def _kept_tuples(record, length):
+    """The number of tuples of `length` entries that record keeps, through
+    its slots and the tuples they hold."""
+    seen, todo, found = set(), [record], 0
+    while todo:
+        for x in gc.get_referents(todo.pop()):
+            if isinstance(x, tuple) and id(x) not in seen:
+                seen.add(id(x))
+                todo.append(x)
+                found += len(x) == length
+    return found
+
+
+@pytest.mark.parametrize(
+    "field, factors, d",
+    [((2, 1, None), ((3, 2),), 3), ((3, 1, None), ((4, 2),), 2), ((2, 8, None), ((1, 1),), 257)],
+)
+def test_search_keeps_no_table_tuple_until_read(field, factors, d):
+    """A search keeps its tables as one block of bytes: count reads its
+    length, and one tuple per table exists only once `tables` is read."""
+    spec = _spec(field, factors)
+    result = search_bent(spec, d)
+    assert result.count == len(result._block) // (spec.order * (1 if d <= 256 else 2))
+    assert type(result._block) is bytes and not hasattr(result, "_view")
+    assert _kept_tuples(result, spec.order) == 0
+    tables = result.tables
+    assert result.tables is tables and len(tables) == result.count
+    assert _kept_tuples(result, spec.order) == result.count
+    assert list(tables) == block_tables(spec, d, result._block)
 
 
 # The benchmark's census searches: (field, factors, d).
