@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 import os
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .characters import ScalarFunction, _Coded, _codes_of, _elements, _kept
 from .errors import (
@@ -222,7 +222,7 @@ class SearchResult(_Coded):
     on (d, candidates, |G|, block), |G| being 0 where there is no table.
     The constructor takes the tables and raises ShapeMismatch unless they
     have one length of at least 1, and InvalidOrder unless d is an int in
-    [1, 2^32] and every entry an int in [0, d).
+    [1, 2^32] and every entry an int in [0, d), bools counting as no ints.
     """
 
     __slots__ = ("d", "candidates", "_width", "_block")
@@ -233,7 +233,7 @@ class SearchResult(_Coded):
     _block: bytes
 
     def _validate(self, d, candidates, tables) -> tuple:
-        if not (isinstance(d, int) and 0 < d <= 1 << 32):
+        if not (isinstance(d, int) and not isinstance(d, bool) and 0 < d <= 1 << 32):
             raise InvalidOrder(f"subgroup order {d!r} is not an int in [1, 2^32]", witness=d)
         rows = [tuple(e) for e in tables]
         lengths = sorted({len(e) for e in rows})
@@ -241,7 +241,7 @@ class SearchResult(_Coded):
             raise ShapeMismatch(f"tables of {lengths} entries: they need one length >= 1", witness=lengths)
         entries = list(itertools.chain.from_iterable(rows))
         for v in entries:
-            if not (isinstance(v, int) and 0 <= v < d):
+            if not (isinstance(v, int) and not isinstance(v, bool) and 0 <= v < d):
                 raise InvalidOrder(f"table entry {v!r} is not an int in [0, {d})", witness=v)
         return d, candidates, lengths[0] if rows else 0, _lane_bytes(entries, _lane_bits(d - 1))
 
@@ -253,11 +253,6 @@ class SearchResult(_Coded):
     def count(self) -> int:
         """The number of tables, read off the block's length; builds no view."""
         return len(self._entries()) // (self._width or 1)
-
-    def _rows(self) -> Iterator[Sequence[int]]:
-        """Each table's entries, a slice of the block's lanes; builds no view."""
-        entries, w = self._entries(), self._width
-        return (entries[i : i + w] for i in range(0, len(entries), w or 1))
 
     @_kept
     def tables(self) -> tuple[tuple[int, ...], ...]:

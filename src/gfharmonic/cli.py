@@ -133,7 +133,7 @@ def _cmd_search(args) -> int:
     spec = group_from_file_obj(read_json(args.group))
     budget = MAX_CANDIDATES if args.max_candidates is None else args.max_candidates
     result = search_bent(spec, args.d, max_candidates=budget, jobs=args.jobs)
-    tables = list(map(list, result._rows()))
+    tables = [list(e) for e in result.tables]
     obj = {
         **group_file_to_obj(spec),
         "d": result.d,
@@ -160,7 +160,7 @@ def _cmd_compare(args) -> int:
         spec, m = group_from_file_obj(read_json(args.group)), args.m
         # The search's driver with the classical verdict, which checks m | s first.
         result = _search(spec, m, _classical_verdict(spec, m), MAX_CANDIDATES, jobs=1)
-        checked, classical = result.candidates, list(result._rows())
+        checked, classical = result.candidates, result.tables
     else:
         raise MalformedInput(
             "compare needs either --in FILE or --group FILE --m M --exhaustive"

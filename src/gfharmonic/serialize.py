@@ -127,7 +127,9 @@ def group_file_to_obj(spec: GroupSpec) -> dict:
 
 def group_from_file_obj(obj: Any, ctx: Optional[FieldContext] = None) -> GroupSpec:
     """The group of a group file, over ctx where its context names ctx's p,
-    n and modulus, else over the field it names, built afresh."""
+    n and modulus, else over the field it names, built afresh.  A context
+    that leaves its modulus out is always built afresh: telling whether the
+    default modulus is ctx's would take the search that builds it."""
     obj = _expect_mapping(obj, "group file")
     args = _context_args(obj.get("context"))
     if ctx is None or args != (ctx.p, ctx.n, list(ctx.modulus)):

@@ -212,12 +212,12 @@ class TestRecords:
         for tables in [((0, 1), (0,)), ((0,), (0, 1)), ((),), ((), ())]:
             with pytest.raises(ShapeMismatch):
                 SearchResult(3, 27, tables)
-        for tables in [((0, 3),), ((0, -1),), ((0, 0.0),), ((0, "1"),), ((None, 0),)]:
+        for tables in [((0, 3),), ((0, -1),), ((0, 0.0),), ((0, "1"),), ((None, 0),), ((0, True),)]:
             with pytest.raises(InvalidOrder):
                 SearchResult(3, 9, tables)
         with pytest.raises(InvalidOrder):
             SearchResult(257, 257, ((257,),))
-        for d in (0, -1, 3.0, (1 << 32) + 1):
+        for d in (0, -1, 3.0, (1 << 32) + 1, True):
             with pytest.raises(InvalidOrder):
                 SearchResult(d, 1, ())
 
